@@ -1,7 +1,7 @@
 """curvepi: finitely presented group toolkit and plane-curve complement
 classifier for curves of degree at most five."""
 
-from .words import Word, free_reduce
+from .words import Word
 from .presentations import (
     Presentation,
     SubstitutionMap,
@@ -23,7 +23,6 @@ from .coset_table import (
     Overflow,
     todd_coxeter,
     validate_table,
-    permutation_rep,
 )
 from .schreier import schreier_transversal, subgroup_presentation, simplify
 from .derive import DerivationBudget, ProofTrace, Inconclusive, derive_relator, replay_trace
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Word",
-    "free_reduce",
     "Presentation",
     "SubstitutionMap",
     "substitute",
@@ -63,7 +61,6 @@ __all__ = [
     "Overflow",
     "todd_coxeter",
     "validate_table",
-    "permutation_rep",
     "schreier_transversal",
     "subgroup_presentation",
     "simplify",

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .abelian import abelian_invariants
 from .catalog import build, parse_tag
 from .classify import NotCovered, classify
-from .coset_table import EnumLimits, Overflow, todd_coxeter
+from .coset_table import Overflow, limits_from_env, todd_coxeter
 from .dsl import ParseError, parse_presentation, parse_word
 from .geometry import CombinatorialType, load_script, run_script, validate_combinatorial_type
 from .presentations import Presentation, format_presentation
@@ -33,11 +32,6 @@ def _read_presentation(source: str) -> Presentation:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_presentation(text)
-
-
-def _default_max_cosets() -> int:
-    env = os.environ.get("CURVEPI_MAX_COSETS")
-    return int(env) if env else 10**6
 
 
 def _cmd_ab(args) -> int:
@@ -58,11 +52,11 @@ def _cmd_tc(args) -> int:
     if extra:
         p = Presentation(p.generators, list(p.relators) + extra)
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
-    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
+    result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
     if isinstance(result, Overflow):
         print(
             f"overflow: {result.allocated} cosets allocated "
-            f"(budget {args.max_cosets}); index may be infinite",
+            f"(budget {result.limits.max_cosets}); index may be infinite",
             file=sys.stderr,
         )
         return 1
@@ -76,7 +70,7 @@ def _cmd_tc(args) -> int:
 def _cmd_rs(args) -> int:
     p = _read_presentation(args.presentation)
     subgroup = [parse_word(p, w) for w in args.subgroup]
-    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
+    result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
     if isinstance(result, Overflow):
         print("overflow: subgroup index not reached within budget", file=sys.stderr)
         return 1
@@ -190,7 +184,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="subgroup generator word (repeatable)")
     p_tc.add_argument("--quotient-by", action="append", metavar="WORD",
                       help="extra relator to impose (repeatable)")
-    p_tc.add_argument("--max-cosets", type=int, default=_default_max_cosets())
+    p_tc.add_argument("--max-cosets", type=int)
     add_json(p_tc)
     p_tc.set_defaults(fn=_cmd_tc)
 
@@ -198,7 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_rs.add_argument("presentation")
     p_rs.add_argument("--subgroup", action="append", required=True, metavar="WORD")
     p_rs.add_argument("--raw", action="store_true", help="skip simplification")
-    p_rs.add_argument("--max-cosets", type=int, default=_default_max_cosets())
+    p_rs.add_argument("--max-cosets", type=int)
     add_json(p_rs)
     p_rs.set_defaults(fn=_cmd_rs)
 
@@ -221,7 +215,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--only", metavar="IDS", help=f"comma-separated from {','.join(ALL_CHECKS)}")
     p_ver.add_argument("--budget", type=int, metavar="N",
                        help="derivation state budget override")
-    p_ver.add_argument("--max-cosets", type=int, default=None)
+    p_ver.add_argument("--max-cosets", type=int)
     add_json(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

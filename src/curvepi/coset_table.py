@@ -9,6 +9,7 @@ coset 0 (positive generator columns first) so transversals are reproducible.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +27,17 @@ class EnumLimits:
             raise ValueError("limits must be positive")
         self.max_cosets = max_cosets
         self.max_deductions = max_deductions
+
+
+def limits_from_env(max_cosets: int | None = None) -> EnumLimits:
+    """The coset budget of the commands: ``max_cosets`` when given, else the
+    environment variable read below, else EnumLimits' default."""
+    if max_cosets is None:
+        env = os.environ.get("CURVEPI_MAX_COSETS")
+        if not env:
+            return EnumLimits()
+        max_cosets = int(env)
+    return EnumLimits(max_cosets=max_cosets)
 
 
 class Overflow:
@@ -62,7 +74,8 @@ class CosetTable:
         bwd = tuple(tuple(col) for col in backward)
         if len(fwd) != len(bwd):
             raise ValueError("forward/backward generator counts differ")
-        n = len(fwd[0]) if fwd else 0
+        # with no generators the only coset is the subgroup itself
+        n = len(fwd[0]) if fwd else 1
         for col in fwd + bwd:
             if len(col) != n:
                 raise ValueError("ragged action maps")
@@ -350,23 +363,6 @@ def validate_table(p: Presentation, subgroup: Sequence[Word], t: CosetTable) -> 
     if len(seen) != n:
         failures.append(("not transitive", n - len(seen)))
     return ValidationReport(failures)
-
-
-class PermRep:
-    """One permutation of degree n per generator, as index tuples."""
-
-    __slots__ = ("degree", "perms")
-
-    def __init__(self, degree: int, perms: Sequence[Tuple[int, ...]]):
-        self.degree = degree
-        self.perms = tuple(tuple(p) for p in perms)
-
-    def __repr__(self) -> str:
-        return f"PermRep(degree={self.degree}, gens={len(self.perms)})"
-
-
-def permutation_rep(t: CosetTable) -> PermRep:
-    return PermRep(t.n, t.forward)
 
 
 def perm_group_order(perms: Sequence[Tuple[int, ...]], limit: int = 10**6) -> int | None:

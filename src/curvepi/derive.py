@@ -206,7 +206,8 @@ def derive_relator(
     cur, pre = _canonical_steps(w.letters)
     steps.extend(pre)
     for state, (idx, inv, pos) in chain:
-        assert cur == state, "trace reconstruction out of sync"
+        if cur != state:
+            raise RuntimeError("trace reconstruction out of sync")
         rel = p.relators[idx].letters
         if inv:
             rel = invert(rel)
@@ -214,7 +215,9 @@ def derive_relator(
         steps.append(("insert", idx, inv, pos))
         cur, extra = _canonical_steps(raw)
         steps.extend(extra)
-    assert cur == ()
+    if cur:
+        raise RuntimeError("trace reconstruction does not end at the empty word")
     trace = ProofTrace(w, steps)
-    assert replay_trace(p, trace), "derived trace failed replay"
+    if not replay_trace(p, trace):
+        raise RuntimeError("derived trace failed replay")
     return trace

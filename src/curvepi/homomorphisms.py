@@ -8,7 +8,7 @@ coset enumeration.  Anything else is Inconclusive, which is not a judgment.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .abelian import relator_matrix, smith_normal_form
 from .coset_table import CosetTable, EnumLimits, todd_coxeter
@@ -73,9 +73,7 @@ def _abelian_refuter(target: Presentation, image: Word) -> bool:
 
 
 def check_homomorphism(
-    m: SubstitutionMap,
-    budget: DerivationBudget | None = None,
-    refute_cosets: int = _REFUTE_COSET_LIMIT,
+    m: SubstitutionMap, budget: DerivationBudget | None = None
 ) -> Verified | Refuted | Inconclusive:
     """Decide, when possible, whether the substitution defines a homomorphism.
 
@@ -91,7 +89,7 @@ def check_homomorphism(
 
     # a finite quotient (the regular action) refutes exactly the nontrivial
     # images; only worth attempting when the target might be finite
-    table = todd_coxeter(m.target, [], EnumLimits(max_cosets=refute_cosets))
+    table = todd_coxeter(m.target, [], EnumLimits(max_cosets=_REFUTE_COSET_LIMIT))
     if isinstance(table, CosetTable):
         for i, img in enumerate(images):
             if table.trace(0, img) != 0:
@@ -107,21 +105,40 @@ def check_homomorphism(
 
 
 class IsomorphismReport:
-    __slots__ = ("forward", "backward", "compositions_fix_generators", "failures")
+    """The typed results of a two-sided isomorphism check: the forward and
+    backward map checks, and one derivation (ProofTrace or Inconclusive)
+    per composition check, as ``(composition, generator, result)``."""
 
-    def __init__(self, forward, backward, compositions_fix_generators, failures):
+    __slots__ = ("forward", "backward", "compositions")
+
+    def __init__(self, forward, backward, compositions):
         self.forward = forward
         self.backward = backward
-        self.compositions_fix_generators = compositions_fix_generators
-        self.failures = tuple(failures)
+        self.compositions = tuple(compositions)
+
+    @property
+    def results(self) -> tuple:
+        """Every engine result the report holds."""
+        return (self.forward, self.backward, *(res for _, _, res in self.compositions))
 
     @property
     def verified(self) -> bool:
-        return (
-            isinstance(self.forward, Verified)
-            and isinstance(self.backward, Verified)
-            and self.compositions_fix_generators
+        return all(isinstance(res, (Verified, ProofTrace)) for res in self.results)
+
+    @property
+    def failures(self) -> Tuple[str, ...]:
+        """Display text for each part that is not a certificate."""
+        out = [
+            f"{name} map: {res!r}"
+            for name, res in (("forward", self.forward), ("backward", self.backward))
+            if not isinstance(res, Verified)
+        ]
+        out.extend(
+            f"{name} does not visibly fix generator {gen}: {res.reason}"
+            for name, gen, res in self.compositions
+            if isinstance(res, Inconclusive)
         )
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"IsomorphismReport(verified={self.verified}, failures={list(self.failures)})"
@@ -135,23 +152,13 @@ def verify_isomorphism(
     """Two-sided check: both maps Verified as homomorphisms and both
     compositions fix every generator modulo the relators."""
     budget = budget or DerivationBudget()
-    failures: List[str] = []
     f_res = check_homomorphism(fwd, budget)
     b_res = check_homomorphism(bwd, budget)
-    if not isinstance(f_res, Verified):
-        failures.append(f"forward map: {f_res!r}")
-    if not isinstance(b_res, Verified):
-        failures.append(f"backward map: {b_res!r}")
-    comps_ok = True
+    compositions = []
     for name, outer, inner in (("backward o forward", bwd, fwd), ("forward o backward", fwd, bwd)):
         comp = compose(outer, inner)
         for g in range(comp.source.n_gens):
             test = comp.images[g] * ~Word.gen(g)
             res = derive_relator(comp.source, test, budget)
-            if isinstance(res, Inconclusive):
-                comps_ok = False
-                failures.append(
-                    f"{name} does not visibly fix generator "
-                    f"{comp.source.generators[g]}: {res.reason}"
-                )
-    return IsomorphismReport(f_res, b_res, comps_ok, failures)
+            compositions.append((name, comp.source.generators[g], res))
+    return IsomorphismReport(f_res, b_res, compositions)

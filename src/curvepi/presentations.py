@@ -105,9 +105,6 @@ class SubstitutionMap:
     def __setattr__(self, name, value):
         raise AttributeError("SubstitutionMap is immutable")
 
-    def image_of_generator(self, index: int) -> Word:
-        return self.images[index]
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{g} -> {format_word(self.target, w)}"

@@ -164,13 +164,13 @@ def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Option
     return None
 
 
-def simplify(
-    p: Presentation,
-    max_passes: int = 1000,
-    growth_limit: int = 4,
-    substring_max_relators: int = 64,
-    substring_max_length: int = 2048,
-) -> Presentation:
+_MAX_PASSES = 1000
+_GROWTH_LIMIT = 4
+_SUBSTRING_MAX_RELATORS = 64
+_SUBSTRING_MAX_LENGTH = 2048
+
+
+def simplify(p: Presentation) -> Presentation:
     """Tietze simplification.
 
     - drops empty and duplicate relators (duplicates modulo rotation and
@@ -178,7 +178,7 @@ def simplify(
     - eliminates generators that occur exactly once in some relator,
       preferring the shortest defining relator then the lowest generator
       index, refusing eliminations that would push the total relator length
-      beyond ``growth_limit`` times the input,
+      beyond ``_GROWTH_LIMIT`` times the input,
     - shortens relators against rotations of shorter relators (skipped on
       presentations too large for the quadratic scan to be worthwhile).
 
@@ -186,7 +186,7 @@ def simplify(
     """
     names = list(p.generators)
     rels: List[Tuple[int, ...]] = [w.letters for w in p.relators]
-    budget_total = growth_limit * max(1, sum(len(r) for r in rels))
+    budget_total = _GROWTH_LIMIT * max(1, sum(len(r) for r in rels))
 
     def dedupe() -> None:
         nonlocal rels
@@ -253,9 +253,9 @@ def simplify(
         return True
 
     def shorten_once() -> bool:
-        if len(rels) > substring_max_relators:
+        if len(rels) > _SUBSTRING_MAX_RELATORS:
             return False
-        if sum(len(r) for r in rels) > substring_max_length:
+        if sum(len(r) for r in rels) > _SUBSTRING_MAX_LENGTH:
             return False
         order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), i))
         for wi in reversed(order):  # longest first
@@ -269,7 +269,7 @@ def simplify(
         return False
 
     dedupe()
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         if eliminate_once():
             dedupe()
             continue

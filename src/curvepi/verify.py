@@ -27,11 +27,9 @@ from .classify import (
     table_rows,
 )
 from .coset_table import (
-    CosetTable,
-    EnumLimits,
     Overflow,
+    limits_from_env,
     perm_group_order,
-    permutation_rep,
     table_from_action,
     todd_coxeter,
     validate_table,
@@ -39,7 +37,13 @@ from .coset_table import (
 from .derive import DerivationBudget, Inconclusive, derive_relator
 from .dsl import parse_presentation, parse_word
 from .geometry import load_script, run_script
-from .homomorphisms import SubstitutionMap, Verified, check_homomorphism, verify_isomorphism
+from .homomorphisms import (
+    IsomorphismReport,
+    Refuted,
+    SubstitutionMap,
+    check_homomorphism,
+    verify_isomorphism,
+)
 from .presentations import Presentation, substitute
 from .schreier import simplify, subgroup_presentation
 from .words import Word
@@ -53,14 +57,8 @@ class SuiteConfig:
         max_cosets: Optional[int] = None,
         budget: Optional[DerivationBudget] = None,
     ):
-        env = os.environ.get("CURVEPI_MAX_COSETS")
-        self.max_cosets = max_cosets if max_cosets is not None else (
-            int(env) if env else 10**6
-        )
+        self.limits = limits_from_env(max_cosets)
         self.budget = budget or DerivationBudget()
-
-    def limits(self) -> EnumLimits:
-        return EnumLimits(max_cosets=self.max_cosets)
 
 
 class LemmaReport:
@@ -104,31 +102,31 @@ def _require(cond: bool, detail: str, artifacts: dict | None = None) -> None:
         raise _CheckFailed(detail, artifacts)
 
 
-def _enumerate(p: Presentation, subgroup, cfg: SuiteConfig, what: str) -> CosetTable:
-    t = todd_coxeter(p, subgroup, cfg.limits())
-    if isinstance(t, Overflow):
-        raise _CheckInconclusive(
-            f"{what}: coset budget exhausted at {t.allocated} cosets "
-            f"(max {cfg.max_cosets})"
+def _settle(result, what: str):
+    """Decide a check's outcome from an engine result by its type: a
+    CosetTable or Overflow, a ProofTrace or Inconclusive, a Verified, Refuted
+    or Inconclusive map check, or an IsomorphismReport.  Any Refuted fails
+    the check; otherwise any Overflow or Inconclusive leaves it
+    inconclusive.  Returns the result when neither applies."""
+    parts = result.results if isinstance(result, IsomorphismReport) else (result,)
+    if any(isinstance(r, Refuted) for r in parts):
+        raise _CheckFailed(f"{what}: {_describe(result)}")
+    if any(isinstance(r, (Overflow, Inconclusive)) for r in parts):
+        raise _CheckInconclusive(f"{what}: {_describe(result)}")
+    return result
+
+
+def _describe(result) -> str:
+    if isinstance(result, IsomorphismReport):
+        return "; ".join(result.failures)
+    if isinstance(result, Overflow):
+        return (
+            f"coset budget exhausted at {result.allocated} cosets "
+            f"(max {result.limits.max_cosets})"
         )
-    return t
-
-
-def _derive_or_inconclusive(p: Presentation, w: Word, cfg: SuiteConfig, what: str):
-    res = derive_relator(p, w, cfg.budget)
-    if isinstance(res, Inconclusive):
-        raise _CheckInconclusive(f"{what}: {res.reason} (budgets are configurable)")
-    return res
-
-
-def _verified_isomorphism(fwd, bwd, cfg: SuiteConfig, what: str) -> None:
-    rep = verify_isomorphism(fwd, bwd, cfg.budget)
-    if rep.verified:
-        return
-    inconclusive = any("Inconclusive" in f or "not derived" in f for f in rep.failures)
-    if inconclusive:
-        raise _CheckInconclusive(f"{what}: {'; '.join(rep.failures)}")
-    raise _CheckFailed(f"{what}: {'; '.join(rep.failures)}")
+    if isinstance(result, Inconclusive):
+        return result.reason
+    return repr(result)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def check_v1(cfg: SuiteConfig) -> Tuple[str, dict]:
     """Order 320: the three-A4 quintic group is finite of order 320 with
     abelianization Z/5."""
     p = quintic_presentation("C5_3A4")
-    t = _enumerate(p, [], cfg, "C5(3A4) enumeration")
+    t = _settle(todd_coxeter(p, [], cfg.limits), "C5(3A4) enumeration")
     _require(t.n == 320, f"expected 320 cosets, got {t.n}", {"cosets": t.n})
     report = validate_table(p, [], t)
     _require(report.passed, f"table certificate failed: {report.failures}")
@@ -155,11 +153,11 @@ def check_v1(cfg: SuiteConfig) -> Tuple[str, dict]:
 def check_v2(cfg: SuiteConfig) -> Tuple[str, dict]:
     """The (2,3,5) quotient has order 60 and trivial abelianization."""
     q = parse_presentation("<a,b,c | a^2, b^3, c^5, abc>")
-    t = _enumerate(q, [], cfg, "Gr<2,3,5>/a^2 enumeration")
+    t = _settle(todd_coxeter(q, [], cfg.limits), "Gr<2,3,5>/a^2 enumeration")
     _require(t.n == 60, f"expected 60 cosets, got {t.n}", {"cosets": t.n})
     inv = abelian_invariants(q)
     _require(inv.is_trivial, f"abelianization {inv.display()} is not trivial")
-    order = perm_group_order(permutation_rep(t).perms)
+    order = perm_group_order(t.forward)
     _require(order == 60, f"permutation image order {order} != 60")
     return "order 60, trivial abelianization", {
         "cosets": t.n,
@@ -229,9 +227,9 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
     (a genus-3 surface group)."""
     elems, mul, identity = _psl2_elements(7)
     _require(len(elems) == 168, f"projective group has {len(elems)} elements")
-    if cfg.max_cosets < len(elems):
+    if cfg.limits.max_cosets < len(elems):
         raise _CheckInconclusive(
-            f"coset budget {cfg.max_cosets} below the index 168 required"
+            f"coset budget {cfg.limits.max_cosets} below the index 168 required"
         )
     pair = _find_237_pair(elems, mul, identity)
     _require(pair is not None, "no (2,3,7) generating pair found")
@@ -271,14 +269,11 @@ def check_v4(cfg: SuiteConfig) -> Tuple[str, dict]:
     q_raw = Presentation(pi.generators, list(pi.relators) + [parse_word(pi, "u^3")])
     for a, b, what in ((q_raw, q, "raw->displayed"), (q, q_raw, "displayed->raw")):
         m = SubstitutionMap(a, b, [Word.gen(i) for i in range(a.n_gens)])
-        res = check_homomorphism(m, cfg.budget)
-        if isinstance(res, Inconclusive):
-            raise _CheckInconclusive(f"quotient normalization {what}: {res.reason}")
-        _require(isinstance(res, Verified), f"quotient normalization {what}: {res!r}")
+        _settle(check_homomorphism(m, cfg.budget), f"quotient normalization {what}")
     delta = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
     phi = SubstitutionMap(delta, q, [parse_word(q, "u v^2"), parse_word(q, "u")])
     psi = SubstitutionMap(q, delta, [parse_word(delta, "b"), parse_word(delta, "(ab)^3")])
-    _verified_isomorphism(phi, psi, cfg, "quotient vs triangle group")
+    _settle(verify_isomorphism(phi, psi, cfg.budget), "quotient vs triangle group")
     return "central quotient is the (2,3,7) triangle group", {
         "forward": {"a": "u v^2", "b": "u"},
         "backward": {"u": "b", "v": "(ab)^3"},
@@ -296,7 +291,7 @@ def check_v5(cfg: SuiteConfig) -> Tuple[str, dict]:
     bwd = SubstitutionMap(
         pi, art, [parse_word(art, w) for w in ("a", "b", "b^-1 x b")]
     )
-    _verified_isomorphism(fwd, bwd, cfg, "Art_333 isomorphism")
+    _settle(verify_isomorphism(fwd, bwd, cfg.budget), "Art_333 isomorphism")
     return "isomorphic to Art_333 via x = b c b^-1", {
         "forward": {"a": "a", "b": "b", "x": "b c b^-1"},
         "backward": {"a": "a", "b": "b", "c": "b^-1 x b"},
@@ -317,7 +312,7 @@ def check_v6(cfg: SuiteConfig) -> Tuple[str, dict]:
         free_prod = parse_presentation(f"<a,c | c^{r}>")
         fwd = SubstitutionMap(q, free_prod, [parse_word(free_prod, "a"), parse_word(free_prod, "a^-1 c")])
         bwd = SubstitutionMap(free_prod, q, [parse_word(q, "a"), parse_word(q, "a b")])
-        _verified_isomorphism(fwd, bwd, cfg, f"T_(2,{2*r}) quotient")
+        _settle(verify_isomorphism(fwd, bwd, cfg.budget), f"T_(2,{2*r}) quotient")
         artifacts[f"r={r}"] = {"abelianization": inv.display(), "quotient": f"Z * Z/{r}"}
     return "toric T_{2,2r} quotients and abelianizations verified", artifacts
 
@@ -327,24 +322,22 @@ def check_v7(cfg: SuiteConfig) -> Tuple[str, dict]:
     by a^3, b^3 is covered by the order-12 group <x,y | x^3, y^3, (xy)^2>,
     an index-2 subgroup of the order-24 triangle reflection group."""
     pi = quintic_presentation("C3_C2")
-    central = _derive_or_inconclusive(
-        pi, parse_word(pi, "a b^3 a^-1 b^-3"), cfg, "b^3 centrality derivation"
+    central = _settle(
+        derive_relator(pi, parse_word(pi, "a b^3 a^-1 b^-3"), cfg.budget),
+        "b^3 centrality derivation",
     )
     q = Presentation(
         pi.generators, list(pi.relators) + [parse_word(pi, "a^3"), parse_word(pi, "b^3")]
     )
     s = parse_presentation("<x,y | x^3, y^3, (xy)^2>")
     hom = SubstitutionMap(s, q, [parse_word(q, "a"), parse_word(q, "b^-1")])
-    res = check_homomorphism(hom, cfg.budget)
-    if isinstance(res, Inconclusive):
-        raise _CheckInconclusive(f"surjection check: {res.reason}")
-    _require(isinstance(res, Verified), f"surjection check: {res!r}")
-    onto = _enumerate(q, list(hom.images), cfg, "image subgroup index")
+    _settle(check_homomorphism(hom, cfg.budget), "surjection check")
+    onto = _settle(todd_coxeter(q, list(hom.images), cfg.limits), "image subgroup index")
     _require(onto.n == 1, f"images generate index {onto.n} subgroup, not onto")
-    ts = _enumerate(s, [], cfg, "source order")
+    ts = _settle(todd_coxeter(s, [], cfg.limits), "source order")
     _require(ts.n == 12, f"source group order {ts.n} != 12")
     cox = build(parse_tag("coxeter:2,3,3"))
-    tc = _enumerate(cox, [], cfg, "reflection group order")
+    tc = _settle(todd_coxeter(cox, [], cfg.limits), "reflection group order")
     _require(tc.n == 24, f"reflection group order {tc.n} != 24")
     return "quotient finite: covered by the order-12 rotation subgroup", {
         "centrality_steps": len(central.steps),
@@ -366,11 +359,11 @@ def check_v8(cfg: SuiteConfig) -> Tuple[str, dict]:
     hnn = Presentation(["a", "b", "x"], [substitute(to_abx, r) for r in pi.relators])
     fwd = SubstitutionMap(pi, hnn, [parse_word(hnn, w) for w in ("a", "b", "b^-1 x")])
     bwd = SubstitutionMap(hnn, pi, [parse_word(pi, w) for w in ("a", "b", "b c")])
-    _verified_isomorphism(fwd, bwd, cfg, "x = bc rewriting")
+    _settle(verify_isomorphism(fwd, bwd, cfg.budget), "x = bc rewriting")
     kernel_words = [
         parse_word(hnn, w) for w in ("a", "b", "x a x^-1", "x b x^-1", "x^2")
     ]
-    t = _enumerate(hnn, kernel_words, cfg, "kernel index")
+    t = _settle(todd_coxeter(hnn, kernel_words, cfg.limits), "kernel index")
     _require(t.n == 2, f"kernel has index {t.n}, expected 2")
     raw = subgroup_presentation(hnn, t)
     slim = simplify(raw)
@@ -538,7 +531,7 @@ def check_v11(cfg: SuiteConfig) -> Tuple[str, dict]:
         )
         consistency[row.label] = inv.display()
         if entry.finite_order is not None:
-            t = _enumerate(entry.presentation, [], cfg, f"{row.label} order")
+            t = _settle(todd_coxeter(entry.presentation, [], cfg.limits), f"{row.label} order")
             _require(
                 t.n == entry.finite_order,
                 f"{row.label}: enumerated order {t.n} != {entry.finite_order}",
@@ -554,9 +547,9 @@ def check_v12(cfg: SuiteConfig) -> Tuple[str, dict]:
     """The three-cusped-quartic group (sphere braid group on three strands)
     has order 12."""
     p = build(parse_tag("spherebraid3"))
-    t = _enumerate(p, [], cfg, "sphere braid group order")
+    t = _settle(todd_coxeter(p, [], cfg.limits), "sphere braid group order")
     _require(t.n == 12, f"expected order 12, got {t.n}")
-    order = perm_group_order(permutation_rep(t).perms)
+    order = perm_group_order(t.forward)
     _require(order == 12, f"permutation image order {order} != 12")
     return "sphere braid group on three strands has order 12", {"cosets": t.n}
 
@@ -598,6 +591,8 @@ def run_suite(
             status, detail, artifacts = "fail", str(exc), exc.artifacts
         except _CheckInconclusive as exc:
             status, detail, artifacts = "inconclusive", str(exc), {}
+        except Exception as exc:  # one broken check must not sink the report
+            status, detail, artifacts = "fail", f"{type(exc).__name__}: {exc}", {}
         reports.append(LemmaReport(check_id, status, detail, artifacts, time.perf_counter() - start))
     return reports
 

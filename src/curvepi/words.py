@@ -76,13 +76,8 @@ class Word:
         return Word._raw(invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word._raw(())
-        base = self.letters if n > 0 else invert(self.letters)
-        out: Tuple[int, ...] = ()
-        for _ in range(abs(n)):
-            out = concat(out, base)
-        return Word._raw(out)
+        base = self.letters if n >= 0 else invert(self.letters)
+        return Word(base * abs(n))
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^-1"""
@@ -103,11 +98,6 @@ class Word:
 
 
 EMPTY = Word._raw(())
-
-
-def free_reduce(w: Word) -> Word:
-    """The unique freely reduced representative (identity on Word values)."""
-    return Word(w.letters)
 
 
 def concat(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:

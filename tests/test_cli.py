@@ -76,6 +76,16 @@ def test_tc_overflow_exit_code():
     assert "overflow" in err
 
 
+def test_coset_budget_environment_variable(monkeypatch):
+    monkeypatch.setenv("CURVEPI_MAX_COSETS", "10")
+    code, _, err = run(["tc", "<a,b |>"])
+    assert code == 1
+    assert "budget 10" in err
+    code, out, _ = run(["verify", "--only", "V3"])
+    assert code == 1
+    assert "INCONCLUSIVE" in out
+
+
 def test_rs_subgroup():
     code, out, _ = run(
         ["rs", "<a,b|>", "--subgroup", "a^2", "--subgroup", "b", "--subgroup", "a b a^-1"]

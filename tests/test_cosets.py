@@ -8,7 +8,6 @@ from curvepi.coset_table import (
     EnumLimits,
     Overflow,
     perm_group_order,
-    permutation_rep,
     table_from_action,
     todd_coxeter,
     validate_table,
@@ -39,7 +38,7 @@ def test_known_orders(dsl, order):
     assert validate_table(p, [], t).passed
     # independent oracle: the permutation image of a trivial-subgroup table
     # is the regular representation, so its order equals the coset count
-    assert perm_group_order(permutation_rep(t).perms) == order
+    assert perm_group_order(t.forward) == order
 
 
 def test_order_320_case():
@@ -47,7 +46,7 @@ def test_order_320_case():
     t = todd_coxeter(p)
     assert t.n == 320
     assert validate_table(p, [], t).passed
-    assert perm_group_order(permutation_rep(t).perms) == 320
+    assert perm_group_order(t.forward) == 320
 
 
 def test_subgroup_index():
@@ -70,6 +69,15 @@ def test_overflow_is_a_result_not_an_exception():
     # limits must be positive
     with pytest.raises(ValueError):
         EnumLimits(max_cosets=0)
+
+
+def test_trivial_group_has_index_one():
+    p = Presentation([])
+    t = todd_coxeter(p)
+    assert isinstance(t, CosetTable)
+    assert t.n == 1
+    assert validate_table(p, [], t).passed
+    assert t.to_json(p)["n"] == 1
 
 
 def test_determinism():

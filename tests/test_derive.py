@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,8 @@ from curvepi.derive import (
     replay_trace,
 )
 from curvepi.words import Word
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def test_relator_itself_is_one_insertion():
@@ -101,3 +106,22 @@ def test_traces_replay_on_random_consequences():
 def test_budget_validation():
     with pytest.raises(ValueError):
         DerivationBudget(max_states=0)
+
+
+def test_failed_replay_raises_under_python_O():
+    # the replay check guards soundness, so it must survive ``python -O``
+    code = """
+import curvepi.derive as derive
+from curvepi import parse_presentation, parse_word
+p = parse_presentation("<a | a^2>")
+derive.replay_trace = lambda p, trace: False
+try:
+    derive.derive_relator(p, parse_word(p, "a^2"))
+except RuntimeError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert done.returncode == 0

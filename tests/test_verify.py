@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from curvepi.derive import DerivationBudget
+from curvepi import verify
+from curvepi.coset_table import EnumLimits
+from curvepi.derive import DerivationBudget, Inconclusive
+from curvepi.dsl import parse_presentation, parse_word
+from curvepi.homomorphisms import Refuted, Verified, verify_isomorphism
+from curvepi.presentations import SubstitutionMap
 from curvepi.verify import ALL_CHECKS, SuiteConfig, run_suite, suite_json
 
 
@@ -60,3 +65,57 @@ def test_reports_carry_audit_artifacts():
     assert sorted(v8["bipartition"][1]) == ["s0_a", "s1_a", "s1_x"]
     v10 = reports["V10"].artifacts
     assert v10["2.2.2"]["self_intersections"]["C3"] == [7, 2]
+
+
+def _isomorphism_report(source, target, forward, backward, budget=None):
+    """The report of a real two-sided check, built from DSL text."""
+    src, dst = parse_presentation(source), parse_presentation(target)
+    fwd = SubstitutionMap(src, dst, [parse_word(dst, forward)])
+    bwd = SubstitutionMap(dst, src, [parse_word(src, backward)])
+    return verify_isomorphism(fwd, bwd, budget)
+
+
+def test_refuted_map_fails_even_when_another_part_is_inconclusive(monkeypatch):
+    # Z/6 -> Z/4, a -> b is refuted through the abelianization; the backward
+    # map's derivation runs out of budget
+    report = _isomorphism_report(
+        "<a | a^6>", "<b | b^4>", "b", "a^3", DerivationBudget(max_insertions=1)
+    )
+    assert isinstance(report.forward, Refuted)
+    assert isinstance(report.backward, Inconclusive)
+    monkeypatch.setattr(verify, "verify_isomorphism", lambda *args: report)
+    [v5] = run_suite(["V5"])
+    assert v5.status == "fail", v5.detail
+
+
+def test_inconclusive_composition_is_inconclusive_not_fail(monkeypatch):
+    # Z -> Z, a -> a^2 both ways: both maps are homomorphisms, and in a group
+    # with no relators the composition derivations cannot succeed
+    report = _isomorphism_report("<a |>", "<b |>", "b^2", "a^2")
+    assert isinstance(report.forward, Verified) and isinstance(report.backward, Verified)
+    assert not report.verified
+    monkeypatch.setattr(verify, "verify_isomorphism", lambda *args: report)
+    [v5] = run_suite(["V5"])
+    assert v5.status == "inconclusive", v5.detail
+
+
+def test_crashing_check_is_reported_and_the_rest_still_run(monkeypatch):
+    def boom(cfg):
+        return 1 // 0
+
+    monkeypatch.setitem(verify._CHECKS, "V9", (boom, "raises"))
+    reports = run_suite(["V2", "V9", "V10"])
+    assert [r.id for r in reports] == ["V2", "V9", "V10"]
+    assert reports[1].status == "fail"
+    assert reports[1].detail.startswith("ZeroDivisionError: ")
+    assert reports[0].passed and reports[2].passed
+
+
+def test_coset_budget_comes_from_the_environment(monkeypatch):
+    monkeypatch.delenv("CURVEPI_MAX_COSETS", raising=False)
+    assert SuiteConfig().limits.max_cosets == EnumLimits().max_cosets
+    monkeypatch.setenv("CURVEPI_MAX_COSETS", "10")
+    assert SuiteConfig().limits.max_cosets == 10
+    assert SuiteConfig(max_cosets=20).limits.max_cosets == 20
+    [v12] = run_suite(["V12"])
+    assert v12.status == "inconclusive"
