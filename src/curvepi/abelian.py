@@ -33,13 +33,6 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = 1
-        return m
-
     def copy(self) -> "IntMatrix":
         return IntMatrix([row[:] for row in self.entries], cols=self.cols)
 
@@ -53,20 +46,6 @@ class IntMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = IntMatrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.entries[i]
-            oi = out.entries[i]
-            for k, a in enumerate(ri):
-                if a:
-                    rk = other.entries[k]
-                    for j in range(other.cols):
-                        oi[j] += a * rk[j]
-        return out
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -111,29 +90,25 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U @ M @ V == D, U and V unimodular, and D
-    diagonal with d1 | d2 | ... and all di >= 0.
+def smith_normal_form(M: IntMatrix) -> IntMatrix:
+    """Return the Smith normal form D of M: diagonal, d1 | d2 | ..., all
+    di >= 0, zeros last.  Only D is computed, no unimodular transforms.
 
     Pivoting: smallest nonzero absolute value, deterministic tie-break by
-    position; followed by a divisibility repair pass.
+    position.  Elimination leaves the nonzero pivots first; a gcd/lcm pass
+    over them then gives the divisor chain.
     """
     D = M.copy()
-    U = IntMatrix.identity(M.rows)
-    V = IntMatrix.identity(M.cols)
-    a, u, v = D.entries, U.entries, V.entries
+    a = D.entries
     rows, cols = M.rows, M.cols
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
@@ -141,19 +116,10 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         asrc, adst = a[src], a[dst]
         for j in range(cols):
             adst[j] += c * asrc[j]
-        usrc, udst = u[src], u[dst]
-        for j in range(rows):
-            udst[j] += c * usrc[j]
 
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     k = 0
     n = min(rows, cols)
@@ -170,8 +136,6 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         swap_rows(k, pivot[0])
         swap_cols(k, pivot[1])
-        if a[k][k] < 0:
-            negate_row(k)
         # clear row and column k, restarting when remainders appear
         while True:
             p = a[k][k]
@@ -183,8 +147,6 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                     add_row(k, i, -q)
                     if a[i][k]:
                         swap_rows(k, i)
-                        if a[k][k] < 0:
-                            negate_row(k)
                         dirty = True
                         break
             if dirty:
@@ -202,68 +164,16 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
         k += 1
 
-    # divisibility repair: if d_i does not divide d_j (i < j), fold column j
-    # into column i and re-diagonalize the 2x2 block
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if a[i][i] == 0:
-                continue
-            for j in range(i + 1, n):
-                if a[j][j] % a[i][i]:
-                    add_col(j, i, 1)
-                    _rediagonalize_pair(a, u, v, i, j, rows, cols)
-                    changed = True
-    # push zero diagonal entries to the end
-    diag = [a[i][i] for i in range(n)]
-    for i in range(n):
-        if diag[i] == 0:
-            for j in range(i + 1, n):
-                if diag[j]:
-                    swap_rows(i, j)
-                    swap_cols(i, j)
-                    diag[i], diag[j] = diag[j], diag[i]
-                    break
-    return D, U, V
-
-
-def _rediagonalize_pair(a, u, v, i, j, rows, cols):
-    """Gcd-fix the 2x2 submatrix at (i,i),(j,j) after a column fold."""
-    # the fold leaves entries only at (i,i), (j,i), (j,j)
-    while a[j][i]:
-        p = a[i][i]
-        q = a[j][i] // p if p else 0
-        if p:
-            aj, ai = a[j], a[i]
-            for c in range(cols):
-                aj[c] -= q * ai[c]
-            uj, ui = u[j], u[i]
-            for c in range(rows):
-                uj[c] -= q * ui[c]
-        if a[j][i]:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-    # clear the (i,j) entry that row operations may have produced
-    while a[i][j]:
-        p = a[i][i]
-        q = a[i][j] // p if p else 0
-        if p:
-            for row in a:
-                row[j] -= q * row[i]
-            for row in v:
-                row[j] -= q * row[i]
-        if a[i][j]:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-    if a[i][i] < 0:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-    if a[j][j] < 0:
-        a[j] = [-x for x in a[j]]
-        u[j] = [-x for x in u[j]]
+    # divisor chain over the k nonzero pivots (gcd(0, 0) would divide by
+    # zero): Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm)
+    diag = [abs(a[i][i]) for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    for i, d in enumerate(diag):
+        a[i][i] = d
+    return D
 
 
 class InvariantFactors:
@@ -323,7 +233,7 @@ def relator_matrix(p: Presentation) -> IntMatrix:
 
 
 def invariants_of_matrix(M: IntMatrix) -> InvariantFactors:
-    D, _, _ = smith_normal_form(M)
+    D = smith_normal_form(M)
     diag = [D[i, i] for i in range(min(D.rows, D.cols))]
     rank = sum(1 for d in diag if d)
     torsion = [d for d in diag if d > 1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .abelian import relator_matrix, smith_normal_form
+from .abelian import IntMatrix, invariants_of_matrix, relator_matrix
 from .coset_table import CosetTable, EnumLimits, todd_coxeter
 from .derive import DerivationBudget, Inconclusive, ProofTrace, derive_relator
 from .presentations import Presentation, SubstitutionMap, compose, substitute
@@ -44,32 +44,24 @@ class Refuted:
         return f"Refuted(relator={self.relator_index}, quotient={self.quotient!r})"
 
 
-def _in_row_lattice(M, v: List[int]) -> bool:
-    """Is v an integer combination of the rows of M?  Via SNF of M."""
-    D, _, V = smith_normal_form(M)
-    # v in rowspace_Z(M)  iff  (v V) is componentwise divisible by diag(D)
-    vv = [0] * M.cols
-    for j in range(M.cols):
-        s = 0
-        for i in range(M.cols):
-            s += v[i] * V.entries[i][j]
-        vv[j] = s
-    for j in range(M.cols):
-        d = D.entries[j][j] if j < D.rows else 0
-        if d == 0:
-            if vv[j] != 0:
-                return False
-        elif vv[j] % d:
-            return False
-    return True
+def _abelian_refuter(target: Presentation, *images: Word) -> Refuted | None:
+    """The first image that is nontrivial in the abelianized target, as a
+    Refuted witness, or None.
 
-
-def _abelian_refuter(target: Presentation, image: Word) -> bool:
-    """True when the image is nontrivial in the abelianized target."""
-    v = image.exponent_sums(target.n_gens)
-    if all(x == 0 for x in v):
-        return False
-    return not _in_row_lattice(relator_matrix(target), v)
+    An image with exponent-sum vector v is trivial there exactly when v lies
+    in the row lattice L of the target's relator matrix M.  Appending v as a
+    row leaves the invariants unchanged when v is in L; otherwise
+    Z^n/(L + Zv) is a proper quotient of Z^n/L, and as finitely generated
+    abelian groups are Hopfian, the invariants differ.  M and its invariants
+    are computed once for all the images.
+    """
+    M = relator_matrix(target)
+    base = invariants_of_matrix(M)
+    for i, img in enumerate(images):
+        v = img.exponent_sums(target.n_gens)
+        if any(v) and invariants_of_matrix(IntMatrix(M.entries + [v], cols=M.cols)) != base:
+            return Refuted(i, img, "abelianization", v)
+    return None
 
 
 def check_homomorphism(
@@ -83,9 +75,9 @@ def check_homomorphism(
     budget = budget or DerivationBudget()
     images = [substitute(m, r) for r in m.source.relators]
 
-    for i, img in enumerate(images):
-        if img and _abelian_refuter(m.target, img):
-            return Refuted(i, img, "abelianization", img.exponent_sums(m.target.n_gens))
+    refuted = _abelian_refuter(m.target, *images)
+    if refuted is not None:
+        return refuted
 
     # a finite quotient (the regular action) refutes exactly the nontrivial
     # images; only worth attempting when the target might be finite

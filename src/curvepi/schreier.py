@@ -47,7 +47,8 @@ def schreier_transversal(t: CosetTable) -> Transversal:
             if reps[d] is None:
                 reps[d] = reps[c] * Word.gen(g)
                 queue.append(d)
-    assert all(r is not None for r in reps), "table is not transitive"
+    if any(r is None for r in reps):
+        raise ValueError("table is not transitive")
     return Transversal(reps)  # type: ignore[arg-type]
 
 
@@ -72,10 +73,10 @@ class SchreierRewriter:
     dropped up front, so rewritten words use only the essential generators.
     """
 
-    def __init__(self, p: Presentation, t: CosetTable, transversal: Transversal | None = None):
+    def __init__(self, p: Presentation, t: CosetTable):
         self.presentation = p
         self.table = t
-        self.transversal = transversal or schreier_transversal(t)
+        self.transversal = schreier_transversal(t)
         self.generators: List[SchreierGenerator] = []
         self.names: List[str] = []
         # (coset, gen) -> subgroup generator index, or None when trivial
@@ -123,10 +124,6 @@ class SchreierRewriter:
             for r in self.presentation.relators:
                 rels.append(self.rewrite(rep * r * ~rep))
         return Presentation(self.names, rels)
-
-
-def rewrite(p: Presentation, t: CosetTable, w: Word, transversal: Transversal | None = None) -> Word:
-    return SchreierRewriter(p, t, transversal).rewrite(w)
 
 
 def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:

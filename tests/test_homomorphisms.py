@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import parse_presentation, parse_word
+from curvepi.abelian import IntMatrix
 from curvepi.derive import DerivationBudget, Inconclusive
 from curvepi.homomorphisms import (
     Refuted,
     Verified,
+    _abelian_refuter,
     check_homomorphism,
     verify_isomorphism,
 )
@@ -133,3 +136,85 @@ def test_fuzz_never_both_verified_and_refuted():
             verdicts["inconclusive"] += 1
     assert verdicts["verified"] > 10
     assert verdicts["refuted"] > 10
+
+
+# ---------------------------------------------------------------------------
+# The abelianization refuter against an independent oracle: v is in the row
+# lattice of M exactly when [M; v] has the determinantal divisors and the
+# rank of M (brute-force minors_gcd).
+
+
+def vector_word(p, v):
+    """A word with exponent-sum vector v in the generators of p."""
+    return p.word(list(zip(p.generators, v)))
+
+
+def lattice_target(rows, n):
+    gens = Presentation([f"g{j}" for j in range(n)])
+    return Presentation(gens.generators, [vector_word(gens, r) for r in rows])
+
+
+def nonzero_divisors(A):
+    """d_k = gcd of the k x k minors is nonzero exactly for k <= rank, so
+    this list gives the determinantal divisors and the rank."""
+    divisors = (A.minors_gcd(k) for k in range(1, min(A.rows, A.cols) + 1))
+    return [d for d in divisors if d]
+
+
+small = st.integers(-6, 6)
+
+
+def vector(n):
+    return st.lists(small, min_size=n, max_size=n)
+
+
+def matrix_rows(n):
+    return st.lists(vector(n), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(matrix_rows(n), vector(n))))
+def test_abelian_refuter_agrees_with_determinantal_divisors(case):
+    rows, v = case
+    n = len(v)
+    target = lattice_target(rows, n)
+    same = nonzero_divisors(IntMatrix(rows + [v], cols=n)) == nonzero_divisors(IntMatrix(rows, cols=n))
+    refuted = _abelian_refuter(target, vector_word(target, v))
+    assert (refuted is None) == same
+    if refuted is not None:
+        assert refuted.quotient == "abelianization" and refuted.detail == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), matrix_rows(n), vector(4))))
+def test_integer_combinations_of_relators_are_never_refuted(case):
+    n, rows, x = case
+    v = [sum(c * row[j] for c, row in zip(x, rows)) for j in range(n)]
+    target = lattice_target(rows, n)
+    assert _abelian_refuter(target, vector_word(target, v)) is None
+
+
+def test_no_relators_refutes_every_image_with_nonzero_exponent_sums():
+    free = parse_presentation("<a,b |>")
+    for text in ("a", "b^-2", "a b a^-1", "a^3 b a^-2"):
+        assert _abelian_refuter(free, parse_word(free, text)) is not None
+    # trivial in the abelianization, so this refuter cannot speak
+    assert _abelian_refuter(free, parse_word(free, "a b a^-1 b^-1")) is None
+    src = parse_presentation("<x | x^2>")
+    res = check_homomorphism(SubstitutionMap(src, free, words(free, "a")))
+    assert isinstance(res, Refuted) and res.quotient == "abelianization"
+
+
+def test_large_exponent_target():
+    p = parse_presentation("<a | a^1000000>")
+    a = Word.gen(0)
+    assert _abelian_refuter(p, a**1000000) is None
+    res = _abelian_refuter(p, a**999999)
+    assert res is not None and res.detail == [999999]
+
+
+def test_abelian_refuter_reports_the_first_refuted_image():
+    z6 = parse_presentation("<a | a^6>")
+    a = Word.gen(0)
+    res = _abelian_refuter(z6, a**6, a**12, a**3, a)
+    assert res is not None and res.relator_index == 2 and res.image == a**3

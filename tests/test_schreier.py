@@ -4,7 +4,7 @@ import pytest
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
-from curvepi.coset_table import todd_coxeter
+from curvepi.coset_table import CosetTable, todd_coxeter
 from curvepi.schreier import (
     SchreierRewriter,
     schreier_transversal,
@@ -47,6 +47,17 @@ def test_transversal_cyclic():
     p = parse_presentation("<a | a^3>")
     tr = schreier_transversal(todd_coxeter(p))
     assert [w.letters for w in tr.representatives] == [(), (1,), (1, 1)]
+
+
+def test_non_transitive_table_is_rejected():
+    # coset 2 is a fixed point that 0 and 1 never reach; the check raises
+    # rather than asserts, so it holds under python -O too
+    p = parse_presentation("<a |>")
+    t = CosetTable([[1, 0, 2]], [[1, 0, 2]])
+    with pytest.raises(ValueError, match="not transitive"):
+        schreier_transversal(t)
+    with pytest.raises(ValueError, match="not transitive"):
+        subgroup_presentation(p, t)
 
 
 def test_kernel_table_permutations():
