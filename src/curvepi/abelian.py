@@ -6,8 +6,9 @@ fixed-width arithmetic unusable even on small inputs.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .presentations import Presentation
 
@@ -32,9 +33,6 @@ class IntMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.entries], cols=self.cols)
 
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -94,13 +92,112 @@ def smith_normal_form(M: IntMatrix) -> IntMatrix:
     """Return the Smith normal form D of M: diagonal, d1 | d2 | ..., all
     di >= 0, zeros last.  Only D is computed, no unimodular transforms.
 
-    Pivoting: smallest nonzero absolute value, deterministic tie-break by
-    position.  Elimination leaves the nonzero pivots first; a gcd/lcm pass
-    over them then gives the divisor chain.
+    Two stages.  A sparse pass takes +-1 pivots first, each an invariant
+    factor 1, at a cost that follows the nonzeros it touches; relator
+    matrices from Reidemeister-Schreier rewriting are very sparse and
+    mostly +-1, so little is left after it.  The rest goes through a dense
+    elimination, and a gcd/lcm pass over its pivots gives the divisor
+    chain.  D is unique, so the split changes no result.
     """
-    D = M.copy()
-    a = D.entries
-    rows, cols = M.rows, M.cols
+    units, block = _unit_pivots(M.entries)
+    pivots = _dense_pivots(block)
+    # Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm) gives the
+    # chain; the unit pivots divide everything and need no pass
+    for i in range(len(pivots)):
+        for j in range(i + 1, len(pivots)):
+            g = gcd(pivots[i], pivots[j])
+            pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
+    diag = [1] * units + pivots
+    D = IntMatrix.zero(M.rows, M.cols)
+    for i, d in enumerate(diag):
+        D.entries[i][i] = d
+    return D
+
+
+def _unit_pivots(entries: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """Eliminate +-1 pivots in a sparse copy of ``entries``.
+
+    Rows are ``{col: value}`` dicts, with a column -> rows index.  Each
+    step takes the +-1 entry of least Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1), clears its column from the other rows by row
+    operations, and drops its row and column: the column operations that
+    would clear the pivot row change no other row.  Returns the number of
+    pivots taken and what is left as a dense block, without zero rows or
+    columns.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    col_rows: Dict[int, Set[int]] = {}
+    for i, line in enumerate(entries):
+        row = {j: x for j, x in enumerate(line) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+
+    # (cost, row, col) for every +-1 entry.  A cost changes only when its
+    # row or column count does, and each step pushes every +-1 entry of the
+    # rows and columns it changed, so an entry popped with an out-of-date
+    # cost is skipped: its current cost is in the heap too.
+    heap: List[Tuple[int, int, int]] = []
+
+    def push(i: int, j: int) -> None:
+        x = rows[i][j]
+        if x == 1 or x == -1:
+            heappush(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
+
+    for i, row in rows.items():
+        for j in row:
+            push(i, j)
+
+    units = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        row = rows.get(i)
+        x = row.get(j) if row is not None else None
+        if (x != 1 and x != -1) or (len(row) - 1) * (len(col_rows[j]) - 1) != cost:
+            continue
+        del rows[i]
+        others = col_rows.pop(j)
+        others.discard(i)
+        del row[j]
+        for jj in row:
+            col_rows[jj].discard(i)
+        for k in others:
+            # row k -= c * row i, with c = row_k[j] / x; x = +-1 is its own
+            # inverse, and column j of row k becomes exactly zero
+            rk = rows[k]
+            c = rk.pop(j) * x
+            for jj, y in row.items():
+                v = rk.get(jj, 0) - c * y
+                if v:
+                    rk[jj] = v
+                    col_rows[jj].add(k)
+                else:
+                    del rk[jj]
+                    col_rows[jj].discard(k)
+            if not rk:
+                del rows[k]
+        for k in others:
+            for jj in rows.get(k, ()):
+                push(k, jj)
+        for jj in row:
+            for k in col_rows[jj] - others:
+                push(k, jj)
+        units += 1
+
+    cols = sorted(j for j, members in col_rows.items() if members)
+    return units, [[row.get(j, 0) for j in cols] for _, row in sorted(rows.items())]
+
+
+def _dense_pivots(a: List[List[int]]) -> List[int]:
+    """Dense elimination of ``a`` in place; returns the absolute values of
+    its nonzero pivots, not yet a divisor chain.
+
+    Pivoting: smallest nonzero absolute value, deterministic tie-break by
+    position.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
 
     def swap_rows(i, j):
         if i != j:
@@ -164,16 +261,7 @@ def smith_normal_form(M: IntMatrix) -> IntMatrix:
                 break
         k += 1
 
-    # divisor chain over the k nonzero pivots (gcd(0, 0) would divide by
-    # zero): Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm)
-    diag = [abs(a[i][i]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    for i, d in enumerate(diag):
-        a[i][i] = d
-    return D
+    return [abs(a[i][i]) for i in range(k)]
 
 
 class InvariantFactors:

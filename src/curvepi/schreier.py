@@ -4,7 +4,8 @@ presentations, and Tietze simplification."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .coset_table import CosetTable
 from .presentations import Presentation
@@ -161,7 +162,6 @@ def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Option
     return None
 
 
-_MAX_PASSES = 1000
 _GROWTH_LIMIT = 4
 _SUBSTRING_MAX_RELATORS = 64
 _SUBSTRING_MAX_LENGTH = 2048
@@ -171,107 +171,149 @@ def simplify(p: Presentation) -> Presentation:
     """Tietze simplification.
 
     - drops empty and duplicate relators (duplicates modulo rotation and
-      inversion),
+      inversion; the earliest copy stays),
     - eliminates generators that occur exactly once in some relator,
-      preferring the shortest defining relator then the lowest generator
-      index, refusing eliminations that would push the total relator length
-      beyond ``_GROWTH_LIMIT`` times the input,
+      preferring the shortest defining relator, then the lowest generator
+      index, then the earliest relator; when that elimination would push
+      the total relator length beyond ``_GROWTH_LIMIT`` times the input,
+      it is refused and only shortening may go on,
     - shortens relators against rotations of shorter relators (skipped on
-      presentations too large for the quadratic scan to be worthwhile).
+      presentations too large for the quadratic scan to be worthwhile),
+
+    until no rule applies.  This ends: each elimination removes a
+    generator, and each shortening strictly lowers the total length.
+
+    The work follows the relators each step touches.  Relators keep stable
+    ids in list order, an index maps each generator to the relators that
+    contain it, and a heap holds the elimination candidates.  An
+    elimination rewrites only the relators containing its generator, and
+    only those are checked for new duplicates.  Generators keep their
+    input numbers until the result is built.
 
     Deterministic, and the abelianization is invariant under the pipeline.
     """
     names = list(p.generators)
-    rels: List[Tuple[int, ...]] = [w.letters for w in p.relators]
-    budget_total = _GROWTH_LIMIT * max(1, sum(len(r) for r in rels))
+    budget_total = _GROWTH_LIMIT * max(1, sum(len(w) for w in p.relators))
+    rels: Dict[int, Tuple[int, ...]] = {}  # id -> letters, ids in list order
+    key_of: Dict[int, Tuple[int, ...]] = {}  # id -> dedupe key
+    owner: Dict[Tuple[int, ...], int] = {}  # dedupe key -> id
+    # generator (input number) -> ids of the relators that contain it
+    where: Dict[int, Set[int]] = {g: set() for g in range(1, len(names) + 1)}
+    # (len, generator, id) for each generator that occurs once in a relator;
+    # entries go stale as relators change and are dropped when seen
+    candidates: List[Tuple[int, int, int]] = []
+    total = 0
 
-    def dedupe() -> None:
-        nonlocal rels
-        seen = set()
-        out = []
-        for r in rels:
-            r = cyclic_reduce(reduce_letters(r))
+    def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...]) -> None:
+        nonlocal total
+        rels[i] = r
+        key_of[i] = key
+        owner[key] = i
+        total += len(r)
+        counts: Dict[int, int] = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, c in counts.items():
+            where[g].add(i)
+            if c == 1:
+                heappush(candidates, (len(r), g, i))
+
+    def remove(i: int) -> None:
+        nonlocal total
+        r = rels.pop(i)
+        del owner[key_of.pop(i)]
+        total -= len(r)
+        for x in r:
+            where[abs(x)].discard(i)
+
+    def replace(changed: Dict[int, Tuple[int, ...]]) -> None:
+        """Give relators new (cyclically reduced) letters; of equal
+        relators the lowest id stays, as in a dedupe of the whole list."""
+        for i in changed:
+            remove(i)
+        for i, r in changed.items():
             if not r:
                 continue
             key = _dedupe_key(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(r)
-        rels = out
+            j = owner.get(key)
+            if j is not None:
+                if j < i:
+                    continue
+                remove(j)
+            add(i, r, key)
+
+    def best_candidate() -> Optional[Tuple[int, int, int]]:
+        while candidates:
+            n, g, i = candidates[0]
+            r = rels.get(i)
+            if r is not None and len(r) == n and sum(1 for x in r if x == g or x == -g) == 1:
+                return candidates[0]
+            heappop(candidates)
+        return None
 
     def eliminate_once() -> bool:
         """One generator elimination; True if performed."""
-        # candidate: generator occurring exactly once (counting signs) in
-        # some relator; rank by (len(relator), gen index, relator index)
-        best = None
-        for ri, r in enumerate(rels):
-            counts: Dict[int, int] = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for g, c in counts.items():
-                if c == 1:
-                    key = (len(r), g, ri)
-                    if best is None or key < best:
-                        best = key
+        best = best_candidate()
         if best is None:
             return False
-        rlen, g, ri = best
+        _, g, ri = best
         r = rels[ri]
         pos = next(i for i, x in enumerate(r) if abs(x) == g)
         # rotate the occurrence to the front: r ~ g^e . tail, so g^e = tail^-1
         rot = r[pos:] + r[:pos]
-        e = 1 if rot[0] > 0 else -1
         tail = rot[1:]
-        replacement = invert(tail) if e > 0 else tail  # word equal to g
-        new_rels = []
-        total = 0
-        for i, w in enumerate(rels):
+        replacement = invert(tail) if rot[0] > 0 else tail  # word equal to g
+        inverse = invert(replacement)
+        changed: Dict[int, Tuple[int, ...]] = {}
+        for i in where[g]:
             if i == ri:
                 continue
             out: List[int] = []
-            for x in w:
-                if abs(x) == g:
-                    out.extend(replacement if x > 0 else invert(replacement))
+            for x in rels[i]:
+                if x == g:
+                    out.extend(replacement)
+                elif x == -g:
+                    out.extend(inverse)
                 else:
                     out.append(x)
-            reduced = cyclic_reduce(reduce_letters(tuple(out)))
-            if reduced:
-                new_rels.append(reduced)
-                total += len(reduced)
-        if total > budget_total:
+            changed[i] = cyclic_reduce(reduce_letters(out))
+        grown = sum(len(w) - len(rels[i]) for i, w in changed.items())
+        if total - len(r) + grown > budget_total:
             return False
-        # drop the generator, shifting letters above it down
-        def shift(w: Tuple[int, ...]) -> Tuple[int, ...]:
-            return tuple(x - 1 if x > g else (x + 1 if x < -g else x) for x in w)
-
-        rels[:] = [shift(w) for w in new_rels]
-        del names[g - 1]
+        remove(ri)
+        replace(changed)
+        del where[g]
         return True
 
     def shorten_once() -> bool:
         if len(rels) > _SUBSTRING_MAX_RELATORS:
             return False
-        if sum(len(r) for r in rels) > _SUBSTRING_MAX_LENGTH:
+        if total > _SUBSTRING_MAX_LENGTH:
             return False
-        order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), i))
+        order = sorted(rels, key=lambda i: (len(rels[i]), i))
         for wi in reversed(order):  # longest first
             for ui in order:
                 if ui == wi or len(rels[ui]) > len(rels[wi]):
                     continue
                 out = _substring_shorten(rels[wi], rels[ui])
                 if out is not None:
-                    rels[wi] = cyclic_reduce(out)
+                    replace({wi: cyclic_reduce(out)})
                     return True
         return False
 
-    dedupe()
-    for _ in range(_MAX_PASSES):
-        if eliminate_once():
-            dedupe()
-            continue
-        if shorten_once():
-            dedupe()
-            continue
-        break
-    return Presentation(names, [Word(r) for r in rels])
+    for i, w in enumerate(p.relators):
+        r = cyclic_reduce(w.letters)
+        if r:
+            key = _dedupe_key(r)
+            if key not in owner:
+                add(i, r, key)
+    while eliminate_once() or shorten_once():
+        pass
+
+    kept = sorted(where)
+    number = {g: n for n, g in enumerate(kept, 1)}
+    number.update({-g: -n for g, n in number.items()})
+    return Presentation(
+        [names[g - 1] for g in kept],
+        [Word(number[x] for x in rels[i]) for i in sorted(rels)],
+    )

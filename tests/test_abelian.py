@@ -201,3 +201,53 @@ def test_invariants_unchanged_by_unimodular_operations(case):
     assert invariants_of_matrix(IntMatrix(moved, cols=cols)) == invariants_of_matrix(
         IntMatrix(entries, cols=cols)
     )
+
+
+# sparse, mostly +-1 entries: the shape of relator matrices from rewriting,
+# on which the unit-pivot pass does most of the work
+sparse_entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+
+
+def sparse_matrix(rows, cols):
+    return st.lists(
+        st.lists(sparse_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda entries: IntMatrix(entries, cols=cols))
+
+
+def exact_rank(entries):
+    """Rank by Gaussian elimination over the rationals."""
+    from fractions import Fraction
+
+    a = [[Fraction(x) for x in row] for row in entries]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] / a[rank][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(lambda rc: sparse_matrix(*rc)))
+def test_sparse_snf_matches_determinantal_divisors(A):
+    diag = snf_checked(A)
+    prod = 1
+    for k in range(1, min(A.rows, A.cols) + 1):
+        prod *= diag[k - 1]
+        assert A.minors_gcd(k) == prod
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: sparse_matrix(n, n)))
+def test_sparse_snf_matches_determinant_and_rank(A):
+    diag = snf_checked(A)
+    prod = 1
+    for d in diag:
+        prod *= d
+    assert prod == abs(A.determinant())
+    assert sum(1 for d in diag if d) == exact_rank(A.entries)

@@ -182,6 +182,34 @@ def test_criterion_9_property_suites():
             assert not (w * ~w)
 
 
+E6 = (
+    "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+    "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+)
+
+
+def e6_subgroup_presentation(gens):
+    p = parse_presentation(E6)
+    t = todd_coxeter(p, [parse_word(p, g) for g in gens])
+    return t.n, subgroup_presentation(p, t)
+
+
+def test_scale_e6_index_432_simplifies():
+    with timed("S1", "E6 index 432: simplify to <= 10 generators, Z/2", 30.0):
+        index, raw = e6_subgroup_presentation("abcd")
+        assert (index, len(raw.generators), len(raw.relators)) == (432, 2161, 9072)
+        slim = simplify(raw)
+        assert len(slim.generators) <= 10
+        assert abelian_invariants(slim).display() == "Z/2"
+
+
+def test_scale_e6_index_72_raw_abelianization():
+    with timed("S2", "E6 index 72: SNF of the raw 1512 x 361 matrix, Z/2", 3.0):
+        index, raw = e6_subgroup_presentation("abcde")
+        assert (index, len(raw.generators), len(raw.relators)) == (72, 361, 1512)
+        assert abelian_invariants(raw).display() == "Z/2"
+
+
 def test_criterion_10_deterministic_verify_json():
     with timed(10, "verify --json is byte-identical across two runs", 120.0):
         import io

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -179,3 +181,18 @@ def test_parse_error_is_usage_error():
     code, _, err = run(["ab", "<a,b | q>"])
     assert code == 2
     assert "parse error" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.abspath(PKG))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "curvepi", "verify", "--only", "V1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("V1 ") and "1/1 checks passed" in done.stdout

@@ -11,6 +11,7 @@ from curvepi.schreier import (
     simplify,
     subgroup_presentation,
 )
+from curvepi.presentations import Presentation
 from curvepi.words import Word
 
 
@@ -181,3 +182,187 @@ def test_simplify_shortens_against_shorter_relators():
     p = parse_presentation("<a,t,b' | b' t b'^-1 t^-1, b' t a t^-1 b'^-1 t a^-1 t^-1>")
     s = simplify(p)
     assert sorted(len(w.letters) for w in s.relators) == [4, 4]
+
+
+# ---------------------------------------------------------------------------
+# simplify against the loop it replaced
+
+
+def _reference_simplify(p, events):
+    """The rescanning Tietze loop that ``simplify`` replaced, kept as a
+    test oracle: verbatim but for the pass cap, which is gone, and the
+    ``events`` counts of the branches taken."""
+    from curvepi.schreier import (
+        _GROWTH_LIMIT,
+        _SUBSTRING_MAX_LENGTH,
+        _SUBSTRING_MAX_RELATORS,
+        _dedupe_key,
+        _substring_shorten,
+    )
+    from curvepi.words import cyclic_reduce, invert, reduce_letters
+
+    names = list(p.generators)
+    rels = [w.letters for w in p.relators]
+    budget_total = _GROWTH_LIMIT * max(1, sum(len(r) for r in rels))
+
+    def dedupe():
+        nonlocal rels
+        seen = set()
+        out = []
+        dropped = 0
+        for r in rels:
+            r = cyclic_reduce(reduce_letters(r))
+            if not r:
+                continue
+            key = _dedupe_key(r)
+            if key in seen:
+                dropped += 1
+                continue
+            seen.add(key)
+            out.append(r)
+        rels = out
+        return dropped
+
+    def eliminate_once():
+        best = None
+        for ri, r in enumerate(rels):
+            counts = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for g, c in counts.items():
+                if c == 1:
+                    key = (len(r), g, ri)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return False
+        rlen, g, ri = best
+        r = rels[ri]
+        pos = next(i for i, x in enumerate(r) if abs(x) == g)
+        rot = r[pos:] + r[:pos]
+        e = 1 if rot[0] > 0 else -1
+        tail = rot[1:]
+        replacement = invert(tail) if e > 0 else tail
+        new_rels = []
+        total = 0
+        for i, w in enumerate(rels):
+            if i == ri:
+                continue
+            out = []
+            for x in w:
+                if abs(x) == g:
+                    out.extend(replacement if x > 0 else invert(replacement))
+                else:
+                    out.append(x)
+            reduced = cyclic_reduce(reduce_letters(tuple(out)))
+            if reduced:
+                new_rels.append(reduced)
+                total += len(reduced)
+        if total > budget_total:
+            events["refused for the budget"] += 1
+            return False
+
+        def shift(w):
+            return tuple(x - 1 if x > g else (x + 1 if x < -g else x) for x in w)
+
+        rels[:] = [shift(w) for w in new_rels]
+        del names[g - 1]
+        return True
+
+    def shorten_once():
+        if len(rels) > _SUBSTRING_MAX_RELATORS:
+            return False
+        if sum(len(r) for r in rels) > _SUBSTRING_MAX_LENGTH:
+            return False
+        order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), i))
+        for wi in reversed(order):
+            for ui in order:
+                if ui == wi or len(rels[ui]) > len(rels[wi]):
+                    continue
+                out = _substring_shorten(rels[wi], rels[ui])
+                if out is not None:
+                    rels[wi] = cyclic_reduce(out)
+                    return True
+        return False
+
+    dedupe()
+    while True:
+        if eliminate_once():
+            if dedupe():
+                events["duplicate after substitution"] += 1
+            continue
+        if shorten_once():
+            events["shortened"] += 1
+            dedupe()
+            continue
+        break
+    return Presentation(names, [Word(r) for r in rels])
+
+
+def random_presentation(rng):
+    """Relators as products of powers, so that substitutions grow and the
+    growth budget is reached now and then."""
+    n = rng.randint(1, 5)
+    rels = []
+    for _ in range(rng.randint(0, 6)):
+        letters = []
+        for _ in range(rng.randint(1, 3)):
+            g = rng.randint(1, n)
+            letters += [g * rng.choice([1, -1])] * rng.randint(1, 4)
+        rels.append(Word(letters))
+    return Presentation([f"g{i}" for i in range(n)], rels)
+
+
+def coxeter(m):
+    """Coxeter presentation from the upper triangle of its matrix: m[i][j]
+    is the order of g_i g_j, and 2 (commuting) when missing."""
+    n = len(m) + 1
+    names = [f"g{i}" for i in range(n)]
+    rels = [Word.gen(i) ** 2 for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = m[i].get(j, 2) if i < len(m) else 2
+            rels.append((Word.gen(i) * Word.gen(j)) ** k)
+    return Presentation(names, rels)
+
+
+def coxeter_subgroup_presentations():
+    """Raw Reidemeister-Schreier presentations of index 12, 20 and 96:
+    <g0> in A3 (order 24), <g0,g1> in A4 (order 120) and <g0> in D4
+    (order 192)."""
+    a3 = coxeter([{1: 3}, {2: 3}])
+    a4 = coxeter([{1: 3}, {2: 3}, {3: 3}])
+    d4 = coxeter([{1: 3}, {2: 3, 3: 3}, {}])
+    out = []
+    for group, gens, index in ((a3, [0], 12), (a4, [0, 1], 20), (d4, [0], 96)):
+        t = todd_coxeter(group, [Word.gen(g) for g in gens])
+        assert t.n == index
+        out.append(subgroup_presentation(group, t))
+    return out
+
+
+def assert_same_simplification(p, events):
+    want = _reference_simplify(p, events)
+    got = simplify(p)
+    assert got.generators == want.generators
+    assert [w.letters for w in got.relators] == [w.letters for w in want.relators]
+
+
+def test_simplify_matches_the_rescanning_loop_on_random_presentations():
+    from collections import Counter
+
+    rng = random.Random(2024)
+    events = Counter()
+    for _ in range(2000):
+        assert_same_simplification(random_presentation(rng), events)
+    # the corpus reaches every branch of the loop
+    assert events["duplicate after substitution"] > 0
+    assert events["refused for the budget"] > 0
+    assert events["shortened"] > 0
+
+
+def test_simplify_matches_the_rescanning_loop_on_coxeter_subgroups():
+    from collections import Counter
+
+    for p in coxeter_subgroup_presentations():
+        assert_same_simplification(p, Counter())
