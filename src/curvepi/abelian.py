@@ -20,14 +20,13 @@ class IntMatrix:
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
         ent = [list(map(int, row)) for row in entries]
-        if ent:
-            width = len(ent[0])
-            if any(len(row) != width for row in ent):
-                raise ValueError("ragged matrix")
-        else:
-            width = 0 if cols is None else cols
+        width = len(ent[0]) if ent else (cols or 0)
+        if any(len(row) != width for row in ent):
+            raise ValueError("ragged matrix")
+        if cols is not None and cols != width:
+            raise ValueError(f"rows have {width} columns, not {cols}")
         self.rows = len(ent)
-        self.cols = width if ent else (cols or 0)
+        self.cols = width
         self.entries = ent
 
     @classmethod
@@ -92,38 +91,43 @@ def smith_normal_form(M: IntMatrix) -> IntMatrix:
     """Return the Smith normal form D of M: diagonal, d1 | d2 | ..., all
     di >= 0, zeros last.  Only D is computed, no unimodular transforms.
 
-    Two stages.  A sparse pass takes +-1 pivots first, each an invariant
-    factor 1, at a cost that follows the nonzeros it touches; relator
-    matrices from Reidemeister-Schreier rewriting are very sparse and
-    mostly +-1, so little is left after it.  The rest goes through a dense
-    elimination, and a gcd/lcm pass over its pivots gives the divisor
-    chain.  D is unique, so the split changes no result.
+    One sparse elimination (``_pivots``) drops the pivots one row and
+    column at a time, at a cost that follows the nonzeros it touches;
+    relator matrices from Reidemeister-Schreier rewriting are very sparse
+    and mostly +-1, so nearly every pivot is a unit.  A gcd/lcm pass over
+    the pivots other than 1 gives the divisor chain.
     """
-    units, block = _unit_pivots(M.entries)
-    pivots = _dense_pivots(block)
+    pivots = _pivots(M.entries)
+    rest = [d for d in pivots if d != 1]
     # Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm) gives the
-    # chain; the unit pivots divide everything and need no pass
-    for i in range(len(pivots)):
-        for j in range(i + 1, len(pivots)):
-            g = gcd(pivots[i], pivots[j])
-            pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
-    diag = [1] * units + pivots
+    # chain; the pivots 1 divide everything and need no pass
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] * rest[j] // g
     D = IntMatrix.zero(M.rows, M.cols)
-    for i, d in enumerate(diag):
+    for i, d in enumerate([1] * (len(pivots) - len(rest)) + rest):
         D.entries[i][i] = d
     return D
 
 
-def _unit_pivots(entries: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
-    """Eliminate +-1 pivots in a sparse copy of ``entries``.
+def _pivots(entries: Sequence[Sequence[int]]) -> List[int]:
+    """Diagonalize a sparse copy of ``entries`` by unimodular row and
+    column operations; returns the absolute values of the pivots dropped,
+    not yet a divisor chain.
 
-    Rows are ``{col: value}`` dicts, with a column -> rows index.  Each
-    step takes the +-1 entry of least Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1), clears its column from the other rows by row
-    operations, and drops its row and column: the column operations that
-    would clear the pivot row change no other row.  Returns the number of
-    pivots taken and what is left as a dense block, without zero rows or
-    columns.
+    Rows are ``{col: value}`` dicts, with a column -> rows index.  The
+    pivot is the +-1 entry of least Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1) while there is one, and otherwise the least
+    (|x|, cost, row, col) of all nonzeros.  A step on pivot x at (i, j)
+    subtracts (row_k[j] // x) * row i from every other row k with an
+    entry in column j.  If remainders are left in column j, the step ends
+    there.  Otherwise column operations reduce row i's other entries
+    modulo x; they change no other row, since column j is clear.  If row
+    i is then {j: x}, it and column j are dropped and |x| is recorded.
+    A +-1 pivot always drops its row; any other pivot is the least nonzero,
+    so a step on it drops a row or leaves a smaller nonzero.  So the loop
+    ends.
     """
     rows: Dict[int, Dict[int, int]] = {}
     col_rows: Dict[int, Set[int]] = {}
@@ -134,6 +138,9 @@ def _unit_pivots(entries: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
 
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
     # (cost, row, col) for every +-1 entry.  A cost changes only when its
     # row or column count does, and each step pushes every +-1 entry of the
     # rows and columns it changed, so an entry popped with an out-of-date
@@ -143,32 +150,33 @@ def _unit_pivots(entries: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]
     def push(i: int, j: int) -> None:
         x = rows[i][j]
         if x == 1 or x == -1:
-            heappush(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
+            heappush(heap, (cost(i, j), i, j))
 
     for i, row in rows.items():
         for j in row:
             push(i, j)
 
-    units = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        row = rows.get(i)
-        x = row.get(j) if row is not None else None
-        if (x != 1 and x != -1) or (len(row) - 1) * (len(col_rows[j]) - 1) != cost:
-            continue
-        del rows[i]
-        others = col_rows.pop(j)
-        others.discard(i)
-        del row[j]
-        for jj in row:
-            col_rows[jj].discard(i)
+    pivots: List[int] = []
+    while rows:
+        while heap:
+            c, i, j = heappop(heap)
+            x = rows[i].get(j) if i in rows else None
+            if (x == 1 or x == -1) and cost(i, j) == c:
+                break
+        else:
+            _, _, i, j = min(
+                (abs(x), cost(i, j), i, j) for i, row in rows.items() for j, x in row.items()
+            )
+        row = rows[i]
+        x = row[j]
+        touched = list(row)
+        others = col_rows[j] - {i}
         for k in others:
-            # row k -= c * row i, with c = row_k[j] / x; x = +-1 is its own
-            # inverse, and column j of row k becomes exactly zero
+            # row k -= q * row i leaves row_k[j] the remainder mod x
             rk = rows[k]
-            c = rk.pop(j) * x
+            q = rk[j] // x
             for jj, y in row.items():
-                v = rk.get(jj, 0) - c * y
+                v = rk.get(jj, 0) - q * y
                 if v:
                     rk[jj] = v
                     col_rows[jj].add(k)
@@ -177,91 +185,27 @@ def _unit_pivots(entries: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]
                     col_rows[jj].discard(k)
             if not rk:
                 del rows[k]
+        if len(col_rows[j]) == 1:
+            for jj in touched:
+                if jj != j:
+                    v = row[jj] % x
+                    if v:
+                        row[jj] = v
+                    else:
+                        del row[jj]
+                        col_rows[jj].discard(i)
+            if len(row) == 1:
+                del rows[i]
+                del col_rows[j]
+                pivots.append(abs(x))
+        others.add(i)
         for k in others:
             for jj in rows.get(k, ()):
                 push(k, jj)
-        for jj in row:
-            for k in col_rows[jj] - others:
+        for jj in touched:
+            for k in col_rows.get(jj, set()) - others:
                 push(k, jj)
-        units += 1
-
-    cols = sorted(j for j, members in col_rows.items() if members)
-    return units, [[row.get(j, 0) for j in cols] for _, row in sorted(rows.items())]
-
-
-def _dense_pivots(a: List[List[int]]) -> List[int]:
-    """Dense elimination of ``a`` in place; returns the absolute values of
-    its nonzero pivots, not yet a divisor chain.
-
-    Pivoting: smallest nonzero absolute value, deterministic tie-break by
-    position.
-    """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        asrc, adst = a[src], a[dst]
-        for j in range(cols):
-            adst[j] += c * asrc[j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-
-    k = 0
-    n = min(rows, cols)
-    while k < n:
-        # locate the smallest nonzero |entry| in the trailing block
-        pivot = None
-        for i in range(k, rows):
-            ai = a[i]
-            for j in range(k, cols):
-                x = ai[j]
-                if x and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        # clear row and column k, restarting when remainders appear
-        while True:
-            p = a[k][k]
-            dirty = False
-            for i in range(k + 1, rows):
-                x = a[i][k]
-                if x:
-                    q = x // p
-                    add_row(k, i, -q)
-                    if a[i][k]:
-                        swap_rows(k, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(k + 1, cols):
-                x = a[k][j]
-                if x:
-                    q = x // p
-                    add_col(k, j, -q)
-                    if a[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        k += 1
-
-    return [abs(a[i][i]) for i in range(k)]
+    return pivots
 
 
 class InvariantFactors:

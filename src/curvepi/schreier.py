@@ -94,36 +94,48 @@ class SchreierRewriter:
                 else:
                     self.index[(coset, g)] = None
 
+    def _walk(self, coset: int, letters: Sequence[int]) -> Tuple[int, List[int]]:
+        """Follow ``letters`` through the table from ``coset``; returns the
+        end coset and the Schreier generator letters met on the way."""
+        out: List[int] = []
+        forward, backward, index = self.table.forward, self.table.backward, self.index
+        for x in letters:
+            g = abs(x) - 1
+            if x > 0:
+                idx = index[(coset, g)]
+                coset = forward[g][coset]
+                if idx is not None:
+                    out.append(idx + 1)
+            else:
+                coset = backward[g][coset]
+                idx = index[(coset, g)]
+                if idx is not None:
+                    out.append(-(idx + 1))
+        return coset, out
+
     def rewrite(self, w: Word) -> Word:
         """The rewriting function: a word in the ambient generators that
         lies in the subgroup becomes a word in the Schreier generators."""
         self.presentation.check_word(w)
-        if self.table.trace(0, w) != 0:
+        end, letters = self._walk(0, w.letters)
+        if end != 0:
             raise ValueError("word does not lie in the subgroup (leaves coset 0)")
-        letters: List[int] = []
-        coset = 0
-        for x in w.letters:
-            g = abs(x) - 1
-            if x > 0:
-                idx = self.index[(coset, g)]
-                coset = self.table.forward[g][coset]
-                if idx is not None:
-                    letters.append(idx + 1)
-            else:
-                coset = self.table.backward[g][coset]
-                idx = self.index[(coset, g)]
-                if idx is not None:
-                    letters.append(-(idx + 1))
         return Word(letters)
 
     def subgroup_presentation(self) -> Presentation:
         """Generators: the nontrivial s_{K,a}; relators: each ambient
-        relator conjugated by each representative and rewritten."""
+        relator conjugated by each representative and rewritten.
+
+        The representative's letters are BFS tree edges, which rewrite to
+        nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
+        """
         rels: List[Word] = []
         for coset in range(self.table.n):
-            rep = self.transversal[coset]
             for r in self.presentation.relators:
-                rels.append(self.rewrite(rep * r * ~rep))
+                end, letters = self._walk(coset, r.letters)
+                if end != coset:
+                    raise ValueError(f"relator does not close at coset {coset}")
+                rels.append(Word(letters))
         return Presentation(self.names, rels)
 
 

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,20 @@ def test_invariants_of_matrix_counts_missing_columns():
     # 1x3 matrix of rank 1: free rank 2
     inv = invariants_of_matrix(IntMatrix([[2, 4, 6]]))
     assert inv.free_rank == 2 and inv.torsion == (2,)
+    assert invariants_of_matrix(IntMatrix([[2, 4, 0]], cols=3)).display() == "Z^2 + Z/2"
+
+
+def test_int_matrix_rejects_a_width_that_disagrees_with_cols():
+    with pytest.raises(ValueError, match="columns"):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="columns"):
+        invariants_of_matrix(IntMatrix([[2, 4]], cols=3))
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    A = IntMatrix([[1, 2]], cols=2)
+    assert (A.rows, A.cols) == (1, 2)
+    E = IntMatrix([], cols=3)
+    assert (E.rows, E.cols) == (0, 3)
 
 
 def apply_unimodular(entries, ops):
@@ -204,7 +219,7 @@ def test_invariants_unchanged_by_unimodular_operations(case):
 
 
 # sparse, mostly +-1 entries: the shape of relator matrices from rewriting,
-# on which the unit-pivot pass does most of the work
+# on which nearly every pivot of the elimination is a unit
 sparse_entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
 
 
@@ -251,3 +266,152 @@ def test_sparse_snf_matches_determinant_and_rank(A):
         prod *= d
     assert prod == abs(A.determinant())
     assert sum(1 for d in diag if d) == exact_rank(A.entries)
+
+
+# no +-1 entries at all: every pivot is taken by the smallest-entry scan and
+# reduced by Euclidean steps
+unit_free_entry = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9, 10])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda rc: st.lists(
+            st.lists(unit_free_entry, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        ).map(lambda entries: IntMatrix(entries, cols=rc[1]))
+    )
+)
+def test_unit_free_snf_matches_determinantal_divisors(A):
+    diag = snf_checked(A)
+    prod = 1
+    for k in range(1, min(A.rows, A.cols) + 1):
+        prod *= diag[k - 1]
+        assert A.minors_gcd(k) == prod
+
+
+# the dense elimination that smith_normal_form once ran on what its unit
+# pivots left, kept as an independent reference for the sparse one
+def _dense_pivots(a):
+    """Dense elimination of ``a`` in place; returns the absolute values of
+    its nonzero pivots, not yet a divisor chain.
+
+    Pivoting: smallest nonzero absolute value, deterministic tie-break by
+    position.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row[dst] += c * row[src]
+        asrc, adst = a[src], a[dst]
+        for j in range(cols):
+            adst[j] += c * asrc[j]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+
+    k = 0
+    n = min(rows, cols)
+    while k < n:
+        # locate the smallest nonzero |entry| in the trailing block
+        pivot = None
+        for i in range(k, rows):
+            ai = a[i]
+            for j in range(k, cols):
+                x = ai[j]
+                if x and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        swap_cols(k, pivot[1])
+        # clear row and column k, restarting when remainders appear
+        while True:
+            p = a[k][k]
+            dirty = False
+            for i in range(k + 1, rows):
+                x = a[i][k]
+                if x:
+                    q = x // p
+                    add_row(k, i, -q)
+                    if a[i][k]:
+                        swap_rows(k, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(k + 1, cols):
+                x = a[k][j]
+                if x:
+                    q = x // p
+                    add_col(k, j, -q)
+                    if a[k][j]:
+                        swap_cols(k, j)
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        k += 1
+
+    return [abs(a[i][i]) for i in range(k)]
+
+
+def _reference_diagonal(entries):
+    """The SNF diagonal by the dense elimination above, on a copy of
+    ``entries``, then a gcd/lcm pass into a divisor chain."""
+    pivots = _dense_pivots([row[:] for row in entries])
+    for i in range(len(pivots)):
+        for j in range(i + 1, len(pivots)):
+            g = gcd(pivots[i], pivots[j])
+            pivots[i], pivots[j] = g, pivots[i] * pivots[j] // g
+    cols = len(entries[0]) if entries else 0
+    return pivots + [0] * (min(len(entries), cols) - len(pivots))
+
+
+def test_sparse_elimination_matches_the_dense_reference():
+    rng = random.Random(2025)
+    kinds = {
+        "dense": lambda: rng.randint(-9, 9),
+        "sparse": lambda: rng.choice([0] * 6 + [1, -1, 1, -1, 2, -3]),
+        "unit-free": lambda: rng.choice([0, 0, 0, 2, -2, 3, 4, 6, -9, 10]),
+    }
+    for n in range(1200):
+        entry = list(kinds.values())[n % 3]
+        rows, cols = rng.randint(0, 20), rng.randint(0, 20)
+        entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+        A = IntMatrix(entries, cols=cols)
+        assert snf_checked(A) == _reference_diagonal(entries)
+
+
+def test_elimination_branches():
+    # column remainder: 6 - 4 leaves 2 under the pivot 4, which becomes the pivot
+    assert snf_checked(IntMatrix([[4], [6]])) == [2]
+    # row remainder once the column is clear: 6 mod 4 leaves 2 beside the pivot
+    assert snf_checked(IntMatrix([[4, 6]])) == [2]
+    assert snf_checked(IntMatrix([[4, 0], [0, 6]])) == [2, 12]
+    # unit pivots
+    assert snf_checked(IntMatrix([[1, 2], [3, 4]])) == [1, 2]
+    assert snf_checked(IntMatrix([[0, -1, 5], [1, 7, 0]])) == [1, 1]
+
+
+def test_large_entries():
+    big = 10**30
+    A = IntMatrix([[big, big + 1, 3], [2 * big - 1, 5, big], [7, big * big, -big]])
+    diag = snf_checked(A)
+    prod = 1
+    for k in range(1, 4):
+        prod *= diag[k - 1]
+        assert A.minors_gcd(k) == prod
+    assert snf_checked(IntMatrix([[2 * big, 0], [0, 3 * big]])) == [big, 6 * big]

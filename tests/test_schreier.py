@@ -101,6 +101,40 @@ def test_rewrite_is_multiplicative_on_the_subgroup():
         assert rw.rewrite(w1 * w2) == rw.rewrite(w1) * rw.rewrite(w2)
 
 
+def assert_relators_are_rewritten_conjugates(p, t):
+    rw = SchreierRewriter(p, t)
+    sp = rw.subgroup_presentation()
+    want = [
+        rw.rewrite(rep * r * ~rep) for rep in rw.transversal.representatives for r in p.relators
+    ]
+    assert sp.generators == tuple(rw.names)
+    assert list(sp.relators) == want
+
+
+def test_subgroup_relators_are_rewritten_conjugates():
+    pi, t = hnn_kernel_table()
+    assert_relators_are_rewritten_conjugates(pi, t)
+    e6 = parse_presentation(
+        "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+        "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+    )
+    t = todd_coxeter(e6, [parse_word(e6, g) for g in "abcde"])
+    assert t.n == 72
+    assert_relators_are_rewritten_conjugates(e6, t)
+    d4 = coxeter([{1: 3}, {2: 3, 3: 3}, {}])
+    t = todd_coxeter(d4, [Word.gen(0)])
+    assert t.n == 96
+    assert_relators_are_rewritten_conjugates(d4, t)
+
+
+def test_relator_that_does_not_close_is_rejected():
+    # a 3-cycle is a transitive table, but a^2 does not close in it
+    p = parse_presentation("<a | a^2>")
+    t = CosetTable([[1, 2, 0]], [[2, 0, 1]])
+    with pytest.raises(ValueError):
+        subgroup_presentation(p, t)
+
+
 def test_index_one_round_trip():
     p = parse_presentation("<a,b | aba=bab>")
     t = todd_coxeter(p, [parse_word(p, "a"), parse_word(p, "b")])
