@@ -44,45 +44,6 @@ class IntMatrix:
             and self.entries == other.entries
         )
 
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [row[:] for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def minors_gcd(self, k: int) -> int:
-        """gcd of all k x k minors (0 if none are nonzero); brute force."""
-        from itertools import combinations
-
-        if k == 0:
-            return 1
-        g = 0
-        for rows in combinations(range(self.rows), k):
-            for cols in combinations(range(self.cols), k):
-                sub = IntMatrix([[self.entries[i][j] for j in cols] for i in rows])
-                g = gcd(g, sub.determinant())
-        return g
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.entries!r})"
 

@@ -54,11 +54,14 @@ def _cmd_tc(args) -> int:
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
     result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
     if isinstance(result, Overflow):
-        print(
-            f"overflow: {result.allocated} cosets allocated "
-            f"(budget {result.limits.max_cosets}); index may be infinite",
-            file=sys.stderr,
-        )
+        if result.out_of_deductions:
+            used = (
+                f"deduction budget exhausted ({result.limits.max_deductions} scan steps, "
+                f"{result.allocated} cosets allocated)"
+            )
+        else:
+            used = f"{result.allocated} cosets allocated (budget {result.limits.max_cosets})"
+        print(f"overflow: {used}; index may be infinite", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(result.to_json(p), sort_keys=True))

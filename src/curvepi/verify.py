@@ -120,6 +120,11 @@ def _describe(result) -> str:
     if isinstance(result, IsomorphismReport):
         return "; ".join(result.failures)
     if isinstance(result, Overflow):
+        if result.out_of_deductions:
+            return (
+                f"deduction budget exhausted after {result.limits.max_deductions} scan steps "
+                f"({result.allocated} cosets allocated)"
+            )
         return (
             f"coset budget exhausted at {result.allocated} cosets "
             f"(max {result.limits.max_cosets})"

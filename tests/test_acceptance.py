@@ -16,6 +16,7 @@ from curvepi.homomorphisms import verify_isomorphism
 from curvepi.schreier import subgroup_presentation, simplify
 from curvepi.verify import run_suite
 from curvepi.words import Word, reduce_letters
+from matrix_oracles import minors_gcd
 
 
 class timed:
@@ -139,7 +140,7 @@ def test_criterion_9_property_suites():
             prod = 1
             for k in range(1, min(rows, cols) + 1):
                 prod *= diag[k - 1]
-                assert A.minors_gcd(k) == prod
+                assert minors_gcd(A, k) == prod
 
         # Nielsen-Schreier ranks for k <= 3, n <= 6
         for k in (2, 3):
@@ -208,6 +209,22 @@ def test_scale_e6_index_72_raw_abelianization():
         index, raw = e6_subgroup_presentation("abcde")
         assert (index, len(raw.generators), len(raw.relators)) == (72, 361, 1512)
         assert abelian_invariants(raw).display() == "Z/2"
+
+
+E7 = (
+    "<a,b,c,d,e,f,g | a^2,b^2,c^2,d^2,e^2,f^2,g^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(ef)^3,(cg)^3, "
+    "(ac)^2,(ad)^2,(ae)^2,(af)^2,(ag)^2,(bd)^2,(be)^2,(bf)^2,(bg)^2,(ce)^2,(cf)^2,"
+    "(dg)^2,(df)^2,(eg)^2,(fg)^2>"
+)
+
+
+def test_scale_e7_index_120960():
+    with timed("S3", "E7 over <a,b,c>: index 120960 within 200000 cosets", 15.0):
+        p = parse_presentation(E7)
+        sub = [parse_word(p, g) for g in "abc"]
+        t = todd_coxeter(p, sub, EnumLimits(max_cosets=200_000))
+        assert not isinstance(t, Overflow), t
+        assert t.n == 120960
 
 
 def test_criterion_10_deterministic_verify_json():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import parse_presentation, parse_word
+from curvepi.cli import main as cli_main
 from curvepi.coset_table import (
     CosetTable,
     EnumLimits,
@@ -13,7 +15,11 @@ from curvepi.coset_table import (
     validate_table,
 )
 from curvepi.presentations import Presentation
+from curvepi.verify import _describe
 from curvepi.words import Word
+from reference_enumerator import reference_todd_coxeter
+
+G2378 = "<a,b | a^2, b^3, (ab)^7, (a b a^-1 b^-1)^8>"
 
 KNOWN_ORDERS = [
     ("<a | a>", 1),
@@ -159,3 +165,108 @@ def test_trace_and_json():
 def test_perm_group_order_limit():
     assert perm_group_order([(1, 0)], limit=1) is None
     assert perm_group_order([], limit=10) == 1
+
+
+def test_overflow_names_the_deduction_budget():
+    p = parse_presentation(G2378)
+    res = todd_coxeter(p, [], EnumLimits(max_deductions=1000))
+    assert isinstance(res, Overflow) and res.out_of_deductions
+    assert res.deductions == 1001 and res.allocated < 1000
+    assert _describe(res) == (
+        f"deduction budget exhausted after 1000 scan steps ({res.allocated} cosets allocated)"
+    )
+    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    assert isinstance(res, Overflow) and not res.out_of_deductions
+    assert res.allocated == 1000 and res.deductions <= res.limits.max_deductions
+    assert _describe(res) == "coset budget exhausted at 1000 cosets (max 1000)"
+
+
+def test_tc_names_the_budget_that_ran_out(monkeypatch, capsys):
+    monkeypatch.setattr("curvepi.cli.limits_from_env", lambda m: EnumLimits(max_deductions=1000))
+    assert cli_main(["tc", G2378]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("overflow: deduction budget exhausted (1000 scan steps, ")
+    assert err.rstrip().endswith(" cosets allocated); index may be infinite")
+    monkeypatch.setattr("curvepi.cli.limits_from_env", lambda m: EnumLimits(max_cosets=1000))
+    assert cli_main(["tc", G2378]) == 1
+    err = capsys.readouterr().err
+    assert err == "overflow: 1000 cosets allocated (budget 1000); index may be infinite\n"
+
+
+# Differential tests against the row-major enumerator the column-major one
+# replaced.  The corpus leans on relators g^2 and g^-2, which share one
+# column between a generator and its inverse, and on subgroup words that
+# use the inverse letters of those involutions.
+
+
+def _involutive_case(draw_int, draw_bool):
+    """A small presentation and subgroup from two sources of choices:
+    ``draw_int(lo, hi)`` and ``draw_bool(probability)``."""
+    n_gens = draw_int(1, 4)
+    involutions = [g for g in range(1, n_gens + 1) if draw_bool(0.6)]
+    rels = [Word([g, g] if draw_bool(0.5) else [-g, -g]) for g in involutions]
+
+    def letter(inverse_bias):
+        g = draw_int(1, n_gens)
+        negative = draw_bool(inverse_bias if g in involutions else 0.5)
+        return -g if negative else g
+
+    for _ in range(draw_int(1, 4)):
+        if n_gens > 1 and draw_bool(0.5):
+            # a Coxeter-like (g h)^k keeps many cases finite
+            g, h = letter(0.5), letter(0.5)
+            rels.append(Word([g, h] * draw_int(2, 5)))
+        else:
+            rels.append(Word([letter(0.5) for _ in range(draw_int(1, 10))]))
+    sub = []
+    if draw_bool(0.5):
+        sub = [Word([letter(0.8) for _ in range(draw_int(1, 5))]) for _ in range(draw_int(1, 2))]
+    return Presentation([f"g{i}" for i in range(n_gens)], rels), sub
+
+
+def _agree_with_reference(p, sub, limits):
+    """Both enumerators on one case; returns whether both finished."""
+    res = todd_coxeter(p, sub, limits)
+    ref = reference_todd_coxeter(p, sub, limits)
+    if not isinstance(res, Overflow):
+        report = validate_table(p, sub, res)
+        assert report.passed, (p, sub, report.failures)
+    if isinstance(res, Overflow) or ref is None:
+        return False
+    assert res.forward == ref.forward and res.backward == ref.backward, (p, sub)
+    return True
+
+
+def test_matches_reference_enumerator_on_seeded_corpus():
+    rng = random.Random(6)
+    both = 0
+    for _ in range(300):
+        p, sub = _involutive_case(rng.randint, lambda q: rng.random() < q)
+        both += _agree_with_reference(p, sub, EnumLimits(max_cosets=2000))
+    assert both > 100
+
+
+@pytest.mark.parametrize(
+    "dsl,sub,index",
+    [
+        ("<a,b,c,d | a^2,b^2,c^2,d^2,(ab)^3,(bc)^3,(cd)^3,(ac)^2,(ad)^2,(bd)^2>", ["a", "b^-1"], 20),
+        ("<a,b,c | a^-2,b^2,c^2,(ab)^5,(bc)^3,(ac)^2>", ["c a^-1 c"], 60),
+        ("<a,b,c | a^2,b^2,c^2,(ab)^4,(bc)^3,(ac)^2>", [], 48),
+        (G2378, ["b"], 3584),
+    ],
+)
+def test_matches_reference_enumerator_on_named_groups(dsl, sub, index):
+    p = parse_presentation(dsl)
+    words = [parse_word(p, w) for w in sub]
+    assert _agree_with_reference(p, words, EnumLimits())
+    assert todd_coxeter(p, words).n == index
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_reference_enumerator_on_hypothesis_corpus(data):
+    p, sub = _involutive_case(
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda q: data.draw(st.floats(0, 1)) < q,
+    )
+    _agree_with_reference(p, sub, EnumLimits(max_cosets=500))

@@ -15,6 +15,7 @@ from curvepi.homomorphisms import (
 )
 from curvepi.presentations import Presentation, SubstitutionMap, identity_map
 from curvepi.words import Word
+from matrix_oracles import minors_gcd
 
 
 def words(p, *texts):
@@ -157,7 +158,7 @@ def lattice_target(rows, n):
 def nonzero_divisors(A):
     """d_k = gcd of the k x k minors is nonzero exactly for k <= rank, so
     this list gives the determinantal divisors and the rank."""
-    divisors = (A.minors_gcd(k) for k in range(1, min(A.rows, A.cols) + 1))
+    divisors = (minors_gcd(A, k) for k in range(1, min(A.rows, A.cols) + 1))
     return [d for d in divisors if d]
 
 
