@@ -29,28 +29,14 @@ class IntMatrix:
         self.cols = width
         self.entries = ent
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def __getitem__(self, ij: Tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.entries!r})"
 
 
-def smith_normal_form(M: IntMatrix) -> IntMatrix:
-    """Return the Smith normal form D of M: diagonal, d1 | d2 | ..., all
-    di >= 0, zeros last.  Only D is computed, no unimodular transforms.
+def smith_normal_form(M: IntMatrix) -> List[int]:
+    """Return the diagonal of the Smith normal form of M, the
+    min(rows, cols) elementary divisors d1 | d2 | ...: all di >= 0, the
+    units first and the zeros last.  No unimodular transforms are built.
 
     One sparse elimination (``_pivots``) drops the pivots one row and
     column at a time, at a cost that follows the nonzeros it touches;
@@ -66,10 +52,8 @@ def smith_normal_form(M: IntMatrix) -> IntMatrix:
         for j in range(i + 1, len(rest)):
             g = gcd(rest[i], rest[j])
             rest[i], rest[j] = g, rest[i] * rest[j] // g
-    D = IntMatrix.zero(M.rows, M.cols)
-    for i, d in enumerate([1] * (len(pivots) - len(rest)) + rest):
-        D.entries[i][i] = d
-    return D
+    units = len(pivots) - len(rest)
+    return [1] * units + rest + [0] * (min(M.rows, M.cols) - len(pivots))
 
 
 def _pivots(entries: Sequence[Sequence[int]]) -> List[int]:
@@ -226,8 +210,7 @@ def relator_matrix(p: Presentation) -> IntMatrix:
 
 
 def invariants_of_matrix(M: IntMatrix) -> InvariantFactors:
-    D = smith_normal_form(M)
-    diag = [D[i, i] for i in range(min(D.rows, D.cols))]
+    diag = smith_normal_form(M)
     rank = sum(1 for d in diag if d)
     torsion = [d for d in diag if d > 1]
     return InvariantFactors(M.cols - rank, torsion)

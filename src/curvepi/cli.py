@@ -44,6 +44,19 @@ def _cmd_ab(args) -> int:
     return 0
 
 
+def _overflow(result: Overflow) -> int:
+    """Print which enumeration budget ran out; returns the exit code 1."""
+    if result.out_of_deductions:
+        used = (
+            f"deduction budget exhausted ({result.limits.max_deductions} scan steps, "
+            f"{result.allocated} cosets allocated)"
+        )
+    else:
+        used = f"{result.allocated} cosets allocated (budget {result.limits.max_cosets})"
+    print(f"overflow: {used}; index may be infinite", file=sys.stderr)
+    return 1
+
+
 def _cmd_tc(args) -> int:
     p = _read_presentation(args.presentation)
     extra = []
@@ -54,15 +67,7 @@ def _cmd_tc(args) -> int:
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
     result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
     if isinstance(result, Overflow):
-        if result.out_of_deductions:
-            used = (
-                f"deduction budget exhausted ({result.limits.max_deductions} scan steps, "
-                f"{result.allocated} cosets allocated)"
-            )
-        else:
-            used = f"{result.allocated} cosets allocated (budget {result.limits.max_cosets})"
-        print(f"overflow: {used}; index may be infinite", file=sys.stderr)
-        return 1
+        return _overflow(result)
     if args.json:
         print(json.dumps(result.to_json(p), sort_keys=True))
     else:
@@ -75,8 +80,7 @@ def _cmd_rs(args) -> int:
     subgroup = [parse_word(p, w) for w in args.subgroup]
     result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
     if isinstance(result, Overflow):
-        print("overflow: subgroup index not reached within budget", file=sys.stderr)
-        return 1
+        return _overflow(result)
     sp = subgroup_presentation(p, result)
     if not args.raw:
         sp = simplify(sp)

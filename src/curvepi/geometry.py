@@ -108,12 +108,6 @@ class CombinatorialType:
     def total_degree(self) -> int:
         return sum(self.degrees)
 
-    def degree_of(self, cid: str) -> int:
-        for c, d in self.components:
-            if c == cid:
-                return d
-        raise KeyError(cid)
-
     def to_json(self) -> dict:
         return {
             "components": [{"id": c, "degree": d} for c, d in self.components],
@@ -328,16 +322,6 @@ class BlowUpLedger:
             for pt in self.points
             if pt.kind == "node" and any(c == cid and m == 2 for c, m in pt.parties)
         )
-
-    def is_smooth(self, cid: str) -> bool:
-        for pt in self.points:
-            if pt.kind in ("cusp", "cusp_tangent_line") and pt.parties[0][0] == cid:
-                return False
-            if pt.kind in ("node", "node_tangent_line") and any(
-                c == cid and m == 2 for c, m in pt.parties
-            ):
-                return False
-        return True
 
     def blocking_points(self) -> List[Point]:
         return [pt for pt in self.points if pt.kind in _BLOCKING_KINDS]

@@ -3,7 +3,6 @@ presentations, and Tietze simplification."""
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -18,81 +17,58 @@ from .words import (
 )
 
 
-class Transversal:
-    """Prefix-closed coset representatives, index-aligned with the table.
-    Representative 0 is the empty word."""
-
-    __slots__ = ("representatives",)
-
-    def __init__(self, representatives: Sequence[Word]):
-        self.representatives = tuple(representatives)
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def __getitem__(self, i: int) -> Word:
-        return self.representatives[i]
-
-
-def schreier_transversal(t: CosetTable) -> Transversal:
-    """BFS-minimal transversal over positive generators in declaration
-    order.  Positive letters suffice: each generator permutes the finite
-    coset set, so the set reachable by positive steps is inverse-closed."""
-    reps: List[Optional[Word]] = [None] * t.n
-    reps[0] = Word()
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
+def _tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
+    """BFS from coset 0 over positive generators in declaration order:
+    maps each other coset to the (coset, generator) edge that first
+    reached it, in the order reached.  Positive letters suffice: each
+    generator permutes the finite coset set, so the set reachable by
+    positive steps is inverse-closed."""
+    edges: Dict[int, Tuple[int, int]] = {}
+    order = [0]
+    for c in order:
         for g in range(t.n_gens):
             d = t.forward[g][c]
-            if reps[d] is None:
-                reps[d] = reps[c] * Word.gen(g)
-                queue.append(d)
-    if any(r is None for r in reps):
+            if d != 0 and d not in edges:
+                edges[d] = (c, g)
+                order.append(d)
+    if len(order) != t.n:
         raise ValueError("table is not transitive")
-    return Transversal(reps)  # type: ignore[arg-type]
+    return edges
 
 
-class SchreierGenerator:
-    """s_{K,a} = (rep K) a (rep Ka)^-1, an element of the subgroup."""
-
-    __slots__ = ("coset", "gen", "value")
-
-    def __init__(self, coset: int, gen: int, value: Word):
-        self.coset = coset
-        self.gen = gen
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"SchreierGenerator(coset={self.coset}, gen={self.gen})"
+def schreier_transversal(t: CosetTable) -> Tuple[Word, ...]:
+    """BFS-minimal coset representatives, index-aligned with the table:
+    prefix-closed positive words, representative 0 the empty word."""
+    reps = [Word()] * t.n
+    for d, (c, g) in _tree_edges(t).items():
+        reps[d] = reps[c] * Word.gen(g)
+    return tuple(reps)
 
 
 class SchreierRewriter:
     """Rewriting machinery for the subgroup at coset 0 of a coset table.
 
-    Schreier generators with freely trivial value (the BFS tree edges) are
-    dropped up front, so rewritten words use only the essential generators.
+    The Schreier generator s_{K,a} = rep(K) a rep(Ka)^-1 is dropped up front
+    when it is freely trivial, so rewritten words use only the essential
+    generators.  Representatives are positive words, so rep(K) a rep(Ka)^-1
+    reduces to nothing exactly when rep(Ka) = rep(K) a, that is when (K, a)
+    is the BFS tree edge that reached Ka.
     """
 
     def __init__(self, p: Presentation, t: CosetTable):
         self.presentation = p
         self.table = t
-        self.transversal = schreier_transversal(t)
-        self.generators: List[SchreierGenerator] = []
+        tree = set(_tree_edges(t).values())
         self.names: List[str] = []
         # (coset, gen) -> subgroup generator index, or None when trivial
         self.index: Dict[Tuple[int, int], Optional[int]] = {}
         for coset in range(t.n):
-            rep = self.transversal[coset]
             for g in range(t.n_gens):
-                target = t.forward[g][coset]
-                value = rep * Word.gen(g) * ~self.transversal[target]
-                if value:
-                    self.index[(coset, g)] = len(self.generators)
-                    self.generators.append(SchreierGenerator(coset, g, value))
-                    self.names.append(f"s{coset}_{p.generators[g]}")
-                else:
+                if (coset, g) in tree:
                     self.index[(coset, g)] = None
+                else:
+                    self.index[(coset, g)] = len(self.names)
+                    self.names.append(f"s{coset}_{p.generators[g]}")
 
     def _walk(self, coset: int, letters: Sequence[int]) -> Tuple[int, List[int]]:
         """Follow ``letters`` through the table from ``coset``; returns the

@@ -46,11 +46,6 @@ class Word:
             raise ValueError("sign must be +1 or -1")
         return cls._raw((sign * (index + 1),))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Word":
-        """Build from (generator-index, exponent-sign) pairs."""
-        return cls(s * (g + 1) for g, s in pairs)
-
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self.letters)
 

@@ -96,6 +96,13 @@ def test_rs_subgroup():
     assert "index: 2" in out
 
 
+def test_rs_overflow_reports_the_budget():
+    code, out, err = run(["rs", "<a,b |>", "--subgroup", "a", "--max-cosets", "50"])
+    assert code == 1
+    assert out == ""
+    assert err == "overflow: 50 cosets allocated (budget 50); index may be infinite\n"
+
+
 def test_catalog_text_and_json():
     code, out, _ = run(["catalog", "toric:3,4"])
     assert code == 0 and out.strip() == "< a, b | a^3 b^-4 >"

@@ -4,7 +4,7 @@ import pytest
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
-from curvepi.coset_table import CosetTable, todd_coxeter
+from curvepi.coset_table import CosetTable, EnumLimits, Overflow, table_from_action, todd_coxeter
 from curvepi.schreier import (
     SchreierRewriter,
     schreier_transversal,
@@ -37,8 +37,8 @@ def test_transversal_invariants():
     # the nontrivial representative is the single letter x
     assert tr[1] == parse_word(pi, "x")
     # prefix closure and coset consistency
-    reps = set(tr.representatives)
-    for i, rep in enumerate(tr.representatives):
+    reps = set(tr)
+    for i, rep in enumerate(tr):
         assert t.trace(0, rep) == i
         for k in range(len(rep.letters)):
             assert Word(rep.letters[:k]) in reps
@@ -47,7 +47,7 @@ def test_transversal_invariants():
 def test_transversal_cyclic():
     p = parse_presentation("<a | a^3>")
     tr = schreier_transversal(todd_coxeter(p))
-    assert [w.letters for w in tr.representatives] == [(), (1,), (1, 1)]
+    assert [w.letters for w in tr] == [(), (1,), (1, 1)]
 
 
 def test_non_transitive_table_is_rejected():
@@ -104,9 +104,7 @@ def test_rewrite_is_multiplicative_on_the_subgroup():
 def assert_relators_are_rewritten_conjugates(p, t):
     rw = SchreierRewriter(p, t)
     sp = rw.subgroup_presentation()
-    want = [
-        rw.rewrite(rep * r * ~rep) for rep in rw.transversal.representatives for r in p.relators
-    ]
+    want = [rw.rewrite(rep * r * ~rep) for rep in schreier_transversal(t) for r in p.relators]
     assert sp.generators == tuple(rw.names)
     assert list(sp.relators) == want
 
@@ -125,6 +123,71 @@ def test_subgroup_relators_are_rewritten_conjugates():
     t = todd_coxeter(d4, [Word.gen(0)])
     assert t.n == 96
     assert_relators_are_rewritten_conjugates(d4, t)
+
+
+def random_action_table(rng):
+    """A random transitive action of a free group of rank <= 3 on <= 9
+    points, numbered at random rather than in BFS order, with a power of
+    each generator and of one random word as relators that it satisfies."""
+    k, n = rng.randint(1, 3), rng.randint(1, 9)
+    p = Presentation([f"g{i}" for i in range(k)])
+    while True:
+        perms = [rng.sample(range(n), n) for _ in range(k)]
+        try:
+            t = table_from_action(p, perms)  # rejects an action that is not transitive
+            break
+        except ValueError:
+            pass
+    words = [Word.gen(g) for g in range(k)]
+    words.append(Word([rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(1, 6))]))
+    relators = []
+    for w in words:
+        # the least m with w^m fixing every point
+        m = 1
+        while any(t.trace(c, w**m) != c for c in range(n)):
+            m += 1
+        relators.append(w**m)
+    p = Presentation(p.generators, relators)
+    return p, table_from_action(p, perms)
+
+
+def random_enumerated_table(rng):
+    """A finished enumeration of a random small presentation over a random
+    subgroup, or None when it overflows."""
+    k = rng.randint(1, 3)
+
+    def word(length):
+        return Word([rng.choice([1, -1]) * rng.randint(1, k) for _ in range(length)])
+
+    if rng.random() < 0.5:
+        # a Coxeter group: finite for most small orders of g_i g_j
+        p = coxeter([{j: rng.randint(2, 5) for j in range(i + 1, k)} for i in range(k - 1)])
+    else:
+        # powers of the generators and of short words
+        relators = [Word.gen(g) ** rng.randint(2, 5) for g in range(k)]
+        relators += [word(rng.randint(2, 4)) ** rng.randint(2, 3) for _ in range(rng.randint(0, 2))]
+        p = Presentation([f"g{i}" for i in range(k)], relators)
+    subgroup = [word(rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+    t = todd_coxeter(p, subgroup, EnumLimits(max_cosets=2000))
+    return None if isinstance(t, Overflow) else (p, t)
+
+
+def test_trivial_schreier_generators_are_the_tree_edges():
+    """Differential test of the rule that drops (coset, gen) pairs: a pair
+    is dropped exactly when rep(c) g rep(cg)^-1 is the empty word."""
+    rng = random.Random(11)
+    corpus = [random_action_table(rng) for _ in range(300)]
+    corpus += [x for x in (random_enumerated_table(rng) for _ in range(300)) if x]
+    assert sum(1 for _, t in corpus if t.n > 1) > 300
+    for i, (p, t) in enumerate(corpus):
+        rw = SchreierRewriter(p, t)
+        reps = schreier_transversal(t)
+        for c in range(t.n):
+            for g in range(t.n_gens):
+                value = reps[c] * Word.gen(g) * ~reps[t.forward[g][c]]
+                assert (rw.index[(c, g)] is None) == (not value)
+        if i % 10 == 0:
+            assert_relators_are_rewritten_conjugates(p, t)
 
 
 def test_relator_that_does_not_close_is_rejected():
