@@ -20,6 +20,7 @@ from .abelian import (
 from .coset_table import (
     CosetTable,
     EnumLimits,
+    EnumStats,
     Overflow,
     todd_coxeter,
     validate_table,
@@ -58,6 +59,7 @@ __all__ = [
     "smith_normal_form",
     "CosetTable",
     "EnumLimits",
+    "EnumStats",
     "Overflow",
     "todd_coxeter",
     "validate_table",

@@ -66,6 +66,13 @@ def _cmd_tc(args) -> int:
         p = Presentation(p.generators, list(p.relators) + extra)
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
     result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
+    if args.stats:
+        s = result.stats
+        print(
+            f"stats: {s.allocated} cosets allocated, {s.dead} dead, "
+            f"{s.scan_steps} scan steps, {s.skipped} scans skipped",
+            file=sys.stderr,
+        )
     if isinstance(result, Overflow):
         return _overflow(result)
     if args.json:
@@ -192,6 +199,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_tc.add_argument("--quotient-by", action="append", metavar="WORD",
                       help="extra relator to impose (repeatable)")
     p_tc.add_argument("--max-cosets", type=int)
+    p_tc.add_argument("--stats", action="store_true",
+                      help="print the enumeration's work counts to stderr")
     add_json(p_tc)
     p_tc.set_defaults(fn=_cmd_tc)
 

@@ -12,13 +12,36 @@ involution reads the shared list too.  Coincidences are processed
 immediately with a union-find that always keeps the smaller index, which
 pins coset 0 to the subgroup.  Finished tables are renumbered by BFS from
 coset 0 (positive generator columns first) so transversals are reproducible.
+
+Most relator scans only confirm a cycle that is already closed, and a
+relator's symmetry can prove that without reading the word.  Read w, of
+length L, through the column lists (an involution's two columns are one
+list).  If rotating w by one letter gives w or w^-1, coset alpha skips w
+when alpha*w[0] is a live coset below alpha; if rotating it by L-1 letters
+does, alpha skips w when alpha*w[-1]^-1 is.  The offsets are tested
+separately, since one does not imply the other: ``g1 g0^2``, with g0 and g1
+involutions, has the first only.
+
+Soundness.  Every live coset beta below alpha has been processed, so every
+relator was closed at beta, and coincidences since then map closed cycles
+onto closed cycles.  If beta = alpha*w[0] and rot1(w), being w or w^-1, is
+closed at beta, its path from beta ends with the letter w[0] back at beta;
+column maps are injective, so the coset before that letter is alpha, and
+alpha*w = alpha.  Offset L-1 is the same argument from the other end.  A
+skipped scan would thus neither define a coset nor merge two, so the
+enumeration makes the same definitions and coincidences, in the same order,
+as one that scans every relator; only its scan steps are fewer.  Subgroup
+words, scanned at coset 0 only, never skip.  Each relator carries a bitmask
+of the columns its shortcuts read; at each live coset one pass over those
+columns sets the bits whose image is a live coset below it, and a relator
+whose mask meets that set is skipped.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentations import Presentation
 from .words import Word
@@ -47,20 +70,42 @@ def limits_from_env(max_cosets: int | None = None) -> EnumLimits:
     return EnumLimits(max_cosets=max_cosets)
 
 
+class EnumStats(NamedTuple):
+    """Work counts of one enumeration: cosets allocated, cosets that died in
+    coincidences, scan steps taken, and relator scans skipped because a
+    relator symmetry proved them closed."""
+
+    allocated: int
+    dead: int
+    scan_steps: int
+    skipped: int
+
+
 class Overflow:
     """Budget exhausted: possibly infinite index or limits too small.
 
     ``deductions`` counts the scan steps taken, the refused one included, so
     it exceeds ``limits.max_deductions`` exactly when that budget ran out;
-    otherwise the coset budget did."""
+    otherwise the coset budget did.  A scan that a relator symmetry skips
+    takes no step."""
 
-    __slots__ = ("live_cosets", "allocated", "limits", "deductions")
+    __slots__ = ("stats", "limits")
 
-    def __init__(self, live_cosets: int, allocated: int, limits: EnumLimits, deductions: int):
-        self.live_cosets = live_cosets
-        self.allocated = allocated
+    def __init__(self, stats: EnumStats, limits: EnumLimits):
+        self.stats = stats
         self.limits = limits
-        self.deductions = deductions
+
+    @property
+    def allocated(self) -> int:
+        return self.stats.allocated
+
+    @property
+    def live_cosets(self) -> int:
+        return self.stats.allocated - self.stats.dead
+
+    @property
+    def deductions(self) -> int:
+        return self.stats.scan_steps
 
     @property
     def out_of_deductions(self) -> bool:
@@ -78,21 +123,24 @@ class CosetTable:
 
     ``forward[g][c]`` is the image of coset c under generator g, and
     ``backward[g][c]`` under its inverse; coset 0 is the subgroup itself.
-    Immutable once constructed.
+    When both maps of g are given as one list (an involution), they are
+    stored as one tuple.  ``stats`` holds the work counts of the
+    enumeration that built the table, or None.  Immutable once constructed.
     """
 
-    __slots__ = ("n", "forward", "backward", "subgroup")
+    __slots__ = ("n", "forward", "backward", "subgroup", "stats")
 
     def __init__(
         self,
         forward: Sequence[Sequence[int]],
         backward: Sequence[Sequence[int]],
         subgroup: Sequence[Word] = (),
+        stats: EnumStats | None = None,
     ):
-        fwd = tuple(tuple(col) for col in forward)
-        bwd = tuple(tuple(col) for col in backward)
-        if len(fwd) != len(bwd):
+        if len(forward) != len(backward):
             raise ValueError("forward/backward generator counts differ")
+        fwd = tuple(tuple(col) for col in forward)
+        bwd = tuple(f if b is a else tuple(b) for a, b, f in zip(forward, backward, fwd))
         # with no generators the only coset is the subgroup itself
         n = len(fwd[0]) if fwd else 1
         for col in fwd + bwd:
@@ -102,6 +150,7 @@ class CosetTable:
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
         object.__setattr__(self, "subgroup", tuple(subgroup))
+        object.__setattr__(self, "stats", stats)
 
     def __setattr__(self, name, value):
         raise AttributeError("CosetTable is immutable")
@@ -151,6 +200,19 @@ class ValidationReport:
 
 def _word_to_cols(w: Word) -> Tuple[int, ...]:
     return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in w.letters)
+
+
+def _shortcuts(w: Tuple[int, ...], involutions: set) -> Tuple[Optional[int], Optional[int]]:
+    """The columns whose image of a coset alpha, when it is a live coset
+    below alpha, proves the relator w closed at alpha (module docstring):
+    w[0] if rotating w by one letter gives w or its inverse, w[-1]^-1 if
+    rotating it by len(w) - 1 letters does, and None where the rotation does
+    not.  An involution's two columns are read as one, its forward column."""
+    word = [x & ~1 if x >> 1 in involutions else x for x in w]
+    inverse = [x if x >> 1 in involutions else x ^ 1 for x in reversed(word)]
+    first = word[0] if word[1:] + word[:1] in (word, inverse) else None
+    last = inverse[0] if word[-1:] + word[:-1] in (word, inverse) else None
+    return first, last
 
 
 class _Overflowed(Exception):
@@ -209,7 +271,7 @@ def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
 
 
 def _renumber(
-    cols: List[List[Optional[int]]], parent: List[int], live: int, subgroup: Sequence[Word]
+    cols: List[List[Optional[int]]], parent: List[int], subgroup: Sequence[Word], stats: EnumStats
 ) -> CosetTable:
     """Compact to live cosets, renumbered by BFS from coset 0 over the
     positive generator columns (which span any complete finite table), so
@@ -232,11 +294,17 @@ def _renumber(
             if number[d] < 0:
                 number[d] = len(order)
                 order.append(d)
-    if len(order) != live:
+    if len(order) != stats.allocated - stats.dead:
         raise RuntimeError("table is not transitive")
-    forward = [[number[root[col[c]]] for c in order] for col in forward_cols]
-    backward = [[number[root[col[c]]] for c in order] for col in cols[1::2]]
-    return CosetTable(forward, backward, subgroup)
+    # the new number of every coset, through its representative
+    number = [number[r] for r in root]
+    forward = [[number[col[c]] for c in order] for col in forward_cols]
+    # an involution's backward column is its forward list, mapped once
+    backward = [
+        mapped if inv is col else [number[inv[c]] for c in order]
+        for col, inv, mapped in zip(forward_cols, cols[1::2], forward)
+    ]
+    return CosetTable(forward, backward, subgroup, stats)
 
 
 def todd_coxeter(
@@ -246,7 +314,7 @@ def todd_coxeter(
 ) -> CosetTable | Overflow:
     """Enumerate the right cosets of the subgroup generated by the given
     words.  Deterministic; returns Overflow (never a wrong answer) when the
-    budget runs out."""
+    budget runs out.  Either result carries the enumeration's EnumStats."""
     limits = limits or EnumLimits()
     max_cosets, max_deductions = limits.max_cosets, limits.max_deductions
     words = [_word_to_cols(w) for w in p.relators]
@@ -261,10 +329,17 @@ def todd_coxeter(
     ]
     distinct = [col for col, _ in pairs]
 
-    def scans(ws):
-        # each word as its column lists, the lists of the inverse letters,
-        # and the position of its last letter
-        return [([cols[x] for x in w], [cols[x ^ 1] for x in w], len(w) - 1) for w in ws if w]
+    def scan(w, mask=0):
+        # a word as its column lists, the lists of the inverse letters, the
+        # position of its last letter, and one bit per shortcut column
+        return [cols[x] for x in w], [cols[x ^ 1] for x in w], len(w) - 1, mask
+
+    def relator_scan(w):
+        mask = 0
+        for x in _shortcuts(w, involutions):
+            if x is not None:
+                mask |= 1 << x
+        return scan(w, mask)
 
     parent = [0]
 
@@ -279,16 +354,31 @@ def todd_coxeter(
         inv[beta] = c
 
     # the shared columns enforce the g^2 relators, so they are not scanned
-    relator_scans = scans(w for w in words if w not in squares)
+    relator_scans = [relator_scan(w) for w in words if w and w not in squares]
+    read = 0
+    for *_, mask in relator_scans:
+        read |= mask
+    # the columns that some relator's shortcut reads, each with its bit
+    shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if read >> x & 1]
     # coset 0 scans the subgroup words before the relators
-    todo = scans(_word_to_cols(p.check_word(w)) for w in subgroup) + relator_scans
-    dead = 0
-    steps = 0
+    subgroup_words = [_word_to_cols(p.check_word(w)) for w in subgroup]
+    todo = [scan(w) for w in subgroup_words if w] + relator_scans
+    dead = steps = skipped = 0
     alpha = 0
     try:
         while alpha < len(parent):
             if parent[alpha] == alpha:
-                for fwd, bwd, last in todo:
+                # the shortcut columns that take alpha to a live coset below it
+                below = 0
+                for bit, col in shortcuts:
+                    beta = col[alpha]
+                    if beta is not None and beta < alpha and parent[beta] == beta:
+                        below |= bit
+                for fwd, bwd, last, mask in todo:
+                    if mask & below:
+                        # a relator symmetry proves this word closed at alpha
+                        skipped += 1
+                        continue
                     # HLT scan and fill of one word at alpha
                     f = b = alpha
                     i, j = 0, last
@@ -329,8 +419,8 @@ def todd_coxeter(
             todo = relator_scans
             alpha += 1
     except _Overflowed:
-        return Overflow(len(parent) - dead, len(parent), limits, steps)
-    return _renumber(cols, parent, len(parent) - dead, subgroup)
+        return Overflow(EnumStats(len(parent), dead, steps, skipped), limits)
+    return _renumber(cols, parent, subgroup, EnumStats(len(parent), dead, steps, skipped))
 
 
 def table_from_action(

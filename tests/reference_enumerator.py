@@ -1,9 +1,16 @@
-"""The row-major HLT enumerator that ``curvepi.coset_table`` used before its
-tables were stored by column, kept verbatim as the reference for the
-differential tests: both must give the same table whenever both finish."""
+"""Two earlier HLT enumerators of ``curvepi.coset_table``, kept verbatim as
+references for the differential tests.
+
+``reference_todd_coxeter`` is the row-major enumerator used before tables
+were stored by column: both must give the same table whenever both finish.
+``scan_every_todd_coxeter`` is the column-major enumerator as it was before
+relator symmetries let it skip scans.  It makes the same definitions and
+coincidences in the same order, so the tables agree when both finish and
+the allocated and live coset counts agree when the coset budget runs out;
+only its scan steps differ, which it returns in its own ``Overflow``."""
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from curvepi.coset_table import CosetTable, EnumLimits
 from curvepi.presentations import Presentation
@@ -176,3 +183,190 @@ def reference_todd_coxeter(
     except _Overflowed:
         return None
     return enum.finish(subgroup)
+
+
+# The column-major enumerator before scans were skipped, verbatim but for
+# the name of its entry point; ``Overflow`` has the fields it returned.
+
+
+class Overflow(NamedTuple):
+    live_cosets: int
+    allocated: int
+    limits: EnumLimits
+    deductions: int
+
+
+def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
+    """Merge the live cosets a and b and every coincidence that follows,
+    keeping the smaller index of each pair.  ``pairs`` holds each distinct
+    column with the column of its inverse; an involution's column is its own
+    inverse and appears once, since visiting it twice would clear entries
+    just set.  Returns the number of cosets that died."""
+    if a == b:
+        return 0
+    if a > b:
+        a, b = b, a
+    parent[b] = a
+    queue = deque([b])
+    killed = 0
+    while queue:
+        gamma = queue.popleft()
+        killed += 1
+        for col, inv in pairs:
+            delta = col[gamma]
+            if delta is None:
+                continue
+            inv[delta] = None
+            # representatives, each found path shortened to one step
+            mu = parent[gamma]
+            while parent[mu] != mu:
+                mu = parent[mu]
+            parent[gamma] = mu
+            nu = parent[delta]
+            while parent[nu] != nu:
+                nu = parent[nu]
+            parent[delta] = nu
+            x = col[mu]
+            if x is None:
+                x = inv[nu]
+                if x is None:
+                    col[mu] = nu
+                    inv[nu] = mu
+                    continue
+                y = mu
+            else:
+                y = nu
+            # merge x with the representative y
+            while parent[x] != x:
+                x = parent[x]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                queue.append(y)
+    return killed
+
+
+def _renumber(
+    cols: List[List[Optional[int]]], parent: List[int], live: int, subgroup: Sequence[Word]
+) -> CosetTable:
+    """Compact to live cosets, renumbered by BFS from coset 0 over the
+    positive generator columns (which span any complete finite table), so
+    transversals are reproducible."""
+    # a representative is never larger than its coset, so one ascending
+    # pass resolves every coset to its live representative
+    root = parent[:]
+    for c, r in enumerate(root):
+        root[c] = root[r]
+    number = [-1] * len(root)
+    number[0] = 0
+    order = [0]
+    forward_cols = cols[0::2]
+    for c in order:  # grows as the BFS numbers new cosets
+        for col in forward_cols:
+            d = col[c]
+            if d is None:
+                raise RuntimeError("incomplete table after enumeration")
+            d = root[d]
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    if len(order) != live:
+        raise RuntimeError("table is not transitive")
+    forward = [[number[root[col[c]]] for c in order] for col in forward_cols]
+    backward = [[number[root[col[c]]] for c in order] for col in cols[1::2]]
+    return CosetTable(forward, backward, subgroup)
+
+
+def scan_every_todd_coxeter(
+    p: Presentation,
+    subgroup: Sequence[Word] = (),
+    limits: EnumLimits | None = None,
+) -> CosetTable | Overflow:
+    """Enumerate the right cosets of the subgroup generated by the given
+    words.  Deterministic; returns Overflow (never a wrong answer) when the
+    budget runs out."""
+    limits = limits or EnumLimits()
+    max_cosets, max_deductions = limits.max_cosets, limits.max_deductions
+    words = [_word_to_cols(w) for w in p.relators]
+    squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
+    involutions = {w[0] >> 1 for w in squares}
+    cols: List[List[Optional[int]]] = []
+    for g in range(p.n_gens):
+        col: List[Optional[int]] = [None]
+        cols += (col, col) if g in involutions else (col, [None])
+    pairs = [
+        (cols[x], cols[x ^ 1]) for x in range(len(cols)) if x % 2 == 0 or x >> 1 not in involutions
+    ]
+    distinct = [col for col, _ in pairs]
+
+    def scans(ws):
+        # each word as its column lists, the lists of the inverse letters,
+        # and the position of its last letter
+        return [([cols[x] for x in w], [cols[x ^ 1] for x in w], len(w) - 1) for w in ws if w]
+
+    parent = [0]
+
+    def define(col: List[Optional[int]], inv: List[Optional[int]], c: int) -> None:
+        beta = len(parent)
+        if beta >= max_cosets:
+            raise _Overflowed
+        for d in distinct:
+            d.append(None)
+        parent.append(beta)
+        col[c] = beta
+        inv[beta] = c
+
+    # the shared columns enforce the g^2 relators, so they are not scanned
+    relator_scans = scans(w for w in words if w not in squares)
+    # coset 0 scans the subgroup words before the relators
+    todo = scans(_word_to_cols(p.check_word(w)) for w in subgroup) + relator_scans
+    dead = 0
+    steps = 0
+    alpha = 0
+    try:
+        while alpha < len(parent):
+            if parent[alpha] == alpha:
+                for fwd, bwd, last in todo:
+                    # HLT scan and fill of one word at alpha
+                    f = b = alpha
+                    i, j = 0, last
+                    while True:
+                        steps += 1
+                        if steps > max_deductions:
+                            raise _Overflowed
+                        while i <= j:
+                            x = fwd[i][f]
+                            if x is None:
+                                break
+                            f = x
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                dead += _coincidence(parent, pairs, f, b)
+                            break
+                        while j >= i:
+                            x = bwd[j][b]
+                            if x is None:
+                                break
+                            b = x
+                            j -= 1
+                        if j < i:
+                            dead += _coincidence(parent, pairs, f, b)
+                            break
+                        if j == i:
+                            fwd[i][f] = b
+                            bwd[i][b] = f
+                            break
+                        define(fwd[i], bwd[i], f)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    for col, inv in pairs:
+                        if col[alpha] is None:
+                            define(col, inv, alpha)
+            todo = relator_scans
+            alpha += 1
+    except _Overflowed:
+        return Overflow(len(parent) - dead, len(parent), limits, steps)
+    return _renumber(cols, parent, len(parent) - dead, subgroup)

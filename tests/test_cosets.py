@@ -8,7 +8,10 @@ from curvepi.cli import main as cli_main
 from curvepi.coset_table import (
     CosetTable,
     EnumLimits,
+    EnumStats,
     Overflow,
+    _shortcuts,
+    _word_to_cols,
     perm_group_order,
     table_from_action,
     todd_coxeter,
@@ -17,9 +20,14 @@ from curvepi.coset_table import (
 from curvepi.presentations import Presentation
 from curvepi.verify import _describe
 from curvepi.words import Word
-from reference_enumerator import reference_todd_coxeter
+from reference_enumerator import Overflow as ScanEveryOverflow
+from reference_enumerator import reference_todd_coxeter, scan_every_todd_coxeter
 
 G2378 = "<a,b | a^2, b^3, (ab)^7, (a b a^-1 b^-1)^8>"
+E6 = (
+    "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+    "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+)
 
 KNOWN_ORDERS = [
     ("<a | a>", 1),
@@ -270,3 +278,177 @@ def test_matches_reference_enumerator_on_hypothesis_corpus(data):
         lambda q: data.draw(st.floats(0, 1)) < q,
     )
     _agree_with_reference(p, sub, EnumLimits(max_cosets=500))
+
+
+# Skipped scans.  A relator symmetry lets the enumerator skip scans that
+# would only confirm a closed cycle, so it must make exactly the definitions
+# and coincidences of the column-major enumerator that scans everything.
+
+
+def _symmetric_case(draw_int, draw_bool):
+    """A small presentation and subgroup from two sources of choices, biased
+    to relators equal to a rotation of themselves or of their inverse:
+    powers, Coxeter-like (x y)^m, commutator powers (x y x^-1 y^-1)^m with x
+    an involution, random u^k, and reflections such as y x^2.  Each relator
+    is then rotated and perhaps inverted, as the benchmark rewrites do."""
+    n_gens = draw_int(1, 3)
+    involutions = [g for g in range(1, n_gens + 1) if draw_bool(0.6)]
+    rels = [Word([g, g] if draw_bool(0.5) else [-g, -g]) for g in involutions]
+
+    def gen():
+        return draw_int(1, n_gens)
+
+    def signed(g):
+        return -g if draw_bool(0.5) else g
+
+    for _ in range(draw_int(1, 4)):
+        kind = draw_int(0, 4)
+        if kind == 0:
+            w = [signed(gen())] * draw_int(2, 7)
+        elif kind == 1:
+            w = [signed(gen()), signed(gen())] * draw_int(2, 6)
+        elif kind == 2:
+            x = involutions[draw_int(0, len(involutions) - 1)] if involutions else gen()
+            y = gen()
+            w = [x, y, -x, -y] * draw_int(1, 4)
+        elif kind == 3:
+            w = [signed(gen()) for _ in range(draw_int(1, 3))] * draw_int(2, 4)
+        else:
+            w = [signed(gen())] + [signed(gen())] * draw_int(2, 3)
+        k = draw_int(0, len(w) - 1)
+        w = w[k:] + w[:k]
+        if draw_bool(0.5):
+            w = [-x for x in reversed(w)]
+        rels.append(Word(w))
+    sub = []
+    if draw_bool(0.5):
+        sub = [Word([signed(gen()) for _ in range(draw_int(1, 5))]) for _ in range(draw_int(1, 2))]
+    return Presentation([f"g{i}" for i in range(n_gens)], rels), sub
+
+
+def _relator_offsets(p):
+    """(offset 1, offset L-1) for each relator, with the enumerator's
+    involutions: the generators with a relator g^2 or g^-2."""
+    words = [_word_to_cols(r) for r in p.relators]
+    involutions = {w[0] >> 1 for w in words if len(w) == 2 and w[0] == w[1]}
+    return [tuple(x is not None for x in _shortcuts(w, involutions)) for w in words if w]
+
+
+def _agree_with_scan_every(p, sub, limits):
+    """Both column-major enumerators on one case; returns which way the one
+    that scans everything ended, and the scans the other skipped."""
+    res = todd_coxeter(p, sub, limits)
+    ref = scan_every_todd_coxeter(p, sub, limits)
+    if not isinstance(res, Overflow):
+        report = validate_table(p, sub, res)
+        assert report.passed, (p, sub, report.failures)
+    if isinstance(ref, ScanEveryOverflow):
+        if ref.deductions > limits.max_deductions:
+            # fewer scan steps may finish where the old count ran out
+            return "deductions", res.stats.skipped
+        assert isinstance(res, Overflow) and not res.out_of_deductions, (p, sub)
+        assert (res.allocated, res.live_cosets) == (ref.allocated, ref.live_cosets), (p, sub)
+        assert res.deductions <= ref.deductions
+        return "cosets", res.stats.skipped
+    assert isinstance(res, CosetTable), (p, sub)
+    assert res.forward == ref.forward and res.backward == ref.backward, (p, sub)
+    return "finished", res.stats.skipped
+
+
+def test_matches_scan_every_enumerator_on_seeded_corpus():
+    rng = random.Random(8)
+    ends = {"finished": 0, "cosets": 0, "deductions": 0}
+    offsets = {(True, False): 0, (False, True): 0, (True, True): 0, (False, False): 0}
+    skipped = 0
+    for _ in range(400):
+        p, sub = _symmetric_case(rng.randint, lambda q: rng.random() < q)
+        for pair in _relator_offsets(p):
+            offsets[pair] += 1
+        max_deductions = rng.choice([10**8, rng.randint(20, 2000)])
+        end, skips = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
+        ends[end] += 1
+        skipped += skips
+    assert ends["finished"] > 100 and ends["cosets"] > 10 and ends["deductions"] > 10, ends
+    # offset-1-only, offset-(L-1)-only and both-offset relators all occur
+    assert min(offsets.values()) > 10, offsets
+    assert skipped > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_scan_every_enumerator_on_hypothesis_corpus(data):
+    p, sub = _symmetric_case(
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda q: data.draw(st.floats(0, 1)) < q,
+    )
+    max_deductions = data.draw(st.sampled_from([10**8, 50, 500]))
+    _agree_with_scan_every(p, sub, EnumLimits(500, max_deductions))
+
+
+def test_offset_one_symmetry_does_not_imply_offset_last():
+    # g1 g0^2 with both generators involutions equals its inverse rotated
+    # by one letter, but no rotation by two letters gives it or its inverse
+    p = parse_presentation("<g0,g1 | g0^2, g1^-2, g0^-6, g1 g0^2>")
+    assert _relator_offsets(p)[-1] == (True, False)
+    sub = [parse_word(p, "g1"), parse_word(p, "g0^-1 g1^-1 g0^-1 g1^-1 g0^-1")]
+    t = todd_coxeter(p, sub)
+    assert isinstance(t, CosetTable) and t.n == 1
+    assert validate_table(p, sub, t).passed
+
+
+def test_e6_finishes_within_a_reduced_deduction_budget():
+    # the enumerator that scans everything needs 836,765 scan steps here
+    p = parse_presentation(E6)
+    t = todd_coxeter(p, [], EnumLimits(max_deductions=400_000))
+    assert isinstance(t, CosetTable) and t.n == 51840
+    assert t.stats.scan_steps <= 400_000 and t.stats.skipped > 0
+
+
+def test_involution_maps_share_one_tuple():
+    p = parse_presentation(E6)
+    t = todd_coxeter(p)
+    assert all(t.forward[g] is t.backward[g] for g in range(t.n_gens))
+    g = parse_presentation(G2378)
+    t = todd_coxeter(g)
+    assert t.forward[0] is t.backward[0] and t.forward[1] != t.backward[1]
+    z2 = parse_presentation("<a | a^2>")
+    t = table_from_action(z2, [[1, 0]])
+    assert t.forward == t.backward and t.forward[0] is not t.backward[0]
+
+
+def test_enumeration_stats():
+    p = parse_presentation(G2378)
+    t = todd_coxeter(p)
+    s = t.stats
+    assert isinstance(s, EnumStats) and s.allocated - s.dead == t.n == 10752
+    # the scans made and skipped as written: the enumerator that scans every
+    # relator allocates the same cosets and needs 202,929 scan steps
+    assert s == EnumStats(allocated=128562, dead=117810, scan_steps=175508, skipped=27421)
+    assert CosetTable([[0]], [[0]]).stats is None
+    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000
+    assert res.live_cosets == res.stats.allocated - res.stats.dead
+    assert res.deductions == res.stats.scan_steps
+
+
+def test_tc_stats_go_to_stderr(capsys):
+    assert cli_main(["tc", G2378]) == 0
+    plain = capsys.readouterr()
+    assert cli_main(["tc", G2378, "--stats"]) == 0
+    stats = capsys.readouterr()
+    assert stats.out == plain.out == "10752\n" and plain.err == ""
+    s = todd_coxeter(parse_presentation(G2378)).stats
+    assert stats.err == (
+        f"stats: {s.allocated} cosets allocated, {s.dead} dead, "
+        f"{s.scan_steps} scan steps, {s.skipped} scans skipped\n"
+    )
+    assert cli_main(["tc", G2378, "--json"]) == 0
+    doc = capsys.readouterr().out
+    assert cli_main(["tc", G2378, "--json", "--stats"]) == 0
+    assert capsys.readouterr().out == doc
+    assert cli_main(["tc", "<a,b |>", "--stats", "--max-cosets", "50"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "stats: 50 cosets allocated, 0 dead, 0 scan steps, 0 scans skipped",
+        "overflow: 50 cosets allocated (budget 50); index may be infinite",
+    ]
