@@ -78,12 +78,17 @@ class ProofTrace:
 
 
 class Inconclusive:
-    """Budget exhausted before a derivation was found; not a judgment."""
+    """Budget exhausted before a derivation was found; not a judgment.
 
-    __slots__ = ("reason",)
+    ``states`` is the number of derivation states the search held when it
+    stopped (0 when no search ran).
+    """
 
-    def __init__(self, reason: str):
+    __slots__ = ("reason", "states")
+
+    def __init__(self, reason: str, states: int = 0):
         self.reason = reason
+        self.states = states
 
     def __repr__(self) -> str:
         return f"Inconclusive({self.reason!r})"
@@ -91,7 +96,8 @@ class Inconclusive:
 
 def replay_trace(p: Presentation, trace: ProofTrace) -> bool:
     """Independent step checker: replays the trace and demands it end at the
-    empty word.  Uses only free reduction, splicing and rotation."""
+    empty word.  Uses only full free reduction of the spliced or rotated
+    letters, not the search's word kernels."""
     current = trace.start.letters
     for step in trace.steps:
         if step[0] == "insert":
@@ -103,7 +109,7 @@ def replay_trace(p: Presentation, trace: ProofTrace) -> bool:
                 rel = invert(rel)
             if not 0 <= pos <= len(current):
                 return False
-            current = splice(current, pos, rel)
+            current = reduce_letters(current[:pos] + rel + current[pos:])
         elif step[0] == "rotate":
             _, k = step
             if current:
@@ -136,7 +142,16 @@ def derive_relator(
 
     Returns a ProofTrace that replay_trace accepts, or Inconclusive when the
     budget is exhausted (never a refutation: use abelianization or finite
-    quotients to refute)."""
+    quotients to refute).
+
+    ``max_states`` only truncates the search: the heap order does not depend
+    on it, and a child that is the empty word ends the search before the
+    state count is checked.  So for any cap k the result is either the trace
+    returned under every larger cap, step for step, or
+    ``Inconclusive("state budget exhausted (k states)")`` with
+    ``states >= k``, or an Inconclusive with ``states < k`` that every
+    larger cap returns too (the search space ran out first).
+    """
     budget = budget or DerivationBudget()
     p.check_word(w)
     start = canonical_cyclic(w.letters)
@@ -182,7 +197,7 @@ def derive_relator(
                     break
                 if len(parents) >= budget.max_states:
                     return Inconclusive(
-                        f"state budget exhausted ({budget.max_states} states)"
+                        f"state budget exhausted ({budget.max_states} states)", len(parents)
                     )
                 counter += 1
                 heapq.heappush(heap, (len(canon), d + 1, counter, canon))
@@ -191,7 +206,7 @@ def derive_relator(
         if found:
             break
     if not found:
-        return Inconclusive("search space exhausted within budget")
+        return Inconclusive("search space exhausted within budget", len(parents))
 
     # walk parents back from the empty state, then rebuild concrete steps
     chain: List[Tuple[Tuple[int, ...], Tuple[int, bool, int]]] = []

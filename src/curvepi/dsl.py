@@ -3,7 +3,7 @@
 Grammar (ASCII or angle-bracket delimiters):
 
     presentation := "<" gen-list "|" relator-list ">"
-    gen-list     := ident ("," ident)*
+    gen-list     := (ident ("," ident)*)?
     relator-list := (relator ("," relator)*)?
     relator      := word ("=" word)?
     word         := atom+
@@ -106,7 +106,8 @@ class _Parser:
     def parse(self) -> Presentation:
         s = self.s
         s.take(_OPEN)
-        self.gens.append(s.ident())
+        if s.peek() != "|":
+            self.gens.append(s.ident())
         while s.peek() == ",":
             s.take(",")
             name = s.ident()

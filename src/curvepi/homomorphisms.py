@@ -4,6 +4,16 @@ Verified: every source relator's image derives to the empty word in the
 target (a certificate).  Refuted: some image is visibly nontrivial in the
 target's abelianization, or acts nontrivially in a finite quotient found by
 coset enumeration.  Anything else is Inconclusive, which is not a judgment.
+
+``check_homomorphism`` runs its stages cheapest first: the abelian refuter
+(milliseconds), then a derivation of every image with at most
+``_QUICK_STATES`` states, then the finite-quotient refuter (an enumeration of
+up to ``_REFUTE_COSET_LIMIT`` cosets, which never finishes on an infinite
+target), and last the derivations with the caller's full budget.  Verified
+and Refuted are both sound, so they exclude each other, and the order cannot
+change which of them is returned.  Nor can it change a trace: the state cap
+only truncates the derivation search (see ``derive_relator``), so an image
+derived under the small cap gets the trace the full budget would give.
 """
 
 from __future__ import annotations
@@ -17,6 +27,9 @@ from .presentations import Presentation, SubstitutionMap, compose, substitute
 from .words import Word
 
 _REFUTE_COSET_LIMIT = 5000
+# state cap of the derivation tried before the finite-quotient refuter; every
+# derivation in ``curvepi verify`` needs at most 436 states
+_QUICK_STATES = 1000
 
 
 class Verified:
@@ -70,14 +83,42 @@ def check_homomorphism(
     """Decide, when possible, whether the substitution defines a homomorphism.
 
     Verified and Refuted are sound; budget exhaustion is reported as
-    Inconclusive, never as an error.
+    Inconclusive, never as an error.  The stages, in order:
+
+    1. the abelian refuter;
+    2. a derivation of each image with ``max_states`` capped at
+       ``_QUICK_STATES``, stopping at the first image that fails; Verified
+       when none fails;
+    3. the finite-quotient refuter;
+    4. the images not yet settled, derived with the full budget.
+
+    A bounded attempt that failed without reaching its cap (the search space
+    ran out, or the cap is the caller's own) is already the full-budget
+    result, so step 4 does not repeat it.  The result equals that of running
+    the refuters before every derivation, trace for trace.
     """
     budget = budget or DerivationBudget()
     images = [substitute(m, r) for r in m.source.relators]
+    if not images:
+        return Verified(())
 
     refuted = _abelian_refuter(m.target, *images)
     if refuted is not None:
         return refuted
+
+    quick = DerivationBudget(
+        budget.max_insertions, budget.max_word_length, min(budget.max_states, _QUICK_STATES)
+    )
+    settled: List[ProofTrace | Inconclusive] = []
+    for img in images:
+        res = derive_relator(m.target, img, quick)
+        if isinstance(res, Inconclusive):
+            if res.states < quick.max_states or quick.max_states == budget.max_states:
+                settled.append(res)
+            break
+        settled.append(res)
+    else:
+        return Verified(settled)
 
     # a finite quotient (the regular action) refutes exactly the nontrivial
     # images; only worth attempting when the target might be finite
@@ -88,10 +129,10 @@ def check_homomorphism(
                 return Refuted(i, img, f"finite quotient of order {table.n}", table.n)
 
     traces: List[ProofTrace] = []
-    for img in images:
-        res = derive_relator(m.target, img, budget)
+    for i, img in enumerate(images):
+        res = settled[i] if i < len(settled) else derive_relator(m.target, img, budget)
         if isinstance(res, Inconclusive):
-            return Inconclusive(f"relator image not derived: {res.reason}")
+            return Inconclusive(f"relator image not derived: {res.reason}", res.states)
         traces.append(res)
     return Verified(traces)
 

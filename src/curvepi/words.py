@@ -113,8 +113,13 @@ def invert(letters: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def splice(letters: Tuple[int, ...], pos: int, ins: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Insert ``ins`` into reduced ``letters`` at ``pos`` and reduce."""
-    return reduce_letters(letters[:pos] + ins + letters[pos:])
+    """Insert reduced ``ins`` into reduced ``letters`` at ``pos`` and reduce.
+
+    All three pieces are reduced, so letters cancel only at the two
+    junctions; cancellation at the second one may run back through what is
+    left of ``ins`` into ``letters[:pos]``.
+    """
+    return concat(concat(letters[:pos], ins), letters[pos:])
 
 
 def rotate(letters: Tuple[int, ...], k: int) -> Tuple[int, ...]:
@@ -163,9 +168,15 @@ def least_rotation(letters: Tuple[int, ...]) -> int:
 
 def canonical_cyclic(letters: Tuple[int, ...]) -> Tuple[int, ...]:
     """Canonical form under cyclic permutation: reduce cyclically, then
-    pick the lexicographically least rotation."""
+    pick the lexicographically least rotation.
+
+    The least rotation starts where a cyclic run of the least letter
+    starts, so only the rotations there are compared (a word with no such
+    run is a power of one letter).  ``letters`` need not be reduced.
+    """
     core = cyclic_reduce(reduce_letters(letters))
-    if len(core) <= 1:
-        return core
-    k = least_rotation(core)
-    return core[k:] + core[:k]
+    n = len(core)
+    least = min(core, default=0)
+    doubled = core + core
+    starts = [doubled[i : i + n] for i, x in enumerate(core) if x == least and core[i - 1] != least]
+    return min(starts) if starts else core

@@ -96,6 +96,15 @@ def test_rs_subgroup():
     assert "index: 2" in out
 
 
+def test_rs_with_no_generators_pipes_to_ab_and_tc():
+    # the trivial subgroup presentation has no generators; it must parse
+    code, out, _ = run(["rs", "<a,b | a, b>", "--subgroup", "a"])
+    assert (code, out) == (0, "index: 1\n<  |  >\n")
+    body = out.partition("\n")[2]
+    assert run(["ab", "-"], stdin=body)[:2] == (0, "0\n")
+    assert run(["tc", "-"], stdin=body)[:2] == (0, "1\n")
+
+
 def test_rs_overflow_reports_the_budget():
     code, out, err = run(["rs", "<a,b |>", "--subgroup", "a", "--max-cosets", "50"])
     assert code == 1

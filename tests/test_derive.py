@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import parse_presentation, parse_word
 from curvepi.derive import (
@@ -125,3 +126,43 @@ raise SystemExit(1)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+# The state cap only truncates the search, so a smaller cap either finds the
+# full-budget trace, step for step, or reports that the cap ran out.
+CAP_PRESENTATIONS = [
+    parse_presentation(t)
+    for t in (
+        "<a,b | a^2, b^2, (ab)^3>",
+        "<a,b | a^2, b^3, (ab)^7>",
+        "<a,b | aba=bab>",
+        "<a,b,c | a^2, b^2, c^2, (ab)^3, (bc)^3, (ac)^2>",
+    )
+]
+
+
+@st.composite
+def derivable(draw):
+    """A presentation and a product of conjugates of its relators."""
+    p = draw(st.sampled_from(CAP_PRESENTATIONS))
+    letters = [s * g for g in range(1, p.n_gens + 1) for s in (1, -1)]
+    w = Word(())
+    for _ in range(draw(st.integers(1, 2))):
+        rel = draw(st.sampled_from(p.relators))
+        conj = Word(draw(st.lists(st.sampled_from(letters), max_size=2)))
+        w = w * conj * (rel if draw(st.booleans()) else ~rel) * ~conj
+    return p, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(derivable(), st.integers(1, 400))
+def test_state_cap_only_truncates_the_search(case, k):
+    p, w = case
+    full = derive_relator(p, w, DerivationBudget(max_word_length=32))
+    assert isinstance(full, ProofTrace)
+    res = derive_relator(p, w, DerivationBudget(max_word_length=32, max_states=k))
+    if isinstance(res, ProofTrace):
+        assert (res.start, res.steps) == (full.start, full.steps)
+    else:
+        assert res.reason == f"state budget exhausted ({k} states)"
+        assert res.states >= k

@@ -75,6 +75,8 @@ def test_trivial_relator_dropped():
         ("<a,, b | a>", "identifier"),
         ("<a | a> junk", "trailing"),
         ("<a,a | >", "twice"),
+        ("<, a | >", "identifier"),
+        ("< | a>", "undeclared"),
     ],
 )
 def test_errors_carry_position(text, fragment):
@@ -104,6 +106,17 @@ def test_print_parse_round_trip():
     rng = random.Random(11)
     for _ in range(200):
         p = random_presentation(rng)
+        assert parse_presentation(format_presentation(p)) == p
+
+
+@pytest.mark.parametrize("text", ["<|>", "< | >", "⟨ | ⟩", "<  |  >"])
+def test_no_generators(text):
+    assert parse_presentation(text) == Presentation([])
+
+
+def test_print_parse_round_trip_with_no_generators():
+    rng = random.Random(12)
+    for p in [Presentation([])] + [random_presentation(rng) for _ in range(50)]:
         assert parse_presentation(format_presentation(p)) == p
 
 

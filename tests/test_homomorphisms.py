@@ -3,10 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvepi.homomorphisms as homomorphisms
+import curvepi.verify as verify
+import reference_homomorphisms
 from curvepi import parse_presentation, parse_word
 from curvepi.abelian import IntMatrix
-from curvepi.derive import DerivationBudget, Inconclusive
+from curvepi.derive import DerivationBudget, Inconclusive, derive_relator
 from curvepi.homomorphisms import (
+    _QUICK_STATES,
     Refuted,
     Verified,
     _abelian_refuter,
@@ -219,3 +223,164 @@ def test_abelian_refuter_reports_the_first_refuted_image():
     a = Word.gen(0)
     res = _abelian_refuter(z6, a**6, a**12, a**3, a)
     assert res is not None and res.relator_index == 2 and res.image == a**3
+
+
+# ---------------------------------------------------------------------------
+# Stage order: a bounded derivation runs before the finite-quotient refuter.
+# Every result must equal that of the refuters-first reference, kept verbatim
+# in reference_homomorphisms.
+
+
+def s3_map():
+    """x -> ab into S3: x^2 -> (ab)^2 vanishes in the abelianization but acts
+    nontrivially in the order-6 regular action."""
+    s3 = parse_presentation("<a,b | a^2, b^2, (ab)^3>")
+    return SubstitutionMap(parse_presentation("<x | x^2>"), s3, words(s3, "a b"))
+
+
+def triangle_map(source_text):
+    """Into the infinite (2,3,10) triangle group, x -> a b^-1 and y -> a:
+    (a b^-1)^10 derives, but only with 1360 states at max_word_length 24."""
+    t = parse_presentation("<a,b | a^2, b^3, (ab)^10>")
+    src = parse_presentation(source_text)
+    return SubstitutionMap(src, t, words(t, "a b^-1", "a")[: src.n_gens])
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """(image, max_states) of every derive_relator call check_homomorphism
+    makes."""
+    calls = []
+
+    def record(p, w, budget=None):
+        calls.append((w, budget.max_states))
+        return derive_relator(p, w, budget)
+
+    monkeypatch.setattr(homomorphisms, "derive_relator", record)
+    return calls
+
+
+def assert_same_result(new, old):
+    assert type(new) is type(old)
+    if isinstance(new, Refuted):
+        assert (new.relator_index, new.image, new.quotient, new.detail) == (
+            old.relator_index,
+            old.image,
+            old.quotient,
+            old.detail,
+        )
+    elif isinstance(new, Verified):
+        assert [(t.start, t.steps) for t in new.traces] == [(t.start, t.steps) for t in old.traces]
+    else:
+        assert new.reason == old.reason
+
+
+def outcome(res, calls):
+    if isinstance(res, Refuted):
+        return f"refuted by {res.quotient.split(' of ')[0]}"
+    if isinstance(res, Verified):
+        full = any(states > _QUICK_STATES for _, states in calls)
+        return "verified by the full budget" if full else "verified by the bounded attempt"
+    return "inconclusive"
+
+
+def verify_suite_maps(monkeypatch):
+    """Every (map, budget) that ``run_suite`` checks, with the reference
+    result."""
+    seen = []
+
+    def record(m, budget=None):
+        old = reference_homomorphisms.check_homomorphism(m, budget)
+        seen.append((m, budget, old))
+        return old
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "check_homomorphism", record)
+        mp.setattr(homomorphisms, "check_homomorphism", record)
+        verify.run_suite()
+    return seen
+
+
+def test_stage_order_matches_the_refuters_first_reference(monkeypatch, derive_calls):
+    cases = verify_suite_maps(monkeypatch)
+    assert len(cases) == 13
+    rng = random.Random(2024)
+    for states in (300, 2000):
+        budget = DerivationBudget(max_states=states, max_word_length=24)
+        for _ in range(120):
+            src = random_presentation(rng, rng.randint(1, 2))
+            dst = random_presentation(rng, rng.randint(1, 2))
+            images = [
+                Word([rng.choice([1, -1]) * rng.randint(1, dst.n_gens) for _ in range(rng.randint(0, 4))])
+                for _ in range(src.n_gens)
+            ]
+            cases.append((SubstitutionMap(src, dst, images), budget, None))
+    z2 = parse_presentation("<a | a^2>")
+    free = parse_presentation("<a,b |>")
+    cases += [
+        (s3_map(), None, None),
+        (SubstitutionMap(parse_presentation("<a | a^3>"), z2, words(z2, "a")), None, None),
+        (SubstitutionMap(parse_presentation("<x | x^2>"), free, words(free, "a")), None, None),
+        (triangle_map("<x | x^10>"), DerivationBudget(max_states=2000, max_word_length=24), None),
+        (triangle_map("<x,y | y^2, x^10>"), DerivationBudget(max_states=300, max_word_length=24), None),
+        (identity_map(parse_presentation("<a,b |>")), None, None),
+    ]
+    outcomes = set()
+    for m, budget, old in cases:
+        derive_calls.clear()
+        new = check_homomorphism(m, budget)
+        outcomes.add(outcome(new, derive_calls))
+        if old is None:
+            old = reference_homomorphisms.check_homomorphism(m, budget)
+        assert_same_result(new, old)
+    assert outcomes == {
+        "verified by the bounded attempt",
+        "verified by the full budget",
+        "refuted by abelianization",
+        "refuted by finite quotient",
+        "inconclusive",
+    }
+
+
+def test_finite_quotient_refutation_after_one_bounded_attempt(derive_calls):
+    res = check_homomorphism(s3_map())
+    assert isinstance(res, Refuted)
+    assert (res.relator_index, res.quotient, res.detail) == (0, "finite quotient of order 6", 6)
+    assert [states for _, states in derive_calls] == [_QUICK_STATES]
+
+
+def test_full_budget_only_after_the_refuter(derive_calls):
+    m = triangle_map("<x | x^10>")
+    res = check_homomorphism(m, DerivationBudget(max_states=2000, max_word_length=24))
+    assert isinstance(res, Verified)
+    assert [states for _, states in derive_calls] == [_QUICK_STATES, 2000]
+
+
+def test_inconclusive_searches_each_image_at_most_once(derive_calls):
+    m = triangle_map("<x,y | y^2, x^10>")
+    res = check_homomorphism(m, DerivationBudget(max_states=300, max_word_length=24))
+    assert isinstance(res, Inconclusive)
+    assert res.reason == "relator image not derived: state budget exhausted (300 states)"
+    searched = [w for w, _ in derive_calls]
+    assert len(searched) == len(set(searched)) == 2
+
+
+def test_exhausted_search_space_is_not_searched_again(derive_calls):
+    # Z/2 * Z is infinite, so the refuters cannot speak, and words of length
+    # at most 8 run out well below the bounded attempt's cap
+    target = parse_presentation("<a,b | a^2>")
+    m = SubstitutionMap(parse_presentation("<x,y | x y x^-1 y^-1>"), target, words(target, "a", "b"))
+    res = check_homomorphism(m, DerivationBudget(max_word_length=8))
+    assert isinstance(res, Inconclusive)
+    assert res.reason == "relator image not derived: search space exhausted within budget"
+    assert [states for _, states in derive_calls] == [_QUICK_STATES]
+
+
+def test_zero_relator_source_skips_the_target_enumeration(monkeypatch):
+    def enumerate_target(*args, **kwargs):
+        raise AssertionError("the target was enumerated")
+
+    monkeypatch.setattr(homomorphisms, "todd_coxeter", enumerate_target)
+    s3 = parse_presentation("<a,b | a^2, b^2, (ab)^3>")
+    res = check_homomorphism(SubstitutionMap(parse_presentation("<x,y |>"), s3, words(s3, "a", "b^-1")))
+    assert isinstance(res, Verified) and res.traces == ()

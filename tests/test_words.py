@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvepi import parse_presentation
+from curvepi.derive import DerivationBudget, ProofTrace, _canonical_steps, derive_relator, replay_trace
+from curvepi.presentations import Presentation
 from curvepi.words import (
     Word,
     canonical_cyclic,
@@ -135,3 +139,179 @@ def test_word_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         w.letters = ()
     assert len({w, Word([1, 2]), ~w}) == 2
+
+
+# ---------------------------------------------------------------------------
+# The word kernels of the derivation search against verbatim copies of their
+# earlier versions, which reduced the whole word.
+
+
+def parent_splice(letters, pos, ins):
+    """Insert ``ins`` into reduced ``letters`` at ``pos`` and reduce."""
+    return reduce_letters(letters[:pos] + ins + letters[pos:])
+
+
+def parent_canonical_cyclic(letters):
+    """Canonical form under cyclic permutation: reduce cyclically, then
+    pick the lexicographically least rotation."""
+    core = cyclic_reduce(reduce_letters(letters))
+    if len(core) <= 1:
+        return core
+    k = least_rotation(core)
+    return core[k:] + core[:k]
+
+
+def parent_canonical_steps(letters):
+    """Canonicalize and record the rotations used, for trace replay."""
+    steps = []
+    cur = reduce_letters(letters)
+    while len(cur) >= 2 and cur[0] == -cur[-1]:
+        cur = reduce_letters(cur[1:] + cur[:1])
+        steps.append(("rotate", 1))
+    if len(cur) > 1:
+        k = least_rotation(cur)
+        if k:
+            cur = cur[k:] + cur[:k]
+            steps.append(("rotate", k))
+    return cur, steps
+
+
+def parent_replay_trace(p, trace):
+    """Independent step checker: replays the trace and demands it end at the
+    empty word.  Uses only free reduction, splicing and rotation."""
+    current = trace.start.letters
+    for step in trace.steps:
+        if step[0] == "insert":
+            _, idx, inv, pos = step
+            if not 0 <= idx < len(p.relators):
+                return False
+            rel = p.relators[idx].letters
+            if inv:
+                rel = invert(rel)
+            if not 0 <= pos <= len(current):
+                return False
+            current = parent_splice(current, pos, rel)
+        elif step[0] == "rotate":
+            _, k = step
+            if current:
+                k %= len(current)
+                current = reduce_letters(current[k:] + current[:k])
+        else:
+            return False
+    return not current
+
+
+def raw_letters(n_gens, max_size=16):
+    return st.lists(
+        st.sampled_from([s * g for g in range(1, n_gens + 1) for s in (1, -1)]), max_size=max_size
+    ).map(tuple)
+
+
+def reduced_letters(n_gens, max_size=16):
+    return raw_letters(n_gens, max_size).map(reduce_letters)
+
+
+@st.composite
+def splice_cases(draw):
+    """Reduced letters, a position and a reduced insertion that often
+    cancels into one or both sides: the inverse of a stretch left of the
+    position, a random middle, and the inverse of a stretch right of it."""
+    n = draw(st.integers(1, 3))
+    letters = draw(reduced_letters(n))
+    pos = draw(st.integers(0, len(letters)))
+    i = draw(st.integers(0, pos))
+    j = draw(st.integers(pos, len(letters)))
+    ins = reduce_letters(invert(letters[i:pos]) + draw(raw_letters(n, 6)) + invert(letters[pos:j]))
+    return letters, pos, ins
+
+
+@settings(max_examples=300, deadline=None)
+@given(splice_cases())
+def test_splice_matches_full_reduction(case):
+    letters, pos, ins = case
+    assert splice(letters, pos, ins) == parent_splice(letters, pos, ins)
+
+
+@pytest.mark.parametrize(
+    "letters,pos,ins,expected",
+    [
+        # the inserted relator cancels completely into the left side
+        ((1, 2, 3), 3, (-3, -2), (1,)),
+        ((1, 2, 3), 3, (-3, -2, -1), ()),
+        # ... and into the right side
+        ((1, 2, 3), 0, (-2, -1), (3,)),
+        # ins is eaten from both ends: -2 by the left, -3 -4 by the right
+        ((1, 2, 3, 4), 2, (-2, -4, -3), (1,)),
+        # cancellation at the second junction runs through ins into the left
+        ((1, 2, -3, -2, -1), 2, (3,), ()),
+        ((1, 2), 1, (), (1, 2)),
+        ((), 0, (1, -2), (1, -2)),
+    ],
+)
+def test_splice_junction_cases(letters, pos, ins, expected):
+    assert splice(letters, pos, ins) == expected == parent_splice(letters, pos, ins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(raw_letters))
+def test_canonical_cyclic_matches_booth(letters):
+    assert canonical_cyclic(letters) == parent_canonical_cyclic(letters)
+    assert _canonical_steps(letters) == parent_canonical_steps(letters)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        (1, -1, 2, 2, -2, 1),  # unreduced
+        (-2, 1, 2, 3, -3, -2, -1, 2),  # unreduced, cyclically too
+        (1, 2, 1, 2, 1, 2),  # (ab)^3
+        (2, 1, 2, 1, 2, 1),
+        (-1, 2, -1, 3, -1, 2),  # repeated minimum letters
+        (-1, 2, -1, 2, -1, 3),
+        (-1, 2, -1, -1, 3, -1),  # a run of the least letter wraps around
+        (1, 1, 1, 1),  # a power of one letter
+        (-2, -2, -2),
+        (),
+        (3,),
+    ],
+)
+def test_canonical_cyclic_cases(letters):
+    assert canonical_cyclic(letters) == parent_canonical_cyclic(letters)
+    assert _canonical_steps(letters) == parent_canonical_steps(letters)
+    core = cyclic_reduce(reduce_letters(letters))
+    assert canonical_cyclic(letters) == min((core[i:] + core[:i] for i in range(len(core))), default=())
+
+
+@st.composite
+def traces(draw):
+    """A presentation over 1-3 generators and a step list that may or may
+    not reach the empty word, with out-of-range indices and positions."""
+    n = draw(st.integers(1, 3))
+    rels = [Word(r) for r in draw(st.lists(reduced_letters(n, 6), max_size=3))]
+    p = Presentation([f"g{i}" for i in range(n)], rels)
+    step = st.one_of(
+        st.tuples(st.just("insert"), st.integers(-1, 3), st.booleans(), st.integers(-1, 20)),
+        st.tuples(st.just("rotate"), st.integers(-3, 20)),
+        st.just(("swap",)),
+    )
+    return p, ProofTrace(Word(draw(raw_letters(n))), draw(st.lists(step, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_replay_trace_matches_the_full_reduction_checker(case):
+    p, trace = case
+    assert replay_trace(p, trace) == parent_replay_trace(p, trace)
+
+
+def test_derived_traces_replay_under_both_checkers():
+    p = parse_presentation("<a,b | a^2, b^3, (ab)^5>")
+    rng = random.Random(9)
+    for _ in range(30):
+        w = Word(())
+        for _ in range(rng.randint(1, 2)):
+            conj = random_word(rng, 2, 2)
+            w = w * conj * p.relators[rng.randrange(3)] * ~conj
+        trace = derive_relator(p, w, DerivationBudget(max_word_length=32))
+        assert isinstance(trace, ProofTrace)
+        assert replay_trace(p, trace) and parent_replay_trace(p, trace)
