@@ -236,7 +236,7 @@ def curve_abelianization(degrees: Sequence[int]) -> InvariantFactors:
     return InvariantFactors(len(degs) - 1, [tau] if tau > 1 else [])
 
 
-def abelian_presentation(inv: InvariantFactors, torsion_first: bool = False) -> Presentation:
+def abelian_presentation(inv: InvariantFactors) -> Presentation:
     """A standard presentation of Z^r (+) Z/d1 (+) ... : one generator per
     factor, all commutators, and one power relator per torsion factor."""
     from .words import Word

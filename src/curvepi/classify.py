@@ -17,6 +17,7 @@ abelian, because the nonabelian irreducible cases are pinned.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 from typing import Dict, List, Optional
 
 from .abelian import InvariantFactors, abelian_invariants, abelian_presentation, curve_abelianization
@@ -215,19 +216,22 @@ _TABLE: List[_Row] = [
 ]
 
 
+def _abelian_entry(
+    label: str, key: Optional[str], degrees: List[int], notes: str
+) -> ClassificationEntry:
+    """The abelian complement group of a curve with these component degrees."""
+    inv = curve_abelianization(degrees)
+    return ClassificationEntry(
+        label, key, inv.display(), None, abelian_presentation(inv),
+        abelian=True, virtually_abelian=True,
+        finite_order=prod(inv.torsion) if inv.free_rank == 0 else None,
+        invariants=inv, notes=notes,
+    )
+
+
 def _entry_from_row(row: _Row) -> ClassificationEntry:
     if row.style == "abelian":
-        inv = curve_abelianization(row.degrees)
-        order = None
-        if inv.free_rank == 0:
-            order = 1
-            for d in inv.torsion:
-                order *= d
-        return ClassificationEntry(
-            row.label, row.key, inv.display(), None, abelian_presentation(inv),
-            abelian=True, virtually_abelian=True, finite_order=order,
-            invariants=inv, notes=row.notes,
-        )
+        return _abelian_entry(row.label, row.key, row.degrees, row.notes)
     if row.style == "virtually-abelian":
         return ClassificationEntry(
             row.label, row.key, "virtually abelian", None, None,
@@ -300,35 +304,20 @@ def classify(ct: CombinatorialType) -> ClassificationEntry | NotCovered:
         return _entry_from_row(row)
     # sound family rules
     if all(s.kind == "A1" for s in ct.singularities):
-        inv = curve_abelianization(ct.degrees)
-        order = None
-        if inv.free_rank == 0:
-            order = 1
-            for d in inv.torsion:
-                order *= d
         smooth = not ct.singularities
-        return ClassificationEntry(
-            "smooth" if smooth else "nodal", key, inv.display(), None,
-            abelian_presentation(inv),
-            abelian=True, virtually_abelian=True, finite_order=order,
-            invariants=inv,
-            notes=("smooth curve" if smooth else "only nodes")
-            + ": complement group is abelian",
+        return _abelian_entry(
+            "smooth" if smooth else "nodal", key, ct.degrees,
+            ("smooth curve" if smooth else "only nodes") + ": complement group is abelian",
         )
     if len(ct.components) == 1 and ct.total_degree == 4:
-        inv = curve_abelianization([4])
-        return ClassificationEntry(
-            "irreducible quartic", key, inv.display(), None, abelian_presentation(inv),
-            abelian=True, virtually_abelian=True, finite_order=4,
-            invariants=inv, notes="irreducible quartic, not three-cusped: abelian",
+        return _abelian_entry(
+            "irreducible quartic", key, [4], "irreducible quartic, not three-cusped: abelian"
         )
     if len(ct.components) == 1 and ct.total_degree == 5:
         # both nonabelian irreducible quintic types are keyed above
-        inv = curve_abelianization([5])
-        return ClassificationEntry(
-            "irreducible quintic", key, inv.display(), None, abelian_presentation(inv),
-            abelian=True, virtually_abelian=True, finite_order=5,
-            invariants=inv, notes="irreducible quintic outside the nonabelian list: abelian",
+        return _abelian_entry(
+            "irreducible quintic", key, [5],
+            "irreducible quintic outside the nonabelian list: abelian",
         )
     return NotCovered(
         key,

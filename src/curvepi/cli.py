@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
     selection = None
     if args.only:
         selection = [s.strip() for s in args.only.split(",") if s.strip()]
-    budget = DerivationBudget(max_states=args.budget) if args.budget else None
+    budget = DerivationBudget(max_states=args.budget) if args.budget is not None else None
     cfg = SuiteConfig(max_cosets=args.max_cosets, budget=budget)
     reports = run_suite(selection, cfg)
     if args.json:

@@ -24,8 +24,9 @@ from .presentations import Presentation
 from .words import (
     Word,
     canonical_cyclic,
+    cyclic_reduce,
     invert,
-    least_rotation,
+    least_rotation_index,
     reduce_letters,
     splice,
 )
@@ -121,18 +122,15 @@ def replay_trace(p: Presentation, trace: ProofTrace) -> bool:
 
 
 def _canonical_steps(letters: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[Step]]:
-    """Canonicalize and record the rotations used, for trace replay."""
-    steps: List[Step] = []
-    cur = reduce_letters(letters)
-    while len(cur) >= 2 and cur[0] == -cur[-1]:
-        cur = reduce_letters(cur[1:] + cur[:1])
-        steps.append(("rotate", 1))
-    if len(cur) > 1:
-        k = least_rotation(cur)
-        if k:
-            cur = cur[k:] + cur[:k]
-            steps.append(("rotate", k))
-    return cur, steps
+    """Canonicalize reduced ``letters`` and record the rotations used, for
+    trace replay: one ``("rotate", 1)`` per cancelled end pair, then one
+    rotation to the least rotation."""
+    core = cyclic_reduce(letters)
+    steps: List[Step] = [("rotate", 1)] * ((len(letters) - len(core)) // 2)
+    k = least_rotation_index(core)
+    if k:
+        steps.append(("rotate", k))
+    return core[k:] + core[:k], steps
 
 
 def derive_relator(
@@ -154,10 +152,9 @@ def derive_relator(
     """
     budget = budget or DerivationBudget()
     p.check_word(w)
-    start = canonical_cyclic(w.letters)
+    start, pre = _canonical_steps(w.letters)
     if not start:
-        _, steps = _canonical_steps(w.letters)
-        return ProofTrace(w, steps)
+        return ProofTrace(w, pre)
     if not p.relators:
         return Inconclusive("no relators to insert")
 
@@ -172,14 +169,11 @@ def derive_relator(
     parents: Dict[Tuple[int, ...], Optional[Tuple[Tuple[int, ...], Tuple[int, bool, int]]]] = {
         start: None
     }
-    depth: Dict[Tuple[int, ...], int] = {start: 0}
     counter = 0
     heap: List[Tuple[int, int, int, Tuple[int, ...]]] = [(len(start), 0, counter, start)]
     found = False
     while heap:
-        length, d, _, state = heapq.heappop(heap)
-        if d != depth.get(state):
-            continue
+        _, d, _, state = heapq.heappop(heap)
         if d >= budget.max_insertions:
             continue
         for idx, inv, rel in inserts:
@@ -191,7 +185,6 @@ def derive_relator(
                 if canon in parents:
                     continue
                 parents[canon] = (state, (idx, inv, pos))
-                depth[canon] = d + 1
                 if not canon:
                     found = True
                     break
@@ -217,9 +210,7 @@ def derive_relator(
         node = parent
     chain.reverse()
 
-    steps: List[Step] = []
-    cur, pre = _canonical_steps(w.letters)
-    steps.extend(pre)
+    steps, cur = pre, start
     for state, (idx, inv, pos) in chain:
         if cur != state:
             raise RuntimeError("trace reconstruction out of sync")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from .words import Word, cyclic_reduce_word
+from .words import Word, cyclic_reduce
 
 
 class Presentation:
@@ -26,7 +26,7 @@ class Presentation:
                 raise TypeError("relators must be Word values")
             if w.max_generator() >= len(gens):
                 raise ValueError(f"relator {w!r} uses an undeclared generator")
-            w = cyclic_reduce_word(w)
+            w = Word._raw(cyclic_reduce(w.letters))
             if w:
                 rels.append(w)
         object.__setattr__(self, "generators", gens)
@@ -130,10 +130,6 @@ def compose(outer: SubstitutionMap, inner: SubstitutionMap) -> SubstitutionMap:
     return SubstitutionMap(
         inner.source, outer.target, [substitute(outer, w) for w in inner.images]
     )
-
-
-def identity_map(p: Presentation) -> SubstitutionMap:
-    return SubstitutionMap(p, p, [Word.gen(i) for i in range(p.n_gens)])
 
 
 def format_word(p: Presentation, w: Word) -> str:

@@ -122,15 +122,8 @@ def splice(letters: Tuple[int, ...], pos: int, ins: Tuple[int, ...]) -> Tuple[in
     return concat(concat(letters[:pos], ins), letters[pos:])
 
 
-def rotate(letters: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    """Cyclic permutation: move the first k letters to the end, then reduce."""
-    if not letters:
-        return letters
-    k %= len(letters)
-    return reduce_letters(letters[k:] + letters[:k])
-
-
 def cyclic_reduce(letters: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Strip the end pairs ``x ... x^-1`` of reduced ``letters``."""
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
@@ -138,45 +131,26 @@ def cyclic_reduce(letters: Tuple[int, ...]) -> Tuple[int, ...]:
     return letters[i:j]
 
 
-def cyclic_reduce_word(w: Word) -> Word:
-    return Word._raw(cyclic_reduce(w.letters))
+def least_rotation_index(core: Tuple[int, ...]) -> int:
+    """First index of the lexicographically least rotation of cyclically
+    reduced ``core``.
 
-
-def least_rotation(letters: Tuple[int, ...]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(letters)
-    if n <= 1:
+    The least rotation starts where a cyclic run of the least letter
+    starts, so only the rotations there are compared; a word with no such
+    run is a power of one letter (or empty), and its index is 0.
+    """
+    n = len(core)
+    least = min(core, default=0)
+    starts = [i for i, x in enumerate(core) if x == least and core[i - 1] != least]
+    if not starts:
         return 0
-    s = letters + letters
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
+    doubled = core + core
+    return min(starts, key=lambda i: doubled[i : i + n])
 
 
 def canonical_cyclic(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Canonical form under cyclic permutation: reduce cyclically, then
-    pick the lexicographically least rotation.
-
-    The least rotation starts where a cyclic run of the least letter
-    starts, so only the rotations there are compared (a word with no such
-    run is a power of one letter).  ``letters`` need not be reduced.
-    """
-    core = cyclic_reduce(reduce_letters(letters))
-    n = len(core)
-    least = min(core, default=0)
-    doubled = core + core
-    starts = [doubled[i : i + n] for i, x in enumerate(core) if x == least and core[i - 1] != least]
-    return min(starts) if starts else core
+    """Canonical form of reduced ``letters`` under cyclic permutation: the
+    least rotation of its cyclic reduction."""
+    core = cyclic_reduce(letters)
+    k = least_rotation_index(core)
+    return core[k:] + core[:k]

@@ -122,6 +122,56 @@ def test_irreducible_quintic_fallback():
     assert entry.group_name == "Z/5"
 
 
+def _abelian_json(case, key, group, free_rank, torsion, gens, relators, finite_order, notes):
+    return {
+        "case": case,
+        "key": key,
+        "group": group,
+        "tag": None,
+        "presentation": {"generators": gens, "relators": relators},
+        "abelian": True,
+        "virtually_abelian": True,
+        "finite_order": finite_order,
+        "invariants": {"free_rank": free_rank, "torsion": torsion},
+        "linear": "asserted",
+        "virtually_polyfree": "asserted",
+        "notes": notes,
+    }
+
+
+@pytest.mark.parametrize(
+    "ct,expected",
+    [
+        (
+            reference_type("smooth-quintic"),
+            _abelian_json("smooth", "5;", "Z/5", 0, [5], ["t1"], [[["t1", 1]] * 5], 5,
+                          "smooth curve: complement group is abelian"),
+        ),
+        (
+            CombinatorialType(
+                [("C", 2), ("L", 1)],
+                [Singularity("A1", "p", ("C", "L")), Singularity("A1", "q", ("C", "L"))],
+            ),
+            _abelian_json("nodal", "1+2;2×A1", "Z", 1, [], ["x1"], [], None,
+                          "only nodes: complement group is abelian"),
+        ),
+        (
+            CombinatorialType([("C", 4)], [Singularity("A2", "p", ("C",))]),
+            _abelian_json("irreducible quartic", "4;A2", "Z/4", 0, [4], ["t1"], [[["t1", 1]] * 4], 4,
+                          "irreducible quartic, not three-cusped: abelian"),
+        ),
+        (
+            CombinatorialType([("C", 5)], [Singularity("A2", "p", ("C",))]),
+            _abelian_json("irreducible quintic", "5;A2", "Z/5", 0, [5], ["t1"], [[["t1", 1]] * 5], 5,
+                          "irreducible quintic outside the nonabelian list: abelian"),
+        ),
+    ],
+    ids=["smooth-quintic", "nodal-conic-chord", "irreducible-quartic", "irreducible-quintic"],
+)
+def test_fallback_entries_json(ct, expected):
+    assert classify(ct).to_json() == expected
+
+
 def test_unpinned_reducible_types_not_covered():
     # a quartic-plus-line position the table keys do not pin
     ct = CombinatorialType(

@@ -88,6 +88,14 @@ def test_coset_budget_environment_variable(monkeypatch):
     assert "INCONCLUSIVE" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_rejects_a_nonpositive_budget(budget):
+    code, out, err = run(["verify", "--budget", budget, "--only", "V7"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget fields must be positive\n"
+
+
 def test_rs_subgroup():
     code, out, _ = run(
         ["rs", "<a,b|>", "--subgroup", "a^2", "--subgroup", "b", "--subgroup", "a b a^-1"]

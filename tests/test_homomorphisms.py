@@ -17,8 +17,9 @@ from curvepi.homomorphisms import (
     check_homomorphism,
     verify_isomorphism,
 )
-from curvepi.presentations import Presentation, SubstitutionMap, identity_map
+from curvepi.presentations import Presentation, SubstitutionMap
 from curvepi.words import Word
+from map_helpers import identity_map
 from matrix_oracles import minors_gcd
 
 

@@ -10,8 +10,9 @@ from curvepi import (
     parse_word,
     substitute,
 )
-from curvepi.presentations import compose, identity_map
+from curvepi.presentations import compose
 from curvepi.words import Word
+from map_helpers import identity_map
 
 
 def test_relators_cyclically_reduced():

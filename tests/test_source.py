@@ -3,6 +3,8 @@
 import ast
 import os
 
+import curvepi
+
 PKG = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi")
 
 
@@ -17,3 +19,44 @@ def test_library_has_no_assert_statements():
             tree = ast.parse(fh.read(), filename=name)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _references(node):
+    """Names and attribute names read anywhere under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_library_definition_is_used_by_the_library():
+    # a top-level function or class that only the tests use belongs in
+    # tests/, next to the oracles that were moved there
+    defs = []  # (module, name)
+    refs = []  # (module, owning top-level name or None, names referenced)
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        module = name[:-3]
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defs.append((module, owner))
+            refs.append((module, owner, _references(stmt)))
+    assert defs
+    exported = set(curvepi.__all__)
+    unused = [
+        f"{module}.{name}"
+        for module, name in defs
+        if name not in exported
+        and (module, name) != ("cli", "main")
+        and not any(
+            name in names and (ref_module, owner) != (module, name)
+            for ref_module, owner, names in refs
+        )
+    ]
+    assert unused == []

@@ -12,11 +12,11 @@ from curvepi.words import (
     concat,
     cyclic_reduce,
     invert,
-    least_rotation,
+    least_rotation_index,
     reduce_letters,
-    rotate,
     splice,
 )
+from word_oracles import least_rotation
 
 
 def random_word(rng, n_gens=3, max_len=12):
@@ -100,12 +100,11 @@ def test_splice_reduces():
     assert splice(w, 3, (-3, -2, -1)) == ()
 
 
-def test_rotate_is_conjugation_sound():
-    # rotation of a word is conjugate to it; rotating back recovers the
-    # cyclic class
-    w = (1, 2, -1)
-    assert rotate(w, 1) == (2,)  # wrap-around cancellation
+def test_cyclic_reduce_strips_end_pairs():
     assert cyclic_reduce((1, 2, -1)) == (2,)
+    assert cyclic_reduce((1, 2, -3, -1)) == (2, -3)
+    assert cyclic_reduce((1, -2, 2, -1)) == ()
+    assert cyclic_reduce((1, 2, 1)) == (1, 2, 1)
 
 
 def test_least_rotation_brute_force():
@@ -125,7 +124,7 @@ def test_canonical_cyclic_invariant_under_rotation():
             continue
         base = canonical_cyclic(w.letters)
         for k in range(len(w.letters)):
-            rotated = w.letters[k:] + w.letters[:k]
+            rotated = reduce_letters(w.letters[k:] + w.letters[:k])
             assert canonical_cyclic(rotated) == base
 
 
@@ -143,7 +142,8 @@ def test_word_is_immutable_and_hashable():
 
 # ---------------------------------------------------------------------------
 # The word kernels of the derivation search against verbatim copies of their
-# earlier versions, which reduced the whole word.
+# earlier versions, which reduced the whole word.  Booth's least_rotation,
+# which those versions called, is in word_oracles.py.
 
 
 def parent_splice(letters, pos, ins):
@@ -255,7 +255,28 @@ def test_splice_junction_cases(letters, pos, ins, expected):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(raw_letters))
 def test_canonical_cyclic_matches_booth(letters):
-    assert canonical_cyclic(letters) == parent_canonical_cyclic(letters)
+    reduced = reduce_letters(letters)
+    assert canonical_cyclic(reduced) == parent_canonical_cyclic(letters)
+    assert _canonical_steps(reduced) == parent_canonical_steps(letters)
+
+
+@st.composite
+def reduced_or_periodic(draw):
+    """Reduced letters, half of them a power of a short word, so that the
+    least rotation often starts at several indices."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return draw(reduced_letters(n))
+    return reduce_letters(draw(reduced_letters(n, 5)) * draw(st.integers(1, 5)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(reduced_or_periodic())
+def test_least_rotation_index_matches_booth(letters):
+    core = cyclic_reduce(letters)
+    k = least_rotation_index(core)
+    assert k == least_rotation(core)
+    assert k == min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
     assert _canonical_steps(letters) == parent_canonical_steps(letters)
 
 
@@ -276,10 +297,11 @@ def test_canonical_cyclic_matches_booth(letters):
     ],
 )
 def test_canonical_cyclic_cases(letters):
-    assert canonical_cyclic(letters) == parent_canonical_cyclic(letters)
-    assert _canonical_steps(letters) == parent_canonical_steps(letters)
-    core = cyclic_reduce(reduce_letters(letters))
-    assert canonical_cyclic(letters) == min((core[i:] + core[:i] for i in range(len(core))), default=())
+    reduced = reduce_letters(letters)
+    assert canonical_cyclic(reduced) == parent_canonical_cyclic(letters)
+    assert _canonical_steps(reduced) == parent_canonical_steps(letters)
+    core = cyclic_reduce(reduced)
+    assert canonical_cyclic(reduced) == min((core[i:] + core[:i] for i in range(len(core))), default=())
 
 
 @st.composite
