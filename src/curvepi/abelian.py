@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .presentations import Presentation
+from .words import Word
 
 
 class IntMatrix:
@@ -38,28 +39,17 @@ def smith_normal_form(M: IntMatrix) -> List[int]:
     min(rows, cols) elementary divisors d1 | d2 | ...: all di >= 0, the
     units first and the zeros last.  No unimodular transforms are built.
 
-    One sparse elimination (``_pivots``) drops the pivots one row and
-    column at a time, at a cost that follows the nonzeros it touches;
-    relator matrices from Reidemeister-Schreier rewriting are very sparse
-    and mostly +-1, so nearly every pivot is a unit.  A gcd/lcm pass over
-    the pivots other than 1 gives the divisor chain.
+    The dense entry to the sparse elimination of ``invariants_of_rows``:
+    each row becomes a ``{col: value}`` dict of its nonzeros.
     """
-    pivots = _pivots(M.entries)
-    rest = [d for d in pivots if d != 1]
-    # Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm) gives the
-    # chain; the pivots 1 divide everything and need no pass
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] * rest[j] // g
-    units = len(pivots) - len(rest)
-    return [1] * units + rest + [0] * (min(M.rows, M.cols) - len(pivots))
+    divisors = _pivots([{j: x for j, x in enumerate(line) if x} for line in M.entries], M.cols)
+    return divisors + [0] * (min(M.rows, M.cols) - len(divisors))
 
 
-def _pivots(entries: Sequence[Sequence[int]]) -> List[int]:
-    """Diagonalize a sparse copy of ``entries`` by unimodular row and
-    column operations; returns the absolute values of the pivots dropped,
-    not yet a divisor chain.
+def _pivots(entries: Sequence[Mapping[int, int]], ncols: int) -> List[int]:
+    """Diagonalize a copy of the sparse rows ``entries`` by unimodular row
+    and column operations; returns the nonzero elementary divisors
+    d1 | d2 | ..., the units first.
 
     Rows are ``{col: value}`` dicts, with a column -> rows index.  The
     pivot is the +-1 entry of least Markowitz cost (row nonzeros - 1) *
@@ -72,16 +62,20 @@ def _pivots(entries: Sequence[Sequence[int]]) -> List[int]:
     i is then {j: x}, it and column j are dropped and |x| is recorded.
     A +-1 pivot always drops its row; any other pivot is the least nonzero,
     so a step on it drops a row or leaves a smaller nonzero.  So the loop
-    ends.
+    ends.  Relator rows from Reidemeister-Schreier rewriting are very
+    sparse and mostly +-1, so nearly every pivot is a unit.  A gcd/lcm
+    pass over the pivots other than 1 gives the divisor chain.
     """
     rows: Dict[int, Dict[int, int]] = {}
     col_rows: Dict[int, Set[int]] = {}
     for i, line in enumerate(entries):
-        row = {j: x for j, x in enumerate(line) if x}
+        row = {j: x for j, x in line.items() if x}
         if row:
             rows[i] = row
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
+    if col_rows and not (0 <= min(col_rows) and max(col_rows) < ncols):
+        raise ValueError(f"rows have entries outside columns 0..{ncols - 1}")
 
     def cost(i: int, j: int) -> int:
         return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
@@ -150,7 +144,14 @@ def _pivots(entries: Sequence[Sequence[int]]) -> List[int]:
         for jj in touched:
             for k in col_rows.get(jj, set()) - others:
                 push(k, jj)
-    return pivots
+    rest = [d for d in pivots if d != 1]
+    # Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm) gives the
+    # chain; the pivots 1 divide everything and need no pass
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] * rest[j] // g
+    return [1] * (len(pivots) - len(rest)) + rest
 
 
 class InvariantFactors:
@@ -159,13 +160,16 @@ class InvariantFactors:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+        rank = int(free_rank)
+        if rank < 0:
+            raise ValueError("free rank must be >= 0")
         tor = tuple(int(d) for d in torsion)
         if any(d < 2 for d in tor):
             raise ValueError("torsion entries must be >= 2")
         for x, y in zip(tor, tor[1:]):
             if y % x:
                 raise ValueError("torsion chain must satisfy d1 | d2 | ...")
-        object.__setattr__(self, "free_rank", int(free_rank))
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "torsion", tor)
 
     def __setattr__(self, name, value):
@@ -201,24 +205,27 @@ class InvariantFactors:
         return f"InvariantFactors({self.display()!r})"
 
 
-def relator_matrix(p: Presentation) -> IntMatrix:
-    """Exponent-sum matrix: entry (i, j) = exponent sum of generator j in
-    relator i.  A free group yields a 0 x n matrix."""
-    return IntMatrix(
-        [w.exponent_sums(p.n_gens) for w in p.relators], cols=p.n_gens
-    )
+def exponent_row(w: Word) -> Dict[int, int]:
+    """Exponent sum of each generator in ``w``, as ``{generator index:
+    sum}`` with the zero sums left out: one row of the relator matrix."""
+    row: Dict[int, int] = {}
+    for x in w.letters:
+        j = abs(x) - 1
+        row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+    return {j: s for j, s in row.items() if s}
 
 
-def invariants_of_matrix(M: IntMatrix) -> InvariantFactors:
-    diag = smith_normal_form(M)
-    rank = sum(1 for d in diag if d)
-    torsion = [d for d in diag if d > 1]
-    return InvariantFactors(M.cols - rank, torsion)
+def invariants_of_rows(rows: Sequence[Mapping[int, int]], ncols: int) -> InvariantFactors:
+    """Invariant factors of Z^ncols modulo the lattice spanned by ``rows``,
+    each a ``{col: value}`` mapping with 0 <= col < ncols.  The rows are
+    read, not changed."""
+    divisors = _pivots(rows, ncols)
+    return InvariantFactors(ncols - len(divisors), [d for d in divisors if d > 1])
 
 
 def abelian_invariants(p: Presentation) -> InvariantFactors:
     """Invariant factors of the abelianization of a presented group."""
-    return invariants_of_matrix(relator_matrix(p))
+    return invariants_of_rows([exponent_row(w) for w in p.relators], p.n_gens)
 
 
 def curve_abelianization(degrees: Sequence[int]) -> InvariantFactors:
@@ -239,8 +246,6 @@ def curve_abelianization(degrees: Sequence[int]) -> InvariantFactors:
 def abelian_presentation(inv: InvariantFactors) -> Presentation:
     """A standard presentation of Z^r (+) Z/d1 (+) ... : one generator per
     factor, all commutators, and one power relator per torsion factor."""
-    from .words import Word
-
     names = [f"t{i+1}" for i in range(len(inv.torsion))] + [
         f"x{i+1}" for i in range(inv.free_rank)
     ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .abelian import IntMatrix, invariants_of_matrix, relator_matrix
+from .abelian import exponent_row, invariants_of_rows
 from .coset_table import CosetTable, EnumLimits, todd_coxeter
 from .derive import DerivationBudget, Inconclusive, ProofTrace, derive_relator
 from .presentations import Presentation, SubstitutionMap, compose, substitute
@@ -62,18 +62,20 @@ def _abelian_refuter(target: Presentation, *images: Word) -> Refuted | None:
     Refuted witness, or None.
 
     An image with exponent-sum vector v is trivial there exactly when v lies
-    in the row lattice L of the target's relator matrix M.  Appending v as a
+    in the row lattice L of the target's relator rows.  Appending v as a
     row leaves the invariants unchanged when v is in L; otherwise
     Z^n/(L + Zv) is a proper quotient of Z^n/L, and as finitely generated
-    abelian groups are Hopfian, the invariants differ.  M and its invariants
-    are computed once for all the images.
+    abelian groups are Hopfian, the invariants differ.  The rows and their
+    invariants are computed once for all the images.  The witness's detail
+    is v as a list of n exponent sums.
     """
-    M = relator_matrix(target)
-    base = invariants_of_matrix(M)
+    n = target.n_gens
+    rows = [exponent_row(w) for w in target.relators]
+    base = invariants_of_rows(rows, n)
     for i, img in enumerate(images):
-        v = img.exponent_sums(target.n_gens)
-        if any(v) and invariants_of_matrix(IntMatrix(M.entries + [v], cols=M.cols)) != base:
-            return Refuted(i, img, "abelianization", v)
+        v = exponent_row(img)
+        if v and invariants_of_rows(rows + [v], n) != base:
+            return Refuted(i, img, "abelianization", [v.get(j, 0) for j in range(n)])
     return None
 
 

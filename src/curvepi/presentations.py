@@ -81,11 +81,8 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        gens = list(data["generators"])
-        rels = []
-        for rel in data["relators"]:
-            rels.append(Word((1 if s > 0 else -1) * (gens.index(name) + 1) for name, s in rel))
-        return cls(gens, rels)
+        free = cls(data["generators"])
+        return cls(free.generators, [free.word(rel) for rel in data["relators"]])
 
 
 class SubstitutionMap:

@@ -82,12 +82,6 @@ class Word:
         """Largest 0-based generator index used, or -1 for the empty word."""
         return max((abs(x) for x in self.letters), default=0) - 1
 
-    def exponent_sums(self, n_gens: int) -> list[int]:
-        sums = [0] * n_gens
-        for x in self.letters:
-            sums[abs(x) - 1] += 1 if x > 0 else -1
-        return sums
-
     def __repr__(self) -> str:
         return f"Word({list(self.letters)})"
 

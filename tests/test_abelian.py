@@ -1,3 +1,4 @@
+import copy
 import random
 from math import gcd
 
@@ -11,8 +12,8 @@ from curvepi.abelian import (
     abelian_invariants,
     abelian_presentation,
     curve_abelianization,
-    invariants_of_matrix,
-    relator_matrix,
+    exponent_row,
+    invariants_of_rows,
     smith_normal_form,
 )
 from curvepi.presentations import Presentation
@@ -32,6 +33,17 @@ def snf_checked(A):
     return diag
 
 
+def sparse_rows(A):
+    """The rows of dense A as ``{col: value}`` dicts of their nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A.entries]
+
+
+def dense_invariants(A):
+    """Invariant factors of dense A by ``smith_normal_form``."""
+    diag = snf_checked(A)
+    return InvariantFactors(A.cols - sum(1 for d in diag if d), [d for d in diag if d > 1])
+
+
 def test_snf_examples():
     assert snf_checked(IntMatrix([[2, 3], [-1, -4]])) == [1, 5]
     assert snf_checked(IntMatrix([[0, 0], [0, 0]])) == [0, 0]
@@ -44,7 +56,8 @@ def test_snf_of_empty_shapes():
     for rows, cols, want in ((0, 0, "0"), (0, 3, "Z^3"), (3, 0, "0")):
         A = IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
         assert snf_checked(A) == []
-        assert invariants_of_matrix(A).display() == want
+        assert dense_invariants(A).display() == want
+        assert invariants_of_rows(sparse_rows(A), cols).display() == want
 
 
 def test_snf_determinantal_divisors_500_random():
@@ -63,17 +76,20 @@ def test_snf_determinantal_divisors_500_random():
             assert minors_gcd(A, k) == prod
 
 
-def test_relator_matrix_examples():
+def test_exponent_row_examples():
     p = parse_presentation("<a,b | b^-1 a b^4 a, a^2 b^-2 a^-3 b^-2>")
-    assert relator_matrix(p).entries == [[2, 3], [-1, -4]]
+    assert [exponent_row(w) for w in p.relators] == [{0: 2, 1: 3}, {0: -1, 1: -4}]
     assert abelian_invariants(p).display() == "Z/5"
 
     free = parse_presentation("<a,b,c |>")
-    m = relator_matrix(free)
-    assert (m.rows, m.cols) == (0, 3)
+    assert [exponent_row(w) for w in free.relators] == []
+    assert abelian_invariants(free).display() == "Z^3"
 
     b3 = parse_presentation("<a,b | a b a b^-1 a^-1 b^-1>")
-    assert relator_matrix(b3).entries == [[1, -1]]
+    assert [exponent_row(w) for w in b3.relators] == [{0: 1, 1: -1}]
+    # generators whose exponent sum is 0 are left out of the row
+    assert exponent_row(Word([1, 2, 2, -1, -2])) == {1: 1}
+    assert exponent_row(Word()) == {}
 
 
 def test_abelian_invariants_examples():
@@ -114,6 +130,8 @@ def test_invariant_factors_type():
         InvariantFactors(0, [4, 2])  # chain must divide
     assert InvariantFactors(0, []).is_trivial
     assert InvariantFactors(0, []).display() == "0"
+    with pytest.raises(ValueError, match="free rank"):
+        InvariantFactors(-2)
 
 
 def test_curve_abelianization_examples():
@@ -140,24 +158,30 @@ def test_abelian_presentation_round_trip():
         assert abelian_invariants(abelian_presentation(inv)) == inv
 
 
-def test_invariants_of_matrix_counts_missing_columns():
+def test_invariants_of_rows_counts_missing_columns():
     # 1x3 matrix of rank 1: free rank 2
-    inv = invariants_of_matrix(IntMatrix([[2, 4, 6]]))
+    inv = invariants_of_rows([{0: 2, 1: 4, 2: 6}], 3)
     assert inv.free_rank == 2 and inv.torsion == (2,)
-    assert invariants_of_matrix(IntMatrix([[2, 4, 0]], cols=3)).display() == "Z^2 + Z/2"
+    assert invariants_of_rows([{0: 2, 1: 4}], 3).display() == "Z^2 + Z/2"
+    assert dense_invariants(IntMatrix([[2, 4, 6]])) == inv
+    assert dense_invariants(IntMatrix([[2, 4, 0]], cols=3)).display() == "Z^2 + Z/2"
 
 
 def test_int_matrix_rejects_a_width_that_disagrees_with_cols():
     with pytest.raises(ValueError, match="columns"):
         IntMatrix([[1, 2]], cols=3)
     with pytest.raises(ValueError, match="columns"):
-        invariants_of_matrix(IntMatrix([[2, 4]], cols=3))
+        smith_normal_form(IntMatrix([[2, 4]], cols=3))
     with pytest.raises(ValueError, match="ragged"):
         IntMatrix([[1, 2], [3]])
     A = IntMatrix([[1, 2]], cols=2)
     assert (A.rows, A.cols) == (1, 2)
     E = IntMatrix([], cols=3)
     assert (E.rows, E.cols) == (0, 3)
+    # the sparse entry rejects a column outside 0..ncols-1 the same way
+    for row in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="columns"):
+            invariants_of_rows([{0: 1}, row], 2)
 
 
 def apply_unimodular(entries, ops):
@@ -209,9 +233,9 @@ elementary_op = st.tuples(
 def test_invariants_unchanged_by_unimodular_operations(case):
     cols, entries, ops = case
     moved = apply_unimodular(entries, ops)
-    assert invariants_of_matrix(IntMatrix(moved, cols=cols)) == invariants_of_matrix(
-        IntMatrix(entries, cols=cols)
-    )
+    A, B = IntMatrix(moved, cols=cols), IntMatrix(entries, cols=cols)
+    assert dense_invariants(A) == dense_invariants(B)
+    assert invariants_of_rows(sparse_rows(A), cols) == invariants_of_rows(sparse_rows(B), cols)
 
 
 # sparse, mostly +-1 entries: the shape of relator matrices from rewriting,
@@ -262,6 +286,36 @@ def test_sparse_snf_matches_determinant_and_rank(A):
         prod *= d
     assert prod == abs(determinant(A))
     assert sum(1 for d in diag if d) == exact_rank(A.entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(st.lists(sparse_entry, min_size=cols, max_size=cols), max_size=5),
+            st.lists(st.integers(0, 9), max_size=3),
+            st.integers(0, 2),
+            st.booleans(),
+        )
+    )
+)
+def test_invariants_of_rows_match_dense_snf_and_minors(case):
+    # degenerate shapes too: 0 x n, n x 0, all-zero rows and repeated rows
+    cols, entries, repeats, zero_rows, keep_zeros = case
+    entries = entries + [entries[k % len(entries)] for k in repeats if entries]
+    entries = entries + [[0] * cols for _ in range(zero_rows)]
+    A = IntMatrix(entries, cols=cols)
+    rows = [{j: x for j, x in enumerate(line) if x or keep_zeros} for line in entries]
+    before = copy.deepcopy(rows)
+    got = invariants_of_rows(rows, cols)
+    assert rows == before  # the caller's rows are not changed
+    assert got == dense_invariants(A)
+    # d_k = D_k / D_(k-1), where D_k is the gcd of the k x k minors, up to the rank
+    minors = [minors_gcd(A, k) for k in range(min(A.rows, A.cols) + 1)]
+    rank = max(k for k, d in enumerate(minors) if d)
+    divisors = [minors[k] // minors[k - 1] for k in range(1, rank + 1)]
+    assert got == InvariantFactors(cols - rank, [d for d in divisors if d > 1])
 
 
 # no +-1 entries at all: every pivot is taken by the smallest-entry scan and

@@ -3,6 +3,7 @@ line with its runtime and asserting the stated time bound."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,22 @@ def test_scale_e6_index_72_raw_abelianization():
         index, raw = e6_subgroup_presentation("abcde")
         assert (index, len(raw.generators), len(raw.relators)) == (72, 361, 1512)
         assert abelian_invariants(raw).display() == "Z/2"
+
+
+def test_scale_e6_index_432_raw_abelianization():
+    # held densely, the raw 9072 x 2161 relator matrix needs over 300 MiB
+    # under tracemalloc; its sparse exponent rows need under 10 MiB
+    with timed("S4", "E6 index 432: raw 9072 x 2161 relators, Z/2, < 40 MiB", 20.0):
+        index, raw = e6_subgroup_presentation("abcd")
+        assert (index, len(raw.generators), len(raw.relators)) == (432, 2161, 9072)
+        tracemalloc.start()
+        try:
+            inv = abelian_invariants(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inv.display() == "Z/2"
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 E7 = (

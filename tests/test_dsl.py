@@ -133,3 +133,9 @@ def test_json_round_trip():
     doc = p.to_json()
     assert doc["generators"] == ["a", "b"]
     assert Presentation.from_json(doc) == p
+
+
+def test_json_exponents_keep_their_size():
+    # an exponent is a count, not just a sign; exponent 0 adds nothing
+    doc = {"generators": ["a", "b"], "relators": [[["a", 3], ["b", 0]], [["b", -2], ["a", 1]]]}
+    assert Presentation.from_json(doc) == parse_presentation("<a,b | a^3, b^-2 a>")

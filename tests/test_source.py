@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 
 import curvepi
 
@@ -60,3 +61,14 @@ def test_every_library_definition_is_used_by_the_library():
         )
     ]
     assert unused == []
+
+
+def test_dense_matrix_stays_out_of_the_engines():
+    # the engines abelianize from sparse exponent rows; the dense IntMatrix
+    # is only the exported entry to smith_normal_form
+    named = []
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            if re.search(r"\bIntMatrix\b", fh.read()):
+                named.append(name)
+    assert named == ["__init__.py", "abelian.py"]
