@@ -87,7 +87,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")
@@ -107,14 +107,14 @@ class _Parser:
         s = self.s
         s.take(_OPEN)
         if s.peek() != "|":
-            self.gens.append(s.ident())
+            self.gen_index[s.ident()] = 0
         while s.peek() == ",":
             s.take(",")
             name = s.ident()
-            if name in self.gens:
+            if name in self.gen_index:
                 raise s.error(f"generator {name!r} declared twice")
-            self.gens.append(name)
-        self.gen_index = {g: i for i, g in enumerate(self.gens)}
+            self.gen_index[name] = len(self.gen_index)
+        self.gens = list(self.gen_index)
         s.take("|")
         relators: list[Word] = []
         if s.peek() not in _CLOSE:

@@ -14,7 +14,7 @@ class Presentation:
     of a non-cyclically-reduced relator is discarded (same normal closure).
     """
 
-    __slots__ = ("generators", "relators")
+    __slots__ = ("generators", "relators", "_index")
 
     def __init__(self, generators: Sequence[str], relators: Iterable[Word] = ()):
         gens = tuple(generators)
@@ -31,6 +31,7 @@ class Presentation:
                 rels.append(w)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(rels))
+        object.__setattr__(self, "_index", None)  # name -> index, on first lookup
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -40,9 +41,11 @@ class Presentation:
         return len(self.generators)
 
     def gen_index(self, name: str) -> int:
+        if self._index is None:
+            object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.generators)})
         try:
-            return self.generators.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"no generator named {name!r}") from None
 
     def word(self, pairs: Sequence[Tuple[str, int]]) -> Word:

@@ -10,7 +10,6 @@ from .coset_table import CosetTable
 from .presentations import Presentation
 from .words import (
     Word,
-    canonical_cyclic,
     cyclic_reduce,
     invert,
     reduce_letters,
@@ -123,8 +122,16 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
 # Tietze simplification
 
 
-def _dedupe_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    return min(canonical_cyclic(letters), canonical_cyclic(invert(letters)))
+def _dedupe_key(r: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The least rotation of cyclically reduced ``r`` or of its inverse.
+
+    It starts where a cyclic run of ``m``, the least letter of either,
+    starts, so only those rotations of the doubled tuples are compared; a
+    word with no such run is a power of one letter.
+    """
+    n, d, m = len(r), r + r, min(min(r), -max(r))
+    starts = [w[i : i + n] for w in (d, invert(d)) for i in range(n) if w[i] == m != w[i - 1]]
+    return min(starts or [min(r, invert(r))])
 
 
 def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
@@ -178,6 +185,12 @@ def simplify(p: Presentation) -> Presentation:
     only those are checked for new duplicates.  Generators keep their
     input numbers until the result is built.
 
+    The loop starts with a fold phase: while some relator of length <= 2
+    defines a generator, only such relators put candidates on the heap.
+    They sort before every longer one, so the steps are the ones the full
+    heap would give; a replacement of at most one letter never reaches the
+    growth limit, and shortening waits until no elimination is left.
+
     Deterministic, and the abelianization is invariant under the pipeline.
     """
     names = list(p.generators)
@@ -191,6 +204,15 @@ def simplify(p: Presentation) -> Presentation:
     # entries go stale as relators change and are dropped when seen
     candidates: List[Tuple[int, int, int]] = []
     total = 0
+    fold = True  # only relators of length <= 2 offer candidates yet
+
+    def offer(i: int, r: Tuple[int, ...]) -> None:
+        counts: Dict[int, int] = {}
+        for x in r:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, c in counts.items():
+            if c == 1:
+                heappush(candidates, (len(r), g, i))
 
     def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...]) -> None:
         nonlocal total
@@ -198,13 +220,10 @@ def simplify(p: Presentation) -> Presentation:
         key_of[i] = key
         owner[key] = i
         total += len(r)
-        counts: Dict[int, int] = {}
         for x in r:
-            counts[abs(x)] = counts.get(abs(x), 0) + 1
-        for g, c in counts.items():
-            where[g].add(i)
-            if c == 1:
-                heappush(candidates, (len(r), g, i))
+            where[abs(x)].add(i)
+        if len(r) <= 2 or not fold:
+            offer(i, r)
 
     def remove(i: int) -> None:
         nonlocal total
@@ -295,6 +314,12 @@ def simplify(p: Presentation) -> Presentation:
             key = _dedupe_key(r)
             if key not in owner:
                 add(i, r, key)
+    while eliminate_once():  # the fold phase
+        pass
+    fold = False
+    for i, r in rels.items():
+        if len(r) > 2:
+            offer(i, r)
     while eliminate_once() or shorten_once():
         pass
 

@@ -207,6 +207,12 @@ def test_parse_error_is_usage_error():
     assert "parse error" in err
 
 
+def test_superscript_exponent_is_a_parse_error():
+    code, out, err = run(["ab", "<a | a^\u00b2>"])
+    assert code == 2 and out == ""
+    assert err == "parse error: expected an integer (line 1, column 8)\n"
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = os.path.dirname(os.path.abspath(PKG))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -139,3 +140,40 @@ def test_json_exponents_keep_their_size():
     # an exponent is a count, not just a sign; exponent 0 adds nothing
     doc = {"generators": ["a", "b"], "relators": [[["a", 3], ["b", 0]], [["b", -2], ["a", 1]]]}
     assert Presentation.from_json(doc) == parse_presentation("<a,b | a^3, b^-2 a>")
+
+
+def test_json_round_trip_of_many_generators_is_linear():
+    # each name in the JSON resolves through one dict, not a list scan
+    n = 20000
+    p = Presentation([f"g{i}" for i in range(n)], [Word([i + 1, i + 1, -((i + 1) % n + 1)]) for i in range(n)])
+    start = time.perf_counter()
+    q = Presentation.from_json(p.to_json())
+    assert time.perf_counter() - start < 1.0
+    assert q == p
+    with pytest.raises(KeyError, match="no generator named 'x'"):
+        p.gen_index("x")
+
+
+def test_long_generator_header_parses_in_linear_time():
+    # the duplicate check looks each name up in a dict, not in the list
+    names = [f"g{i}" for i in range(43201)]
+    start = time.perf_counter()
+    p = parse_presentation("<" + ",".join(names) + " | g0 g43200^2>")
+    assert time.perf_counter() - start < 2.0
+    assert p.generators == tuple(names)
+    assert p.relators[0].letters == (1, 43201, 43201)
+
+
+def test_duplicate_generator_error_keeps_its_position():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("<a,b,a | >")
+    assert str(err.value) == "generator 'a' declared twice (line 1, column 7)"
+
+
+def test_exponent_digits_are_the_ones_int_reads():
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(ParseError) as err:
+        parse_presentation("<a | a^\u00b2>")
+    assert str(err.value) == "expected an integer (line 1, column 8)"
+    # Arabic-Indic three is a decimal digit, and int() reads it
+    assert parse_presentation("<a | a^\u0663>") == parse_presentation("<a | a^3>")

@@ -1,9 +1,13 @@
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
+from curvepi.cli import main
 from curvepi.coset_table import CosetTable, EnumLimits, Overflow, table_from_action, todd_coxeter
 from curvepi.schreier import (
     SchreierRewriter,
@@ -12,7 +16,7 @@ from curvepi.schreier import (
     subgroup_presentation,
 )
 from curvepi.presentations import Presentation
-from curvepi.words import Word
+from curvepi.words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
 
 
 def hnn_presentation():
@@ -287,13 +291,13 @@ def test_simplify_shortens_against_shorter_relators():
 
 def _reference_simplify(p, events):
     """The rescanning Tietze loop that ``simplify`` replaced, kept as a
-    test oracle: verbatim but for the pass cap, which is gone, and the
-    ``events`` counts of the branches taken."""
+    test oracle: verbatim but for the pass cap, which is gone, the dedupe
+    key, written out as the library computed it then, and the ``events``
+    counts of the branches taken."""
     from curvepi.schreier import (
         _GROWTH_LIMIT,
         _SUBSTRING_MAX_LENGTH,
         _SUBSTRING_MAX_RELATORS,
-        _dedupe_key,
         _substring_shorten,
     )
     from curvepi.words import cyclic_reduce, invert, reduce_letters
@@ -301,6 +305,7 @@ def _reference_simplify(p, events):
     names = list(p.generators)
     rels = [w.letters for w in p.relators]
     budget_total = _GROWTH_LIMIT * max(1, sum(len(r) for r in rels))
+    last_length = None  # defining relator length of the last elimination
 
     def dedupe():
         nonlocal rels
@@ -311,7 +316,7 @@ def _reference_simplify(p, events):
             r = cyclic_reduce(reduce_letters(r))
             if not r:
                 continue
-            key = _dedupe_key(r)
+            key = min(canonical_cyclic(r), canonical_cyclic(invert(r)))
             if key in seen:
                 dropped += 1
                 continue
@@ -321,6 +326,7 @@ def _reference_simplify(p, events):
         return dropped
 
     def eliminate_once():
+        nonlocal last_length
         best = None
         for ri, r in enumerate(rels):
             counts = {}
@@ -342,6 +348,7 @@ def _reference_simplify(p, events):
         replacement = invert(tail) if e > 0 else tail
         new_rels = []
         total = 0
+        made_short = False
         for i, w in enumerate(rels):
             if i == ri:
                 continue
@@ -355,9 +362,15 @@ def _reference_simplify(p, events):
             if reduced:
                 new_rels.append(reduced)
                 total += len(reduced)
+                made_short |= len(reduced) <= 2 and reduced != w
         if total > budget_total:
             events["refused for the budget"] += 1
             return False
+        if rlen > 2 and last_length is not None and last_length <= 2:
+            events["fold ends in a long elimination"] += 1
+        if rlen > 2 and made_short:
+            events["long elimination makes a short relator"] += 1
+        last_length = rlen
 
         def shift(w):
             return tuple(x - 1 if x > g else (x + 1 if x < -g else x) for x in w)
@@ -367,6 +380,7 @@ def _reference_simplify(p, events):
         return True
 
     def shorten_once():
+        nonlocal last_length
         if len(rels) > _SUBSTRING_MAX_RELATORS:
             return False
         if sum(len(r) for r in rels) > _SUBSTRING_MAX_LENGTH:
@@ -379,6 +393,7 @@ def _reference_simplify(p, events):
                 out = _substring_shorten(rels[wi], rels[ui])
                 if out is not None:
                     rels[wi] = cyclic_reduce(out)
+                    last_length = None
                     return True
         return False
 
@@ -463,3 +478,74 @@ def test_simplify_matches_the_rescanning_loop_on_coxeter_subgroups():
 
     for p in coxeter_subgroup_presentations():
         assert_same_simplification(p, Counter())
+
+
+def random_schreier_presentation(rng):
+    """The raw Reidemeister-Schreier presentation of a random subgroup of a
+    random group on 2 or 3 generators, or None when the enumeration needs
+    more than 3000 cosets.  Most groups have random short relators; one in
+    ten is a (2,3,r;s) group, whose subgroups have larger index."""
+    k = rng.randint(2, 3)
+
+    def word(length):
+        return Word([rng.choice([1, -1]) * rng.randint(1, k) for _ in range(length)])
+
+    if rng.random() < 0.1:
+        a, b = Word.gen(0), Word.gen(1)
+        rels = [a**2, b**3, (a * b) ** rng.randint(3, 7), (a * b * ~a * ~b) ** rng.randint(2, 4)]
+    else:
+        rels = [word(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+    p = Presentation([f"g{i}" for i in range(k)], rels)
+    subgroup = [word(rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+    t = todd_coxeter(p, subgroup, EnumLimits(max_cosets=3000))
+    return None if isinstance(t, Overflow) else subgroup_presentation(p, t)
+
+
+def test_simplify_matches_the_rescanning_loop_on_schreier_presentations():
+    from collections import Counter
+
+    rng = random.Random(2025)
+    events = Counter()
+    corpus = [x for x in (random_schreier_presentation(rng) for _ in range(800)) if x]
+    assert len(corpus) > 400
+    assert max(len(p.generators) for p in corpus) > 100
+    for p in corpus:
+        assert_same_simplification(p, events)
+    # the short eliminations run out while a long one is left, and a long
+    # elimination leaves a relator of length <= 2 behind it
+    assert events["fold ends in a long elimination"] > 0
+    assert events["long elimination makes a short relator"] > 0
+
+
+def test_order_sensitive_fold_keeps_its_output():
+    # s1_c has two definitions of length <= 2; a fold that took them in
+    # relator order rather than heap order would print < s1_c | s1_c^2 >
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["rs", "<a,b,c | b^-2 a^-1 c^2, b^2 c^-1, a b c a^-1 b>", "--subgroup", "a^-1"])
+    assert code == 0
+    assert out.getvalue() == "index: 2\n< s1_c | s1_c^4, s1_c^2 >\n"
+
+
+@st.composite
+def cyclic_words(draw):
+    """Nonempty cyclically reduced letters over up to 3 generators: a power
+    of one letter, a power of a short word, or a random word."""
+    n = draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
+    kind = draw(st.sampled_from(["letter power", "word power", "word"]))
+    if kind == "letter power":
+        return (draw(letter),) * draw(st.integers(1, 8))
+    if kind == "word power":
+        letters = draw(st.lists(letter, min_size=1, max_size=4)) * draw(st.integers(2, 4))
+    else:
+        letters = draw(st.lists(letter, min_size=1, max_size=12))
+    return cyclic_reduce(reduce_letters(letters)) or (draw(letter),)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cyclic_words())
+def test_dedupe_key_is_the_least_rotation_of_the_word_or_its_inverse(letters):
+    from curvepi.schreier import _dedupe_key
+
+    assert _dedupe_key(letters) == min(canonical_cyclic(letters), canonical_cyclic(invert(letters)))

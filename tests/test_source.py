@@ -72,3 +72,13 @@ def test_dense_matrix_stays_out_of_the_engines():
             if re.search(r"\bIntMatrix\b", fh.read()):
                 named.append(name)
     assert named == ["__init__.py", "abelian.py"]
+
+
+def test_library_reads_digits_as_int_does():
+    # str.isdigit accepts superscripts such as "\u00b2" that int() rejects;
+    # str.isdecimal accepts exactly the digits int() reads
+    found = []
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            found += [f"{name}:{i}" for i, line in enumerate(fh, 1) if ".isdigit(" in line]
+    assert found == []
