@@ -380,6 +380,13 @@ def _split_products(text: str) -> List[str]:
     return [p.strip() for p in parts]
 
 
+# tags whose parameters are just comma-separated integers, by their count
+_INT_ARITY = {
+    "free": 1, "braid": 1, "toric": 2, "toriceven": 1,
+    "gr": 3, "triangle": 3, "surface": 1, "surfext": 2,
+}
+
+
 def _parse_simple(text: str) -> GroupTag:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
@@ -388,10 +395,11 @@ def _parse_simple(text: str) -> GroupTag:
     name = name.strip().lower()
     arg = arg.strip()
     try:
-        if name == "free":
-            return GroupTag("free", int(arg))
-        if name == "braid":
-            return GroupTag("braid", int(arg))
+        if name in _INT_ARITY:
+            values = [int(x) for x in arg.split(",")]
+            if len(values) != _INT_ARITY[name]:
+                raise ValueError
+            return GroupTag(name, *values)
         if name == "spherebraid3":
             return GroupTag("spherebraid3")
         if name in ("artin", "coxeter"):
@@ -409,27 +417,11 @@ def _parse_simple(text: str) -> GroupTag:
                 i, j = e.split("-")
                 edge_list.append((int(i), int(j), 2))
             return GroupTag("raag", LabeledGraph(int(vtx), edge_list))
-        if name == "toric":
-            p, q = (int(x) for x in arg.split(","))
-            return GroupTag("toric", p, q)
-        if name == "toriceven":
-            return GroupTag("toriceven", int(arg))
         if name == "gpoly":
             return GroupTag("gpoly", tuple(int(x) for x in arg.split(",")))
         if name == "gpolymod":
             mod, _, coeffs = arg.partition(";")
             return GroupTag("gpolymod", int(mod), tuple(int(x) for x in coeffs.split(",")))
-        if name == "gr":
-            p, q, r = (int(x) for x in arg.split(","))
-            return GroupTag("gr", p, q, r)
-        if name == "triangle":
-            p, q, r = (int(x) for x in arg.split(","))
-            return GroupTag("triangle", p, q, r)
-        if name == "surface":
-            return GroupTag("surface", int(arg))
-        if name == "surfext":
-            g, p = (int(x) for x in arg.split(","))
-            return GroupTag("surfext", g, p)
         if name == "quintic":
             return GroupTag("quintic", arg)
     except (ValueError, TypeError) as exc:

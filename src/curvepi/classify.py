@@ -288,7 +288,6 @@ def _key_index() -> Dict[str, _Row]:
 
 
 _KEYED = _key_index()
-_QUINTIC_IRREDUCIBLE_KEYS = {"5;3×A4", "5;3×A2+A6"}
 
 
 def classify(ct: CombinatorialType) -> ClassificationEntry | NotCovered:

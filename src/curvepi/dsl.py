@@ -10,24 +10,30 @@ Grammar (ASCII or angle-bracket delimiters):
     atom         := (ident | "(" word ")") ("^" signed-int)?
     ident        := [A-Za-z][A-Za-z0-9_']*
 
-Relators written as equalities w1 = w2 are stored as w1 * w2^-1.  Inside
-words, an identifier run that is not itself a declared generator is split
-greedily into declared generator names ("aba" means a b a when a and b are
-generators), which mirrors the usual juxtaposition notation.
+One regex splits the text into tokens (an identifier, a signed integer or
+any other single character, with spaces, tabs and line breaks between
+them) and the parser walks that list.  Relators written as equalities
+w1 = w2 are stored as w1 * w2^-1.  Inside words, an identifier run that is
+not itself a declared generator is split greedily into the longest
+declared generator names ("aba" means a b a when a and b are generators),
+which mirrors the usual juxtaposition notation.
 """
 
 from __future__ import annotations
 
+import re
 import string
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
 from .presentations import Presentation
-from .words import Word
+from .words import Word, reduce_letters
 
+# \d matches exactly the decimal digits that int() reads
+_TOKEN = re.compile(r"[ \t\r\n]*([A-Za-z][A-Za-z0-9_']*|[+-]?\d+|[^ \t\r\n])")
 _IDENT_START = set(string.ascii_letters)
-_IDENT_CONT = set(string.ascii_letters + string.digits + "_'")
-_OPEN = {"<", "⟨"}
-_CLOSE = {">", "⟩"}
+_OPEN = ("<", "⟨")
+_CLOSE = (">", "⟩")
 
 
 class ParseError(ValueError):
@@ -37,172 +43,146 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Scanner:
-    def __init__(self, text: str):
+class _Parser:
+    """Walks the token list; ``tokens[i]`` is the next token and the list
+    ends with "" for the end of input.  Words are built as letter lists and
+    reduced once, when a relator or word is complete."""
+
+    def __init__(self, text: str, generators: Sequence[str] = ()):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
+        self.declare({g: i for i, g in enumerate(generators)})
 
-    def loc(self, pos: Optional[int] = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
+    def declare(self, gen_index: dict[str, int]) -> None:
+        self.gen_index = gen_index
+        self.longest = max(map(len, gen_index), default=0)
+
+    def error(self, message: str, shift: int = 0, k: Optional[int] = None) -> ParseError:
+        """ParseError ``shift`` characters into token ``k`` (the next one by
+        default); offsets are found again only here."""
+        k = self.i if k is None else k
+        if k < len(self.tokens) - 1:
+            pos = next(islice(_TOKEN.finditer(self.text), k, None)).start(1)
+        else:
+            pos = len(self.text)
+        pos += shift
         head = self.text[:pos]
-        line = head.count("\n") + 1
-        col = pos - (head.rfind("\n") + 1) + 1
-        return line, col
+        return ParseError(message, head.count("\n") + 1, pos - head.rfind("\n"))
 
-    def error(self, message: str, pos: Optional[int] = None) -> ParseError:
-        line, col = self.loc(pos)
-        return ParseError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, expected: set[str] | str) -> str:
-        ch = self.peek()
-        allowed = {expected} if isinstance(expected, str) else expected
-        if ch not in allowed:
-            want = "/".join(sorted(allowed))
-            got = repr(ch) if ch else "end of input"
-            raise self.error(f"expected {want}, found {got}")
-        self.pos += 1
-        return ch
+    def take(self, *expected: str) -> None:
+        tok = self.tokens[self.i]
+        if tok not in expected:
+            got = repr(tok[0]) if tok else "end of input"
+            raise self.error(f"expected {'/'.join(sorted(expected))}, found {got}")
+        self.i += 1
 
     def ident(self) -> str:
-        ch = self.peek()
-        if ch not in _IDENT_START:
+        tok = self.tokens[self.i]
+        if tok[:1] not in _IDENT_START:
             raise self.error("expected an identifier")
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start : self.pos]
+        self.i += 1
+        return tok
 
-    def signed_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error("expected an integer")
-        value = int(self.text[start : self.pos])
-        if value == 0:
-            raise self.error("zero exponent is not allowed", start)
-        return value
+    def end(self, message: str) -> None:
+        if self.i != len(self.tokens) - 1:
+            raise self.error(message)
 
+    def power(self, letters: list[int]) -> list[int]:
+        """``letters`` to the signed integer after the next token, a "^"."""
+        self.i += 1
+        tok = self.tokens[self.i]
+        signed = tok[:1] in ("+", "-")  # the digits start after a sign
+        if not tok[signed : signed + 1].isdecimal():
+            raise self.error("expected an integer", signed)
+        e = int(tok)
+        if e == 0:
+            raise self.error("zero exponent is not allowed")
+        self.i += 1
+        return letters * e if e > 0 else [-x for x in reversed(letters)] * -e
 
-class _Parser:
-    def __init__(self, text: str):
-        self.s = _Scanner(text)
-        self.gens: list[str] = []
-        self.gen_index: dict[str, int] = {}
-
-    def parse(self) -> Presentation:
-        s = self.s
-        s.take(_OPEN)
-        if s.peek() != "|":
-            self.gen_index[s.ident()] = 0
-        while s.peek() == ",":
-            s.take(",")
-            name = s.ident()
-            if name in self.gen_index:
-                raise s.error(f"generator {name!r} declared twice")
-            self.gen_index[name] = len(self.gen_index)
-        self.gens = list(self.gen_index)
-        s.take("|")
+    def presentation(self) -> Presentation:
+        self.take(*_OPEN)
+        gen_index: dict[str, int] = {}
+        if self.tokens[self.i] != "|":
+            gen_index[self.ident()] = 0
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            name = self.ident()
+            if name in gen_index:
+                raise self.error(f"generator {name!r} declared twice", len(name), self.i - 1)
+            gen_index[name] = len(gen_index)
+        self.declare(gen_index)
+        self.take("|")
         relators: list[Word] = []
-        if s.peek() not in _CLOSE:
+        if self.tokens[self.i] not in _CLOSE:
             relators.append(self.relator())
-            while s.peek() == ",":
-                s.take(",")
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 relators.append(self.relator())
-        s.take(_CLOSE)
-        s.skip_ws()
-        if s.pos != len(s.text):
-            raise s.error("trailing input after presentation")
-        return Presentation(self.gens, relators)
+        self.take(*_CLOSE)
+        self.end("trailing input after presentation")
+        return Presentation(list(gen_index), relators)
 
     def relator(self) -> Word:
-        lhs = self.word()
-        if self.s.peek() == "=":
-            self.s.take("=")
-            rhs = self.word()
-            return lhs * ~rhs
-        return lhs
+        letters = self.word()
+        if self.tokens[self.i] == "=":
+            self.i += 1
+            letters += [-x for x in reversed(self.word())]
+        return Word(letters)
 
-    def word(self) -> Word:
-        out = self.atom()
-        while True:
-            ch = self.s.peek()
-            if ch == "(" or ch in _IDENT_START:
-                out = out * self.atom()
-            else:
-                return out
+    def word(self) -> list[int]:
+        letters = self.atom()
+        while self.tokens[self.i] == "(" or self.tokens[self.i][:1] in _IDENT_START:
+            letters += self.atom()
+        return letters
 
-    def atom(self) -> Word:
-        s = self.s
-        if s.peek() == "(":
-            s.take("(")
-            base = self.word()
-            s.take(")")
+    def atom(self) -> list[int]:
+        if self.tokens[self.i] == "(":
+            self.i += 1
+            # reduced here so that a power of a group that cancels stays short
+            letters = list(reduce_letters(self.word()))
+            self.take(")")
         else:
-            base = self.ident_word()
-        if s.peek() == "^":
-            s.take("^")
-            return base ** s.signed_int()
-        return base
+            run = self.ident()
+            g = self.gen_index.get(run)
+            if g is not None:
+                letters = [g + 1]
+            else:
+                letters = self.split(run)
+                if self.tokens[self.i] == "^":
+                    # the first exponent binds to the last letter of the run
+                    letters[-1:] = self.power(letters[-1:])
+        if self.tokens[self.i] == "^":
+            letters = self.power(letters)
+        return letters
 
-    def ident_word(self) -> Word:
-        """One identifier run, split into declared generators.
-
-        A trailing ^exp binds to the final generator of the run, so "ab^2"
-        parses as a b^2.
-        """
-        s = self.s
-        start_pos = s.pos
-        run = s.ident()
-        if run in self.gen_index:
-            return Word.gen(self.gen_index[run])
-        letters: list[int] = []
+    def split(self, run: str) -> list[int]:
+        """Letters of the just-read run that is not a declared name: at each
+        position the longest declared name, found by dict lookups of the
+        prefixes from the longest name's length down."""
+        letters = []
         i = 0
         while i < len(run):
-            match = None
-            for name, idx in self.gen_index.items():
-                if run.startswith(name, i) and (match is None or len(name) > len(match[0])):
-                    match = (name, idx)
-            if match is None:
-                raise s.error(
-                    f"undeclared generator in {run!r}", start_pos + i
-                )
-            letters.append(match[1] + 1)
-            i += len(match[0])
-        if s.peek() == "^":
-            # exponent applies to the last letter only
-            s.take("^")
-            e = s.signed_int()
-            last = letters.pop()
-            return Word(letters) * (Word((last,)) ** e)
-        return Word(letters)
+            for j in range(min(len(run), i + self.longest), i, -1):
+                g = self.gen_index.get(run[i:j])
+                if g is not None:
+                    break
+            else:
+                raise self.error(f"undeclared generator in {run!r}", i, self.i - 1)
+            letters.append(g + 1)
+            i = j
+        return letters
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the DSL; raises ParseError with line/column on bad input."""
-    return _Parser(text).parse()
+    return _Parser(text).presentation()
 
 
 def parse_word(p: Presentation, text: str) -> Word:
     """Parse a single word over the generators of an existing presentation."""
-    parser = _Parser(text)
-    parser.gens = list(p.generators)
-    parser.gen_index = {g: i for i, g in enumerate(parser.gens)}
-    w = parser.word()
-    parser.s.skip_ws()
-    if parser.s.pos != len(text):
-        raise parser.s.error("trailing input after word")
+    parser = _Parser(text, p.generators)
+    w = Word(parser.word())
+    parser.end("trailing input after word")
     return w

@@ -19,7 +19,6 @@ vocabulary is rejected.
 from __future__ import annotations
 
 import json
-import re
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -58,7 +57,8 @@ _KINDS: Dict[str, dict] = {
     "O5": {"owners": 5, "ordinary": True},
 }
 
-_TANGENCY_MARKER = re.compile(r"^x([1-9])$")
+# contact order d of a tangency, written "xd", as the A-kind it is
+_TANGENCY_MARKER = {"x1": "A1", "x2": "A3", "x3": "A5", "x4": "A7", "x5": "A9"}
 
 
 class Singularity:
@@ -68,10 +68,7 @@ class Singularity:
     __slots__ = ("kind", "at", "owners")
 
     def __init__(self, kind: str, at: str, owners: Sequence[str]):
-        marker = _TANGENCY_MARKER.match(kind)
-        if marker:
-            d = int(marker.group(1))
-            kind = "A1" if d == 1 else f"A{2 * d - 1}"
+        kind = _TANGENCY_MARKER.get(kind, kind)
         if kind not in _KINDS:
             raise ValueError(f"unsupported singularity kind {kind!r}")
         self.kind = kind

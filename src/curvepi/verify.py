@@ -265,6 +265,15 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
     }
 
 
+def _map(
+    src: Presentation, dst: Presentation, images: Sequence[str]
+) -> Tuple[SubstitutionMap, Dict[str, str]]:
+    """The substitution sending the generators of ``src`` to the words
+    ``images`` over ``dst``, and the same map as written, for the report."""
+    m = SubstitutionMap(src, dst, [parse_word(dst, w) for w in images])
+    return m, dict(zip(src.generators, images))
+
+
 def check_v4(cfg: SuiteConfig) -> Tuple[str, dict]:
     """The central quotient of the A6+3A2 quintic group is the (2,3,7)
     triangle group (isomorphism certified both ways)."""
@@ -276,13 +285,10 @@ def check_v4(cfg: SuiteConfig) -> Tuple[str, dict]:
         m = SubstitutionMap(a, b, [Word.gen(i) for i in range(a.n_gens)])
         _settle(check_homomorphism(m, cfg.budget), f"quotient normalization {what}")
     delta = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
-    phi = SubstitutionMap(delta, q, [parse_word(q, "u v^2"), parse_word(q, "u")])
-    psi = SubstitutionMap(q, delta, [parse_word(delta, "b"), parse_word(delta, "(ab)^3")])
+    phi, forward = _map(delta, q, ("u v^2", "u"))
+    psi, backward = _map(q, delta, ("b", "(ab)^3"))
     _settle(verify_isomorphism(phi, psi, cfg.budget), "quotient vs triangle group")
-    return "central quotient is the (2,3,7) triangle group", {
-        "forward": {"a": "u v^2", "b": "u"},
-        "backward": {"u": "b", "v": "(ab)^3"},
-    }
+    return "central quotient is the (2,3,7) triangle group", {"forward": forward, "backward": backward}
 
 
 def check_v5(cfg: SuiteConfig) -> Tuple[str, dict]:
@@ -290,17 +296,10 @@ def check_v5(cfg: SuiteConfig) -> Tuple[str, dict]:
     (3,3,3), via x = b c b^-1."""
     pi = quintic_presentation("C4_3A2")
     art = parse_presentation("<a,b,x | aba=bab, bxb=xbx, axa=xax>")
-    fwd = SubstitutionMap(
-        art, pi, [parse_word(pi, w) for w in ("a", "b", "b c b^-1")]
-    )
-    bwd = SubstitutionMap(
-        pi, art, [parse_word(art, w) for w in ("a", "b", "b^-1 x b")]
-    )
+    fwd, forward = _map(art, pi, ("a", "b", "b c b^-1"))
+    bwd, backward = _map(pi, art, ("a", "b", "b^-1 x b"))
     _settle(verify_isomorphism(fwd, bwd, cfg.budget), "Art_333 isomorphism")
-    return "isomorphic to Art_333 via x = b c b^-1", {
-        "forward": {"a": "a", "b": "b", "x": "b c b^-1"},
-        "backward": {"a": "a", "b": "b", "c": "b^-1 x b"},
-    }
+    return "isomorphic to Art_333 via x = b c b^-1", {"forward": forward, "backward": backward}
 
 
 def check_v6(cfg: SuiteConfig) -> Tuple[str, dict]:
@@ -315,8 +314,8 @@ def check_v6(cfg: SuiteConfig) -> Tuple[str, dict]:
             t22r.generators, list(t22r.relators) + [parse_word(t22r, f"(ab)^{r}")]
         )
         free_prod = parse_presentation(f"<a,c | c^{r}>")
-        fwd = SubstitutionMap(q, free_prod, [parse_word(free_prod, "a"), parse_word(free_prod, "a^-1 c")])
-        bwd = SubstitutionMap(free_prod, q, [parse_word(q, "a"), parse_word(q, "a b")])
+        fwd, _ = _map(q, free_prod, ("a", "a^-1 c"))
+        bwd, _ = _map(free_prod, q, ("a", "a b"))
         _settle(verify_isomorphism(fwd, bwd, cfg.budget), f"T_(2,{2*r}) quotient")
         artifacts[f"r={r}"] = {"abelianization": inv.display(), "quotient": f"Z * Z/{r}"}
     return "toric T_{2,2r} quotients and abelianizations verified", artifacts
@@ -335,7 +334,7 @@ def check_v7(cfg: SuiteConfig) -> Tuple[str, dict]:
         pi.generators, list(pi.relators) + [parse_word(pi, "a^3"), parse_word(pi, "b^3")]
     )
     s = parse_presentation("<x,y | x^3, y^3, (xy)^2>")
-    hom = SubstitutionMap(s, q, [parse_word(q, "a"), parse_word(q, "b^-1")])
+    hom, _ = _map(s, q, ("a", "b^-1"))
     _settle(check_homomorphism(hom, cfg.budget), "surjection check")
     onto = _settle(todd_coxeter(q, list(hom.images), cfg.limits), "image subgroup index")
     _require(onto.n == 1, f"images generate index {onto.n} subgroup, not onto")
@@ -358,12 +357,10 @@ def check_v8(cfg: SuiteConfig) -> Tuple[str, dict]:
     commutation graph {b, b'} x {a, a', t}, abelianization Z^5."""
     pi = quintic_presentation("C2_3C1_A")
     free_abx = Presentation(["a", "b", "x"])
-    to_abx = SubstitutionMap(
-        pi, free_abx, [parse_word(free_abx, w) for w in ("a", "b", "b^-1 x")]
-    )
+    to_abx, _ = _map(pi, free_abx, ("a", "b", "b^-1 x"))
     hnn = Presentation(["a", "b", "x"], [substitute(to_abx, r) for r in pi.relators])
-    fwd = SubstitutionMap(pi, hnn, [parse_word(hnn, w) for w in ("a", "b", "b^-1 x")])
-    bwd = SubstitutionMap(hnn, pi, [parse_word(pi, w) for w in ("a", "b", "b c")])
+    fwd, _ = _map(pi, hnn, ("a", "b", "b^-1 x"))
+    bwd, _ = _map(hnn, pi, ("a", "b", "b c"))
     _settle(verify_isomorphism(fwd, bwd, cfg.budget), "x = bc rewriting")
     kernel_words = [
         parse_word(hnn, w) for w in ("a", "b", "x a x^-1", "x b x^-1", "x^2")

@@ -86,8 +86,6 @@ class Word:
         return f"Word({list(self.letters)})"
 
 
-EMPTY = Word._raw(())
-
 
 def concat(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Concatenate two reduced letter tuples, cancelling at the seam."""

@@ -2,7 +2,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dsl_oracle
 from curvepi import ParseError, Presentation, format_presentation, parse_presentation, parse_word
 from curvepi.words import Word
 
@@ -177,3 +179,148 @@ def test_exponent_digits_are_the_ones_int_reads():
     assert str(err.value) == "expected an integer (line 1, column 8)"
     # Arabic-Indic three is a decimal digit, and int() reads it
     assert parse_presentation("<a | a^\u0663>") == parse_presentation("<a | a^3>")
+
+
+# ---------------------------------------------------------------------------
+# the token parser against the character-scanning oracle
+
+# "a" and "ab" are prefixes of "ab" and "abc"; "x" is never declared
+NAMES = ["a", "ab", "b", "abc", "c", "x1", "a'", "b_2", "x"]
+SPACES = ["", "", " ", "  ", "\n", "\t", "\r\n"]
+EXPONENTS = 3 * [
+    "2", "-1", "+3", "-2", "10",
+    "\u0663", "-\u0663",  # Arabic-Indic three, a digit int() reads
+] + [
+    "0", "-0", "+0",
+    "\u00b2",  # superscript two, which int() does not read
+    "-", "+", "+-1", "- 2", "x", "", "2^3", "1_0", "2a",
+]
+NOISE = [
+    "\x0b", "\u00e9", "\u00b2", "\u0663", "=", "^", "(", ")", ",", "|", "<", ">",
+    "\u27e8", "\u27e9", "-", "+", "0", "a", "ab", " ", "\n", "_", "'", "1", ", a", "^0",
+]
+
+
+def random_word_text(rng, names, depth=0):
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 2 and rng.randint(0, 3) == 3:
+            atom = "(" + rng.choice(SPACES) + random_word_text(rng, names, depth + 1) + rng.choice(SPACES) + ")"
+        else:
+            atom = "".join(rng.choice(names) for _ in range(rng.randint(1, 3)))
+        if rng.randint(0, 1):
+            atom += rng.choice(SPACES) + "^" + rng.choice(SPACES) + rng.choice(EXPONENTS)
+        atoms.append(atom)
+    text = atoms[0]
+    for atom in atoms[1:]:
+        text += rng.choice(SPACES) + atom
+    if rng.randint(0, 2) == 2:
+        text += rng.choice(SPACES) + "=" + rng.choice(SPACES) + random_word_text(rng, names, depth + 1)
+    return text
+
+
+def mutate(rng, text):
+    """Insert stray fragments or cut pieces out, perhaps several times."""
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        i = rng.randint(0, len(text))
+        if rng.randint(0, 4) < 3:
+            text = text[:i] + rng.choice(NOISE) + text[i:]
+        else:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+    return text
+
+
+def random_dsl(rng):
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        gens.append(rng.choice([g for g in NAMES[:8] if g not in gens]))
+    # mostly declared names, sometimes an undeclared one
+    names = gens + ["x"] if not gens or rng.randint(0, 4) == 4 else gens
+    relators = [random_word_text(rng, names) for _ in range(rng.randint(0, 3))]
+
+    def sep():
+        return rng.choice(SPACES)
+
+    text = rng.choice(["<", "\u27e8"]) + sep()
+    text += (sep() + "," + sep()).join(gens) + sep() + "|" + sep()
+    text += (sep() + "," + sep()).join(relators) + sep() + rng.choice([">", "\u27e9"])
+    text += rng.choice(["", "", "", " ", "\n", " a", ">", "\u00e9", ", b"])
+    return mutate(rng, text)
+
+
+class Draws:
+    """The ``choice`` and ``randint`` of random.Random, drawn by hypothesis
+    so that a failing text shrinks."""
+
+    def __init__(self, data):
+        self.draw = data.draw
+
+    def choice(self, seq):
+        return self.draw(st.sampled_from(seq))
+
+    def randint(self, a, b):
+        return self.draw(st.integers(a, b))
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return (str(err), err.line, err.col)
+
+
+WORD_OVER = Presentation(NAMES[:8])
+
+
+def assert_parsers_agree(rng):
+    text = random_dsl(rng)
+    parsed = outcome(parse_presentation, text)
+    assert parsed == outcome(dsl_oracle.parse_presentation, text), text
+    word = mutate(rng, random_word_text(rng, NAMES))
+    word_parsed = outcome(parse_word, WORD_OVER, word)
+    assert word_parsed == outcome(dsl_oracle.parse_word, WORD_OVER, word), word
+    return parsed, word_parsed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_token_parser_matches_the_scanner_oracle(data):
+    assert_parsers_agree(Draws(data))
+
+
+def test_token_parser_matches_the_scanner_oracle_on_seeded_corpus():
+    # the corpus reaches every outcome of both entry points
+    rng = random.Random(2026)
+    messages = []
+    for _ in range(4000):
+        messages += [r[0] if isinstance(r, tuple) else "parsed" for r in assert_parsers_agree(rng)]
+    starts = [
+        "parsed", "expected </\u27e8, found", "expected an identifier", "declared twice",
+        "expected |, found", "undeclared generator", "expected an integer",
+        "zero exponent is not allowed", "expected ), found", "expected >/\u27e9, found",
+        "found end of input", "trailing input after presentation", "trailing input after word",
+    ]
+    counts = {key: sum(key in m for m in messages) for key in starts}
+    assert min(counts.values()) >= 10, counts
+
+
+def test_juxtaposed_runs_cost_does_not_grow_with_the_generator_count():
+    # a run that is not a declared name is split by dict lookups of its
+    # prefixes, not by a scan of every declared name, so 200 runs under
+    # 10,801 generators add little to parsing the header alone
+    names = [f"g{i}" for i in range(10801)]
+    header = "<" + ",".join(names) + " | "
+    runs = ", ".join(f"g{2 * i}g{2 * i + 1}" for i in range(200))
+
+    def best_time(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            p = parse_presentation(text)
+            times.append(time.perf_counter() - start)
+        return min(times), p
+
+    bare, _ = best_time(header + ">")
+    split, p = best_time(header + runs + ">")
+    assert p.relators[199].letters == (399, 400)
+    assert split < 3 * bare

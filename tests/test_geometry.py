@@ -81,6 +81,16 @@ def test_unknown_kind_rejected():
         Singularity("E8", "p", ("C",))
 
 
+def test_tangency_markers_name_their_a_kind():
+    # "xd" is a tangency of contact order d, the A_(2d-1) point
+    kinds = [Singularity(f"x{d}", "p", ("C", "L")).kind for d in range(1, 6)]
+    assert kinds == ["A1", "A3", "A5", "A7", "A9"]
+    # a marker with no supported kind is named as written, not converted
+    with pytest.raises(ValueError) as err:
+        Singularity("x6", "p", ("C", "L"))
+    assert str(err.value) == "unsupported singularity kind 'x6'"
+
+
 def test_arity_checked():
     report = validate_combinatorial_type(ct([("C", 3)], [("A2", ("C", "C"))]))
     assert not report.ok

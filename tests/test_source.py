@@ -33,21 +33,38 @@ def _references(node):
     return found
 
 
+def _defined(stmt):
+    """Names a top-level statement defines: a function or class, or the
+    plain names assigned to, dunder names such as ``__all__`` aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {
+        sub.id
+        for target in targets
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Name) and not sub.id.startswith("__")
+    }
+
+
 def test_every_library_definition_is_used_by_the_library():
-    # a top-level function or class that only the tests use belongs in
-    # tests/, next to the oracles that were moved there
+    # a top-level function, class or constant that only the tests use
+    # belongs in tests/, next to the oracles that were moved there
     defs = []  # (module, name)
-    refs = []  # (module, owning top-level name or None, names referenced)
+    refs = []  # (module, names the statement defines, names referenced)
     for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
         module = name[:-3]
         with open(os.path.join(PKG, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         for stmt in tree.body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                defs.append((module, owner))
-            refs.append((module, owner, _references(stmt)))
+            owners = _defined(stmt)
+            defs += [(module, owner) for owner in sorted(owners)]
+            refs.append((module, owners, _references(stmt)))
     assert defs
     exported = set(curvepi.__all__)
     unused = [
@@ -56,8 +73,8 @@ def test_every_library_definition_is_used_by_the_library():
         if name not in exported
         and (module, name) != ("cli", "main")
         and not any(
-            name in names and (ref_module, owner) != (module, name)
-            for ref_module, owner, names in refs
+            name in names and not (ref_module == module and name in owners)
+            for ref_module, owners, names in refs
         )
     ]
     assert unused == []
