@@ -28,7 +28,7 @@ from .coset_table import (
 from .schreier import schreier_transversal, subgroup_presentation, simplify
 from .derive import DerivationBudget, ProofTrace, Inconclusive, derive_relator, replay_trace
 from .homomorphisms import Verified, Refuted, check_homomorphism, verify_isomorphism
-from .catalog import GroupTag, build, parse_tag, artin_from_triple
+from .catalog import GroupTag, build, parse_tag
 from .geometry import (
     CombinatorialType,
     Singularity,
@@ -78,7 +78,6 @@ __all__ = [
     "GroupTag",
     "build",
     "parse_tag",
-    "artin_from_triple",
     "CombinatorialType",
     "Singularity",
     "BlowUpLedger",

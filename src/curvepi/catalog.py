@@ -334,20 +334,6 @@ def quintic_presentation(case: str) -> Presentation:
         ) from None
 
 
-def artin_from_triple(m: int, n: int, p: int) -> Presentation:
-    """Triangle Artin presentation on generators a, b, x with edge labels
-    (a,b) = m, (b,x) = n, (a,x) = p."""
-    if min(m, n, p) < 2:
-        raise ValueError("labels must be >= 2")
-    a, b, x = (Word.gen(i) for i in range(3))
-    rels = [
-        _alternating(a, b, m) * ~_alternating(b, a, m),
-        _alternating(b, x, n) * ~_alternating(x, b, n),
-        _alternating(a, x, p) * ~_alternating(x, a, p),
-    ]
-    return Presentation(["a", "b", "x"], rels)
-
-
 # ---------------------------------------------------------------------------
 # compact text syntax
 

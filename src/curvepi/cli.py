@@ -15,7 +15,7 @@ import sys
 from .abelian import abelian_invariants
 from .catalog import build, parse_tag
 from .classify import NotCovered, classify
-from .coset_table import Overflow, limits_from_env, todd_coxeter
+from .coset_table import EnumLimits, Overflow, todd_coxeter
 from .dsl import ParseError, parse_presentation, parse_word
 from .geometry import CombinatorialType, load_script, run_script, validate_combinatorial_type
 from .presentations import Presentation, format_presentation
@@ -46,14 +46,7 @@ def _cmd_ab(args) -> int:
 
 def _overflow(result: Overflow) -> int:
     """Print which enumeration budget ran out; returns the exit code 1."""
-    if result.out_of_deductions:
-        used = (
-            f"deduction budget exhausted ({result.limits.max_deductions} scan steps, "
-            f"{result.allocated} cosets allocated)"
-        )
-    else:
-        used = f"{result.allocated} cosets allocated (budget {result.limits.max_cosets})"
-    print(f"overflow: {used}; index may be infinite", file=sys.stderr)
+    print(f"overflow: {result}; index may be infinite", file=sys.stderr)
     return 1
 
 
@@ -65,7 +58,7 @@ def _cmd_tc(args) -> int:
     if extra:
         p = Presentation(p.generators, list(p.relators) + extra)
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
-    result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
+    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
     if args.stats:
         s = result.stats
         print(
@@ -85,7 +78,7 @@ def _cmd_tc(args) -> int:
 def _cmd_rs(args) -> int:
     p = _read_presentation(args.presentation)
     subgroup = [parse_word(p, w) for w in args.subgroup]
-    result = todd_coxeter(p, subgroup, limits_from_env(args.max_cosets))
+    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
     if isinstance(result, Overflow):
         return _overflow(result)
     sp = subgroup_presentation(p, result)
@@ -187,6 +180,10 @@ def make_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
+    def add_max_cosets(p):
+        p.add_argument("--max-cosets", type=int, default=EnumLimits().max_cosets, metavar="N",
+                       help="coset budget of each enumeration (default %(default)s)")
+
     p_ab = sub.add_parser("ab", help="abelian invariants of a presentation")
     p_ab.add_argument("presentation", help="inline DSL, file path, or - for stdin")
     add_json(p_ab)
@@ -198,7 +195,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="subgroup generator word (repeatable)")
     p_tc.add_argument("--quotient-by", action="append", metavar="WORD",
                       help="extra relator to impose (repeatable)")
-    p_tc.add_argument("--max-cosets", type=int)
+    add_max_cosets(p_tc)
     p_tc.add_argument("--stats", action="store_true",
                       help="print the enumeration's work counts to stderr")
     add_json(p_tc)
@@ -208,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_rs.add_argument("presentation")
     p_rs.add_argument("--subgroup", action="append", required=True, metavar="WORD")
     p_rs.add_argument("--raw", action="store_true", help="skip simplification")
-    p_rs.add_argument("--max-cosets", type=int)
+    add_max_cosets(p_rs)
     add_json(p_rs)
     p_rs.set_defaults(fn=_cmd_rs)
 
@@ -231,7 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--only", metavar="IDS", help=f"comma-separated from {','.join(ALL_CHECKS)}")
     p_ver.add_argument("--budget", type=int, metavar="N",
                        help="derivation state budget override")
-    p_ver.add_argument("--max-cosets", type=int)
+    add_max_cosets(p_ver)
     add_json(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

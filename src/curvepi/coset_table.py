@@ -39,7 +39,6 @@ whose mask meets that set is skipped.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,17 +56,6 @@ class EnumLimits:
             raise ValueError("limits must be positive")
         self.max_cosets = max_cosets
         self.max_deductions = max_deductions
-
-
-def limits_from_env(max_cosets: int | None = None) -> EnumLimits:
-    """The coset budget of the commands: ``max_cosets`` when given, else the
-    environment variable read below, else EnumLimits' default."""
-    if max_cosets is None:
-        env = os.environ.get("CURVEPI_MAX_COSETS")
-        if not env:
-            return EnumLimits()
-        max_cosets = int(env)
-    return EnumLimits(max_cosets=max_cosets)
 
 
 class EnumStats(NamedTuple):
@@ -110,6 +98,15 @@ class Overflow:
     @property
     def out_of_deductions(self) -> bool:
         return self.deductions > self.limits.max_deductions
+
+    def __str__(self) -> str:
+        """Which budget ran out, and how much of it was used."""
+        if self.out_of_deductions:
+            return (
+                f"deduction budget exhausted ({self.limits.max_deductions} scan steps, "
+                f"{self.allocated} cosets allocated)"
+            )
+        return f"{self.allocated} cosets allocated (budget {self.limits.max_cosets})"
 
     def __repr__(self) -> str:
         return (

@@ -91,6 +91,9 @@ class Inconclusive:
         self.reason = reason
         self.states = states
 
+    def __str__(self) -> str:
+        return self.reason
+
     def __repr__(self) -> str:
         return f"Inconclusive({self.reason!r})"
 

@@ -8,7 +8,7 @@ Grammar (ASCII or angle-bracket delimiters):
     relator      := word ("=" word)?
     word         := atom+
     atom         := (ident | "(" word ")") ("^" signed-int)?
-    ident        := [A-Za-z][A-Za-z0-9_']*
+    ident        := [A-Za-z][A-Za-z0-9_']*       (presentations.IDENTIFIER)
 
 One regex splits the text into tokens (an identifier, a signed integer or
 any other single character, with spaces, tabs and line breaks between
@@ -26,11 +26,11 @@ import string
 from itertools import islice
 from typing import Optional, Sequence
 
-from .presentations import Presentation
+from .presentations import IDENTIFIER, Presentation
 from .words import Word, reduce_letters
 
 # \d matches exactly the decimal digits that int() reads
-_TOKEN = re.compile(r"[ \t\r\n]*([A-Za-z][A-Za-z0-9_']*|[+-]?\d+|[^ \t\r\n])")
+_TOKEN = re.compile(rf"[ \t\r\n]*({IDENTIFIER.pattern}|[+-]?\d+|[^ \t\r\n])")
 _IDENT_START = set(string.ascii_letters)
 _OPEN = ("<", "⟨")
 _CLOSE = (">", "⟩")

@@ -175,6 +175,9 @@ class IsomorphismReport:
         )
         return tuple(out)
 
+    def __str__(self) -> str:
+        return "; ".join(self.failures)
+
     def __repr__(self) -> str:
         return f"IsomorphismReport(verified={self.verified}, failures={list(self.failures)})"
 

@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence, Tuple
 
 from .words import Word, cyclic_reduce
+
+# a generator name: exactly what the DSL reads as one identifier
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 
 
 class Presentation:
     """Generators (ordered names) and relators (cyclically reduced words).
 
-    Relators that reduce to the empty word are dropped; the conjugating part
-    of a non-cyclically-reduced relator is discarded (same normal closure).
+    Generator names must match IDENTIFIER, so that every presentation prints
+    as DSL text that parses back.  Relators that reduce to the empty word are
+    dropped; the conjugating part of a non-cyclically-reduced relator is
+    discarded (same normal closure).
     """
 
     __slots__ = ("generators", "relators", "_index")
 
     def __init__(self, generators: Sequence[str], relators: Iterable[Word] = ()):
         gens = tuple(generators)
+        for g in gens:
+            if not (isinstance(g, str) and IDENTIFIER.fullmatch(g)):
+                raise ValueError(f"generator name {g!r} is not an identifier")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
         rels = []

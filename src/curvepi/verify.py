@@ -27,8 +27,8 @@ from .classify import (
     table_rows,
 )
 from .coset_table import (
+    EnumLimits,
     Overflow,
-    limits_from_env,
     perm_group_order,
     table_from_action,
     todd_coxeter,
@@ -57,7 +57,7 @@ class SuiteConfig:
         max_cosets: Optional[int] = None,
         budget: Optional[DerivationBudget] = None,
     ):
-        self.limits = limits_from_env(max_cosets)
+        self.limits = EnumLimits() if max_cosets is None else EnumLimits(max_cosets=max_cosets)
         self.budget = budget or DerivationBudget()
 
 
@@ -107,31 +107,14 @@ def _settle(result, what: str):
     CosetTable or Overflow, a ProofTrace or Inconclusive, a Verified, Refuted
     or Inconclusive map check, or an IsomorphismReport.  Any Refuted fails
     the check; otherwise any Overflow or Inconclusive leaves it
-    inconclusive.  Returns the result when neither applies."""
+    inconclusive; either way the detail ends with ``str(result)``.  Returns
+    the result when neither applies."""
     parts = result.results if isinstance(result, IsomorphismReport) else (result,)
     if any(isinstance(r, Refuted) for r in parts):
-        raise _CheckFailed(f"{what}: {_describe(result)}")
+        raise _CheckFailed(f"{what}: {result}")
     if any(isinstance(r, (Overflow, Inconclusive)) for r in parts):
-        raise _CheckInconclusive(f"{what}: {_describe(result)}")
+        raise _CheckInconclusive(f"{what}: {result}")
     return result
-
-
-def _describe(result) -> str:
-    if isinstance(result, IsomorphismReport):
-        return "; ".join(result.failures)
-    if isinstance(result, Overflow):
-        if result.out_of_deductions:
-            return (
-                f"deduction budget exhausted after {result.limits.max_deductions} scan steps "
-                f"({result.allocated} cosets allocated)"
-            )
-        return (
-            f"coset budget exhausted at {result.allocated} cosets "
-            f"(max {result.limits.max_cosets})"
-        )
-    if isinstance(result, Inconclusive):
-        return result.reason
-    return repr(result)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +215,6 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
     (a genus-3 surface group)."""
     elems, mul, identity = _psl2_elements(7)
     _require(len(elems) == 168, f"projective group has {len(elems)} elements")
-    if cfg.limits.max_cosets < len(elems):
-        raise _CheckInconclusive(
-            f"coset budget {cfg.limits.max_cosets} below the index 168 required"
-        )
     pair = _find_237_pair(elems, mul, identity)
     _require(pair is not None, "no (2,3,7) generating pair found")
     x, y = pair

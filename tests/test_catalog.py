@@ -5,7 +5,6 @@ from curvepi.abelian import abelian_invariants
 from curvepi.catalog import (
     GroupTag,
     LabeledGraph,
-    artin_from_triple,
     build,
     direct_product,
     format_tag,
@@ -35,18 +34,22 @@ def test_braid_presentations():
     )
 
 
-def test_artin_from_triple_examples():
-    assert artin_from_triple(3, 3, 3) == parse_presentation(
-        "<a,b,x | aba=bab, bxb=xbx, axa=xax>"
+def test_artin_tag_examples():
+    # artin:m,n,p labels the edges (a,b) = m, (b,c) = n, (a,c) = p
+    assert built("artin:3,3,3") == parse_presentation(
+        "<a,b,c | aba=bab, aca=cac, bcb=cbc>"
     )
-    assert artin_from_triple(2, 2, 2) == parse_presentation(
-        "<a,b,x | a b a^-1 b^-1, b x b^-1 x^-1, a x a^-1 x^-1>"
+    assert built("artin:2,2,2") == parse_presentation(
+        "<a,b,c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1>"
+    )
+    assert built("artin:2,3,4") == parse_presentation(
+        "<a,b,c | a b a^-1 b^-1, (ac)^2 = (ca)^2, bcb=cbc>"
     )
     # labels (2,4,4) match the conic-plus-lines presentation up to relabeling
-    a244 = artin_from_triple(2, 4, 4)
+    a244 = built("artin:2,4,4")
     assert abelian_invariants(a244) == abelian_invariants(built("quintic:C2_3C1_B"))
     with pytest.raises(ValueError):
-        artin_from_triple(1, 3, 3)
+        built("artin:1,3,3")
 
 
 def test_coxeter_adds_involutions():

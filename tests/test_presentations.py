@@ -5,12 +5,16 @@ import pytest
 from curvepi import (
     Presentation,
     SubstitutionMap,
+    format_presentation,
     format_word,
     parse_presentation,
     parse_word,
     substitute,
 )
+from curvepi.catalog import GroupTag, build, parse_tag, quintic_cases
+from curvepi.coset_table import todd_coxeter
 from curvepi.presentations import compose
+from curvepi.schreier import simplify, subgroup_presentation
 from curvepi.words import Word
 from map_helpers import identity_map
 
@@ -29,6 +33,38 @@ def test_undeclared_generator_rejected():
 def test_duplicate_names_rejected():
     with pytest.raises(ValueError):
         Presentation(["a", "a"])
+
+
+def test_names_the_dsl_cannot_read_are_rejected():
+    # printed, these would give "< x y, 1 | x y^2 >", which does not parse
+    with pytest.raises(ValueError, match="generator name 'x y' is not an identifier"):
+        Presentation.from_json({"generators": ["x y", "1"], "relators": [[["x y", 2]]]})
+    for name in ("1", "_a", "a-b", "é", "a\n", "", 1, None):
+        with pytest.raises(ValueError, match="is not an identifier"):
+            Presentation(["a", name])
+    assert Presentation(["a", "b_1", "c'", "Z9"]).generators == ("a", "b_1", "c'", "Z9")
+
+
+# one tag per variant, with generator names from every naming scheme
+_TAGS = (
+    "free:3", "free:30", "braid:4", "spherebraid3", "artin:3,3,3", "coxeter:2,3,3",
+    "raag:4;0-1,1-2", "toric:3,4", "toriceven:2", "gpoly:-1,0,1", "gpolymod:3;1,1",
+    "gr:2,3,5", "triangle:2,3,7", "surface:2", "surfext:2,2", "free:2*free:2",
+    "free:1*braid:3",
+) + tuple(f"quintic:{case}" for case in quintic_cases())
+
+
+def test_every_printed_presentation_parses_back():
+    assert {parse_tag(t).variant for t in _TAGS} == GroupTag.VARIANTS
+    for tag in _TAGS:
+        p = build(parse_tag(tag))
+        assert parse_presentation(format_presentation(p)) == p, tag
+    # Schreier generators are named s<coset>_<generator>
+    p = parse_presentation("<a,b | a^2, b^3, (ab)^5>")
+    raw = subgroup_presentation(p, todd_coxeter(p, [parse_word(p, "b")]))
+    for sp in (raw, simplify(raw)):
+        assert sp.n_gens > 0
+        assert parse_presentation(format_presentation(sp)) == sp
 
 
 def test_substitute_examples():

@@ -99,3 +99,17 @@ def test_library_reads_digits_as_int_does():
         with open(os.path.join(PKG, name), encoding="utf-8") as fh:
             found += [f"{name}:{i}" for i, line in enumerate(fh, 1) if ".isdigit(" in line]
     assert found == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_library_reads_no_environment():
+    # the command line is the only configuration: a variable set in the
+    # shell must not change a budget or a verdict
+    found = []
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}: {ref}" for ref in sorted(_references(tree) & _ENVIRONMENT)]
+    assert found == []
