@@ -151,8 +151,10 @@ class _Parser:
             else:
                 letters = self.split(run)
                 if self.tokens[self.i] == "^":
-                    # the first exponent binds to the last letter of the run
+                    # the exponent binds to the last letter of the run, and
+                    # a second one is an error, as after a declared name
                     letters[-1:] = self.power(letters[-1:])
+                    return letters
         if self.tokens[self.i] == "^":
             letters = self.power(letters)
         return letters

@@ -135,7 +135,11 @@ class _Parser:
             base = self.word()
             s.take(")")
         else:
+            pos = s.pos
             base = self.ident_word()
+            if "^" in s.text[pos : s.pos]:
+                # a split run took its exponent; a second one is an error
+                return base
         if s.peek() == "^":
             s.take("^")
             return base ** s.signed_int()

@@ -4,10 +4,9 @@ references for the differential tests.
 ``reference_todd_coxeter`` is the row-major enumerator used before tables
 were stored by column: both must give the same table whenever both finish.
 ``scan_every_todd_coxeter`` is the column-major enumerator as it was before
-relator symmetries let it skip scans.  It makes the same definitions and
-coincidences in the same order, so the tables agree when both finish and
-the allocated and live coset counts agree when the coset budget runs out;
-only its scan steps differ, which it returns in its own ``Overflow``."""
+relator symmetries let it skip scans and short relators deduced.  The
+tables agree whenever both finish; the work counts and the point where a
+budget runs out may differ, and it reports its own in its own ``Overflow``."""
 
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple

@@ -184,6 +184,20 @@ def test_overflow_names_the_deduction_budget():
     assert res.allocated == 1000 and res.deductions <= res.limits.max_deductions
 
 
+def test_deduction_scans_are_budgeted():
+    # the (3,3,3) triangle group is infinite and all its relators deduce;
+    # each deduction scan is one step of the budget, so the budget runs out
+    # exactly one step past its limit, whatever that limit is
+    p = parse_presentation("<a,b,c | a^3, b^3, c^3, a b c>")
+    for budget in [200] + list(range(1, 120)):
+        res = todd_coxeter(p, [], EnumLimits(max_deductions=budget))
+        assert isinstance(res, Overflow) and res.out_of_deductions
+        assert res.deductions == budget + 1
+    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    assert isinstance(res, Overflow) and not res.out_of_deductions
+    assert res.allocated == 1000
+
+
 def test_tc_names_the_budget_that_ran_out(capsys):
     # tc, rs and verify all print str(Overflow); no option sets the
     # deduction budget, so its wording is checked on the value
@@ -275,9 +289,11 @@ def test_matches_reference_enumerator_on_hypothesis_corpus(data):
     _agree_with_reference(p, sub, EnumLimits(max_cosets=500))
 
 
-# Skipped scans.  A relator symmetry lets the enumerator skip scans that
-# would only confirm a closed cycle, so it must make exactly the definitions
-# and coincidences of the column-major enumerator that scans everything.
+# Skipped scans and deductions.  A relator symmetry lets the enumerator
+# skip scans that would only confirm a closed cycle, and relators of length
+# at most 3 deduce between scans, so its work differs from that of the
+# column-major enumerator that scans everything and never deduces, but
+# every table they both finish must be the same.
 
 
 def _symmetric_case(draw_int, draw_bool):
@@ -330,43 +346,53 @@ def _relator_offsets(p):
 
 
 def _agree_with_scan_every(p, sub, limits):
-    """Both column-major enumerators on one case; returns which way the one
-    that scans everything ended, and the scans the other skipped."""
+    """Both column-major enumerators on one case: the tables agree whenever
+    both finish, and every finished table passes ``validate_table``.
+    Returns which way the one that scans everything ended, whether the other
+    finished, and the scans the other skipped."""
     res = todd_coxeter(p, sub, limits)
     ref = scan_every_todd_coxeter(p, sub, limits)
-    if not isinstance(res, Overflow):
+    finished = isinstance(res, CosetTable)
+    if finished:
         report = validate_table(p, sub, res)
         assert report.passed, (p, sub, report.failures)
     if isinstance(ref, ScanEveryOverflow):
-        if ref.deductions > limits.max_deductions:
-            # fewer scan steps may finish where the old count ran out
-            return "deductions", res.stats.skipped
-        assert isinstance(res, Overflow) and not res.out_of_deductions, (p, sub)
-        assert (res.allocated, res.live_cosets) == (ref.allocated, ref.live_cosets), (p, sub)
-        assert res.deductions <= ref.deductions
-        return "cosets", res.stats.skipped
-    assert isinstance(res, CosetTable), (p, sub)
-    assert res.forward == ref.forward and res.backward == ref.backward, (p, sub)
-    return "finished", res.stats.skipped
+        end = "deductions" if ref.deductions > limits.max_deductions else "cosets"
+    else:
+        end = "finished"
+        if finished:
+            assert res.forward == ref.forward and res.backward == ref.backward, (p, sub)
+    return end, finished, res.stats.skipped
+
+
+def _deduces(p):
+    """Whether some relator other than g^2 or g^-2 has length at most 3."""
+    words = [_word_to_cols(r) for r in p.relators]
+    return any(0 < len(w) <= 3 and not (len(w) == 2 and w[0] == w[1]) for w in words)
 
 
 def test_matches_scan_every_enumerator_on_seeded_corpus():
     rng = random.Random(8)
     ends = {"finished": 0, "cosets": 0, "deductions": 0}
     offsets = {(True, False): 0, (False, True): 0, (True, True): 0, (False, False): 0}
-    skipped = 0
+    skipped = lost = deducing = 0
     for _ in range(400):
         p, sub = _symmetric_case(rng.randint, lambda q: rng.random() < q)
         for pair in _relator_offsets(p):
             offsets[pair] += 1
+        deducing += _deduces(p)
         max_deductions = rng.choice([10**8, rng.randint(20, 2000)])
-        end, skips = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
+        end, finished, skips = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
         ends[end] += 1
+        # deductions may change where a budget runs out, but no case that
+        # the enumerator scanning everything finishes runs out here
+        lost += end == "finished" and not finished
         skipped += skips
     assert ends["finished"] > 100 and ends["cosets"] > 10 and ends["deductions"] > 10, ends
+    assert lost == 0
     # offset-1-only, offset-(L-1)-only and both-offset relators all occur
     assert min(offsets.values()) > 10, offsets
-    assert skipped > 0
+    assert deducing > 10 and skipped > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,7 +422,9 @@ def test_e6_finishes_within_a_reduced_deduction_budget():
     p = parse_presentation(E6)
     t = todd_coxeter(p, [], EnumLimits(max_deductions=400_000))
     assert isinstance(t, CosetTable) and t.n == 51840
-    assert t.stats.scan_steps <= 400_000 and t.stats.skipped > 0
+    # E6 has no relator of length 3 or less but its g^2, so nothing deduces,
+    # and choosing the scans by skip mask changes no scan step
+    assert t.stats == EnumStats(allocated=59166, dead=7326, scan_steps=236025, skipped=600740)
 
 
 def test_involution_maps_share_one_tuple():
@@ -416,9 +444,9 @@ def test_enumeration_stats():
     t = todd_coxeter(p)
     s = t.stats
     assert isinstance(s, EnumStats) and s.allocated - s.dead == t.n == 10752
-    # the scans made and skipped as written: the enumerator that scans every
-    # relator allocates the same cosets and needs 202,929 scan steps
-    assert s == EnumStats(allocated=128562, dead=117810, scan_steps=175508, skipped=27421)
+    # the work as written: deducing with b^3 allocates 38,168 cosets, where
+    # HLT without deductions allocates 128,562 and 117,810 of them die
+    assert s == EnumStats(allocated=38168, dead=27416, scan_steps=122886, skipped=14208)
     assert CosetTable([[0]], [[0]]).stats is None
     res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
     assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000

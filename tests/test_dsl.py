@@ -50,6 +50,18 @@ def test_exponent_binds_to_last_letter_of_run():
     assert p.relators[0].letters == (1, 2, 2, 1)
 
 
+def test_second_exponent_is_an_error_after_a_split_run_too():
+    # "ab^2^3" used to parse as (a b^2)^3, while "a^2^3" was an error
+    for parse in (parse_presentation, dsl_oracle.parse_presentation):
+        for text, column in (("<a,b | ab^2^3>", 12), ("<a,b | a^2^3>", 11)):
+            message = rf"expected >/⟩, found '\^' \(line 1, column {column}\)"
+            with pytest.raises(ParseError, match=message):
+                parse(text)
+    for parse in (parse_word, dsl_oracle.parse_word):
+        with pytest.raises(ParseError, match="trailing input after word"):
+            parse(parse_presentation("<a,b |>"), "ab^2^3")
+
+
 def test_parenthesized_powers():
     p = parse_presentation("<a,b | (ab)^-2>")
     assert p.relators[0].letters == (-2, -1, -2, -1)
