@@ -323,7 +323,10 @@ def _renumber(
 ) -> CosetTable:
     """Compact to live cosets, renumbered by BFS from coset 0 over the
     positive generator columns (which span any complete finite table), so
-    transversals are reproducible.  Resolves ``parent`` in place."""
+    transversals are reproducible.  Resolves ``parent`` in place and
+    consumes ``cols``: each column is cleared once it is mapped, which frees
+    it in the enumerator too, and the finished tuples are kept by
+    ``CosetTable`` without a copy."""
     # a representative is never larger than its coset, so one ascending
     # pass resolves every coset to its live representative
     root = parent
@@ -346,12 +349,14 @@ def _renumber(
         raise RuntimeError("table is not transitive")
     # the new number of every coset, through its representative
     number = [number[r] for r in root]
-    forward = [[number[col[c]] for c in order] for col in forward_cols]
-    # an involution's backward column is its forward list, mapped once
-    backward = [
-        mapped if inv is col else [number[inv[c]] for c in order]
-        for col, inv, mapped in zip(forward_cols, cols[1::2], forward)
-    ]
+    forward: List[Tuple[int, ...]] = []
+    backward: List[Tuple[int, ...]] = []
+    for col, inv in zip(forward_cols, cols[1::2]):
+        forward.append(tuple([number[col[c]] for c in order]))
+        col.clear()
+        # an involution's backward column is its forward tuple, mapped once
+        backward.append(forward[-1] if inv is col else tuple([number[inv[c]] for c in order]))
+        inv.clear()
     return CosetTable(forward, backward, subgroup, stats)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -98,6 +99,9 @@ class _Parser:
         e = int(tok)
         if e == 0:
             raise self.error("zero exponent is not allowed")
+        # a list repeats at most sys.maxsize times, and holds at most as many letters
+        if max(len(letters), 1) * abs(e) > sys.maxsize:
+            raise self.error(f"exponent makes a power longer than {sys.maxsize} letters")
         self.i += 1
         return letters * e if e > 0 else [-x for x in reversed(letters)] * -e
 

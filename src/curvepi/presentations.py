@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Sequence, Tuple
 
 from .words import Word, cyclic_reduce
@@ -62,6 +63,10 @@ class Presentation:
         letters: list[int] = []
         for name, e in pairs:
             g = self.gen_index(name) + 1
+            if abs(e) > sys.maxsize:
+                raise ValueError(
+                    f"exponent {e} of {name!r} makes a power longer than {sys.maxsize} letters"
+                )
             letters.extend([g if e > 0 else -g] * abs(e))
         return Word(letters)
 

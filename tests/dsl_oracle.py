@@ -1,5 +1,6 @@
 """The presentation DSL's earlier character-scanning parser, kept verbatim
-(but for its imports) as the oracle for the token parser in curvepi.dsl.
+(but for its imports and the check on huge exponents in ``power``) as the
+oracle for the token parser in curvepi.dsl.
 
 It raises the library's ParseError, so the two can be compared by message,
 line and column.
@@ -8,6 +9,7 @@ line and column.
 from __future__ import annotations
 
 import string
+import sys
 from typing import Optional
 
 from curvepi.dsl import ParseError
@@ -141,9 +143,19 @@ class _Parser:
                 # a split run took its exponent; a second one is an error
                 return base
         if s.peek() == "^":
-            s.take("^")
-            return base ** s.signed_int()
+            return self.power(base)
         return base
+
+    def power(self, base: Word) -> Word:
+        """``base`` to the signed integer after the next "^"."""
+        s = self.s
+        s.take("^")
+        s.skip_ws()
+        start = s.pos
+        e = s.signed_int()
+        if max(len(base), 1) * abs(e) > sys.maxsize:
+            raise s.error(f"exponent makes a power longer than {sys.maxsize} letters", start)
+        return base ** e
 
     def ident_word(self) -> Word:
         """One identifier run, split into declared generators.
@@ -171,10 +183,8 @@ class _Parser:
             i += len(match[0])
         if s.peek() == "^":
             # exponent applies to the last letter only
-            s.take("^")
-            e = s.signed_int()
             last = letters.pop()
-            return Word(letters) * (Word((last,)) ** e)
+            return Word(letters) * self.power(Word((last,)))
         return Word(letters)
 
 

@@ -1,14 +1,16 @@
 import copy
 import random
+import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from curvepi import parse_presentation
 from curvepi.abelian import (
     IntMatrix,
     InvariantFactors,
+    _fold,
     abelian_invariants,
     abelian_presentation,
     curve_abelianization,
@@ -465,3 +467,200 @@ def test_large_entries():
         prod *= diag[k - 1]
         assert minors_gcd(A, k) == prod
     assert snf_checked(IntMatrix([[2 * big, 0], [0, 3 * big]])) == [big, 6 * big]
+
+
+# ---------------------------------------------------------------------------
+# the fold phase of the elimination
+
+
+def reference_fold(rows, ncols, seen):
+    """The fold of ``abelian._fold`` done another way: in passes over all
+    rows until one folds nothing, with the substitution held explicitly, as ``image[j] = (sign,
+    root)`` or None for 0, and rewritten in full at each fold step.  Adds to
+    ``seen`` the fold cases that the rows reach."""
+    image = {j: (1, j) for j in range(ncols)}
+
+    def short_unit(row):
+        return len(row) <= 2 and all(x in (1, -1) for x in row.values())
+
+    folds = 0
+    while True:
+        before = folds
+        kept = []
+        for line in rows:
+            row = {}
+            for j, x in line.items():
+                if image[j] is None:
+                    continue
+                s, r = image[j]
+                v = row.get(r, 0) + s * x
+                if v:
+                    row[r] = v
+                else:
+                    row.pop(r, None)
+            if not row:
+                continue
+            if not short_unit(row):
+                kept.append(row)
+                if len(row) == 1 and short_unit(line) and len(line) == 2:
+                    seen.add("sign cycle leaves 2g = 0")
+                continue
+            if not short_unit(line):
+                seen.add("row short only after substitution")
+            if len(row) == 1:
+                ((g, _),) = row.items()
+                if any(k != g and im and im[1] == g for k, im in image.items()):
+                    seen.add("zero spreads through a merge")
+                for k, im in image.items():
+                    if im and im[1] == g:
+                        image[k] = None
+            else:
+                (g, x), (h, y) = row.items()
+                for k, im in image.items():
+                    if im and im[1] == g:
+                        image[k] = (-x * y * im[0], h)
+            folds += 1
+        rows = kept
+        if folds == before:
+            return folds, rows
+
+
+FOLD_CASES = {
+    "sign cycle leaves 2g = 0",
+    "zero spreads through a merge",
+    "row short only after substitution",
+}
+
+
+def divisors_after_fold(folds, kept, ncols):
+    """The nonzero SNF divisors of a fold's result: a pivot 1 per fold, then
+    the dense reference diagonal of the rows it kept."""
+    rest = _reference_diagonal([[row.get(j, 0) for j in range(ncols)] for row in kept])
+    return [1] * folds + [d for d in rest if d]
+
+
+def check_folded_elimination(rows, ncols, seen):
+    """The fold and the reference fold each leave rows whose divisors, after
+    the fold's pivots 1, are those of the dense reference elimination, and
+    so does the folded elimination; returns the matrix and its diagonal."""
+    entries = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    want = [d for d in _reference_diagonal(entries) if d]
+    assert divisors_after_fold(*_fold(rows, ncols), ncols) == want
+    assert divisors_after_fold(*reference_fold(rows, ncols, seen), ncols) == want
+    A = IntMatrix(entries, cols=ncols)
+    diag = snf_checked(A)
+    assert [d for d in diag if d] == want
+    assert invariants_of_rows(rows, ncols) == dense_invariants(A)
+    return A, diag
+
+
+# rows of one to four entries over a few columns, nearly all +-1: the fold
+# takes most rows, and substitution makes many of the others short
+FOLD_ENTRIES = [1, -1, 1, -1, 1, -1, 2, -2, 3]
+fold_entry = st.sampled_from(FOLD_ENTRIES)
+
+
+def fold_rows(max_rows, max_cols):
+    return st.integers(0, max_cols).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(
+                st.dictionaries(st.integers(0, cols - 1), fold_entry, min_size=1, max_size=4)
+                if cols
+                else st.just({}),
+                max_size=max_rows,
+            ),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_rows(6, 6))
+def test_fold_matches_dense_snf_and_minors(case):
+    cols, rows = case
+    seen = set()
+    A, diag = check_folded_elimination(rows, cols, seen)
+    for name in sorted(seen):
+        event(name)
+    prod = 1
+    for k in range(1, min(A.rows, A.cols) + 1):
+        prod *= diag[k - 1]
+        assert minors_gcd(A, k) == prod
+
+
+def test_fold_reaches_every_case_on_a_seeded_corpus():
+    rng = random.Random(16)
+    counts = dict.fromkeys(FOLD_CASES, 0)
+    for _ in range(3000):
+        cols = rng.randint(1, 12)
+        rows = [
+            {rng.randrange(cols): rng.choice(FOLD_ENTRIES) for _ in range(rng.randint(1, 4))}
+            for _ in range(rng.randint(0, 14))
+        ]
+        seen = set()
+        check_folded_elimination(rows, cols, seen)
+        for name in seen:
+            counts[name] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+def test_fold_sign_cycle_leaves_2g():
+    # a = -b, then a - b = -2b: the second row reads {1: -2} and is kept
+    rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert _fold(rows, 2) == (1, [{1: -2}])
+    assert invariants_of_rows(rows, 2).display() == "Z/2"
+    assert smith_normal_form(IntMatrix([[1, 1], [1, -1]])) == [1, 2]
+    # the same cycle with the signs that cancel: a = -b, then a + b = 0
+    assert _fold([{0: 1, 1: 1}, {0: -1, 1: -1}], 2) == (1, [])
+    assert smith_normal_form(IntMatrix([[1, 1], [-1, -1]])) == [1, 0]
+
+
+def test_fold_zero_spreads_through_a_merge():
+    # a = b, b = c, then c = 0 sets a, b and c to 0; the last row is empty
+    rows = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1}, {0: 2, 1: 3, 2: -5, 3: 4}]
+    assert _fold(rows, 4) == (3, [{3: 4}])
+    assert invariants_of_rows(rows, 4).display() == "Z/4"
+    entries = [[row.get(j, 0) for j in range(4)] for row in rows]
+    assert smith_normal_form(IntMatrix(entries)) == [1, 1, 1, 4]
+
+
+def test_fold_row_short_only_after_substitution():
+    # the first row has three entries; the merge b = -c marks it, and the
+    # next round reads it as a = 0
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {0: 3, 2: 6}]
+    assert _fold(rows, 3) == (2, [{2: 6}])
+    assert invariants_of_rows(rows, 3).display() == "Z/6"
+    entries = [[row.get(j, 0) for j in range(3)] for row in rows]
+    assert smith_normal_form(IntMatrix(entries)) == [1, 1, 6]
+
+
+def test_fold_of_a_chain_takes_linear_time():
+    # row k reads x_k + 2 x_(k+1), and the last row sets x_(n-1) to 0: each
+    # fold frees only the row before it, so passes over all rows in order
+    # would make n passes, about n^2 / 2 row substitutions
+    n = 20000
+    rows = [{k: 1, k + 1: 2} for k in range(n - 1)] + [{n - 1: 1}]
+    start = time.perf_counter()
+    assert _fold(rows, n) == (n, [])
+    assert time.perf_counter() - start < 5.0
+    assert invariants_of_rows(rows, n).is_trivial
+
+
+def test_fold_degenerate_inputs():
+    # no columns: only empty rows fit
+    assert invariants_of_rows([{}, {}], 0).display() == "0"
+    assert smith_normal_form(IntMatrix([[], []], cols=0)) == []
+    # an explicit 0 entry is skipped: the row is {1: 1}, which sets b to 0
+    assert _fold([{0: 0, 1: 1}], 2) == (1, [])
+    assert invariants_of_rows([{0: 0, 1: 1}], 2).display() == "Z"
+    assert invariants_of_rows([{0: 0}], 1).display() == "Z"
+    for row in ({2: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError, match="columns"):
+            invariants_of_rows([row], 2)
+    # huge entries stay exact beside the +-1 entries the fold takes
+    big = 10**30
+    rows = [{0: 1, 1: -1}, {2: 1, 3: 1}, {0: big, 2: 1, 3: 1}]
+    assert _fold(rows, 4) == (2, [{1: big}])
+    assert invariants_of_rows(rows, 4) == InvariantFactors(1, [big])
+    entries = [[row.get(j, 0) for j in range(4)] for row in rows]
+    assert smith_normal_form(IntMatrix(entries)) == [1, 1, big]

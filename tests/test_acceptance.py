@@ -227,6 +227,22 @@ def test_scale_e6_index_432_raw_abelianization():
         assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_scale_e6_index_2160_raw_abelianization():
+    # without its fold phase the elimination peaks near 46 MiB under
+    # tracemalloc; the fold takes nearly every row before it runs
+    with timed("S5", "E6 index 2160: raw 45360 x 10801 relators, Z/2, < 32 MiB", 20.0):
+        index, raw = e6_subgroup_presentation("abc")
+        assert (index, len(raw.generators), len(raw.relators)) == (2160, 10801, 45360)
+        tracemalloc.start()
+        try:
+            inv = abelian_invariants(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inv.display() == "Z/2"
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 E7 = (
     "<a,b,c,d,e,f,g | a^2,b^2,c^2,d^2,e^2,f^2,g^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(ef)^3,(cg)^3, "
     "(ac)^2,(ad)^2,(ae)^2,(af)^2,(ag)^2,(bd)^2,(be)^2,(bf)^2,(bg)^2,(ce)^2,(cf)^2,"

@@ -213,6 +213,15 @@ def test_superscript_exponent_is_a_parse_error():
     assert err == "parse error: expected an integer (line 1, column 8)\n"
 
 
+def test_exponent_beyond_maxsize_is_a_parse_error():
+    huge = sys.maxsize + 1
+    message = f"parse error: exponent makes a power longer than {sys.maxsize} letters"
+    code, out, err = run(["ab", f"<a | a^{huge}>"])
+    assert (code, out, err) == (2, "", f"{message} (line 1, column 8)\n")
+    code, out, err = run(["tc", "<a,b | a^2, b^3>", "--subgroup", f"a^{huge}"])
+    assert (code, out, err) == (2, "", f"{message} (line 1, column 3)\n")
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = os.path.dirname(os.path.abspath(PKG))

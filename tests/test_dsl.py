@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -154,6 +155,38 @@ def test_json_exponents_keep_their_size():
     # an exponent is a count, not just a sign; exponent 0 adds nothing
     doc = {"generators": ["a", "b"], "relators": [[["a", 3], ["b", 0]], [["b", -2], ["a", 1]]]}
     assert Presentation.from_json(doc) == parse_presentation("<a,b | a^3, b^-2 a>")
+
+
+# 2^63 = sys.maxsize + 1 on 64-bit builds; every case fails before allocating
+HUGE = sys.maxsize + 1
+
+
+def test_a_power_longer_than_maxsize_is_a_parse_error():
+    message = f"exponent makes a power longer than {sys.maxsize} letters"
+    cases = [
+        (f"<a | a^{HUGE}>", 1, 8),
+        (f"<a | a^-{HUGE}>", 1, 8),
+        # two letters times 2^62 overflow too
+        (f"<a,b | (ab)^{HUGE // 2}>", 1, 13),
+        # the exponent binds to the last letter of a split run
+        (f"<a,b | ab^ {HUGE}>", 1, 12),
+        # a base that cancels takes no count beyond sys.maxsize either
+        (f"<a,b |\n (a a^-1)^{HUGE}>", 2, 11),
+    ]
+    for text, line, column in cases:
+        for parse in (parse_presentation, dsl_oracle.parse_presentation):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == f"{message} (line {line}, column {column})", text
+    for parse in (parse_word, dsl_oracle.parse_word):
+        with pytest.raises(ParseError, match=rf"{message} \(line 1, column 5\)"):
+            parse(parse_presentation("<a,b |>"), f"b a^{HUGE}")
+
+
+def test_json_exponent_beyond_maxsize_is_rejected():
+    doc = {"generators": ["a", "b"], "relators": [[["b", 1], ["a", -HUGE]]]}
+    with pytest.raises(ValueError, match=f"exponent -{HUGE} of 'a' makes a power longer"):
+        Presentation.from_json(doc)
 
 
 def test_json_round_trip_of_many_generators_is_linear():
