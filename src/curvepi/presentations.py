@@ -30,15 +30,19 @@ class Presentation:
                 raise ValueError(f"generator name {g!r} is not an identifier")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
+        n = len(gens)
         rels = []
         for w in relators:
             if not isinstance(w, Word):
                 raise TypeError("relators must be Word values")
-            if w.max_generator() >= len(gens):
+            letters = w.letters
+            if not letters:
+                continue
+            if max(letters) > n or -min(letters) > n:
                 raise ValueError(f"relator {w!r} uses an undeclared generator")
-            w = Word._raw(cyclic_reduce(w.letters))
-            if w:
-                rels.append(w)
+            core = cyclic_reduce(letters)
+            # a reduced word of one letter or more keeps at least one
+            rels.append(w if len(core) == len(letters) else Word._raw(core))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "_index", None)  # name -> index, on first lookup

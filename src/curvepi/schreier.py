@@ -44,6 +44,10 @@ def schreier_transversal(t: CosetTable) -> Tuple[Word, ...]:
     return tuple(reps)
 
 
+# a column of the coset table and the Schreier letter read at each coset
+_Step = Tuple[Sequence[int], List[int]]
+
+
 class SchreierRewriter:
     """Rewriting machinery for the subgroup at coset 0 of a coset table.
 
@@ -52,6 +56,21 @@ class SchreierRewriter:
     generators.  Representatives are positive words, so rep(K) a rep(Ka)^-1
     reduces to nothing exactly when rep(Ka) = rep(K) a, that is when (K, a)
     is the BFS tree edge that reached Ka.
+
+    The walk reads only lists.  ``label[g][K]`` is s_{K,g} as a 1-based
+    letter, or 0 when (K, g) is a tree edge; generators are numbered coset
+    by coset, then by ambient generator.  Each ambient letter is one step
+    pair, a column and the labels read from it: ``(forward[g], label[g])``
+    for g, and for g^-1 ``backward[g]`` with ``-label[g][Kg^-1]`` at K, as
+    g^-1 at K crosses the edge (Kg^-1, g) backwards.
+
+    A rewritten word comes out freely reduced, and a rewritten relator
+    cyclically reduced, so neither is reduced again.  Letters s and s^-1
+    next to each other (cyclically, for a relator) mean that one non-tree
+    edge was crossed one way and then the other, with only tree edges
+    walked in between.  That walk is closed, and a closed walk in a tree is
+    empty or backtracks, so the reduced word (cyclically reduced relator)
+    would hold adjacent inverse letters.
     """
 
     def __init__(self, p: Presentation, t: CosetTable):
@@ -59,43 +78,37 @@ class SchreierRewriter:
         self.table = t
         tree = set(_tree_edges(t).values())
         self.names: List[str] = []
-        # (coset, gen) -> subgroup generator index, or None when trivial
-        self.index: Dict[Tuple[int, int], Optional[int]] = {}
+        self.label: List[List[int]] = [[0] * t.n for _ in range(t.n_gens)]
         for coset in range(t.n):
             for g in range(t.n_gens):
-                if (coset, g) in tree:
-                    self.index[(coset, g)] = None
-                else:
-                    self.index[(coset, g)] = len(self.names)
+                if (coset, g) not in tree:
                     self.names.append(f"s{coset}_{p.generators[g]}")
+                    self.label[g][coset] = len(self.names)
+        # signed ambient letter -> its step pair
+        self._steps: Dict[int, _Step] = {}
+        for g, (forward, backward, label) in enumerate(zip(t.forward, t.backward, self.label)):
+            self._steps[g + 1] = (forward, label)
+            self._steps[-g - 1] = (backward, [-label[c] for c in backward])
 
-    def _walk(self, coset: int, letters: Sequence[int]) -> Tuple[int, List[int]]:
-        """Follow ``letters`` through the table from ``coset``; returns the
-        end coset and the Schreier generator letters met on the way."""
+    def _walk(self, coset: int, steps: Sequence[_Step]) -> Tuple[int, List[int]]:
+        """Follow ``steps`` through the table from ``coset``; returns the end
+        coset and the Schreier generator letters met on the way."""
         out: List[int] = []
-        forward, backward, index = self.table.forward, self.table.backward, self.index
-        for x in letters:
-            g = abs(x) - 1
-            if x > 0:
-                idx = index[(coset, g)]
-                coset = forward[g][coset]
-                if idx is not None:
-                    out.append(idx + 1)
-            else:
-                coset = backward[g][coset]
-                idx = index[(coset, g)]
-                if idx is not None:
-                    out.append(-(idx + 1))
+        for step, lab in steps:
+            s = lab[coset]
+            if s:
+                out.append(s)
+            coset = step[coset]
         return coset, out
 
     def rewrite(self, w: Word) -> Word:
         """The rewriting function: a word in the ambient generators that
         lies in the subgroup becomes a word in the Schreier generators."""
         self.presentation.check_word(w)
-        end, letters = self._walk(0, w.letters)
+        end, letters = self._walk(0, [self._steps[x] for x in w.letters])
         if end != 0:
             raise ValueError("word does not lie in the subgroup (leaves coset 0)")
-        return Word(letters)
+        return Word._raw(tuple(letters))
 
     def subgroup_presentation(self) -> Presentation:
         """Generators: the nontrivial s_{K,a}; relators: each ambient
@@ -104,13 +117,15 @@ class SchreierRewriter:
         The representative's letters are BFS tree edges, which rewrite to
         nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
         """
+        walks = [[self._steps[x] for x in r.letters] for r in self.presentation.relators]
+        walk = self._walk
         rels: List[Word] = []
         for coset in range(self.table.n):
-            for r in self.presentation.relators:
-                end, letters = self._walk(coset, r.letters)
+            for steps in walks:
+                end, letters = walk(coset, steps)
                 if end != coset:
                     raise ValueError(f"relator does not close at coset {coset}")
-                rels.append(Word(letters))
+                rels.append(Word._raw(tuple(letters)))
         return Presentation(self.names, rels)
 
 

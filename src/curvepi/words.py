@@ -7,7 +7,13 @@ construction and immutable afterwards.
 
 from __future__ import annotations
 
+import struct
+import sys
 from typing import Iterable, Iterator, Tuple
+
+# the most letters a word can hold: each letter is a pointer in its tuple,
+# and no object takes more than sys.maxsize bytes
+MAX_LETTERS = sys.maxsize // struct.calcsize("P")
 
 
 def reduce_letters(letters: Iterable[int]) -> Tuple[int, ...]:
@@ -71,6 +77,8 @@ class Word:
         return Word._raw(invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
+        if max(len(self.letters), 1) * abs(n) > MAX_LETTERS:
+            raise ValueError(f"power makes a word longer than {MAX_LETTERS} letters")
         base = self.letters if n >= 0 else invert(self.letters)
         return Word(base * abs(n))
 

@@ -1,0 +1,87 @@
+"""The Reidemeister-Schreier rewriter's earlier tuple-keyed form, kept
+verbatim (but for its imports and its class name) as the oracle for the
+label-list walk in curvepi.schreier.
+
+It shares only the BFS tree (``_tree_edges``) with the new walk: it keys
+every (coset, generator) pair in a dict and re-reduces every rewritten
+word, so it does not rely on rewritten words coming out reduced.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from curvepi.coset_table import CosetTable
+from curvepi.presentations import Presentation
+from curvepi.schreier import _tree_edges
+from curvepi.words import Word
+
+
+class OracleRewriter:
+    """Rewriting machinery for the subgroup at coset 0 of a coset table.
+
+    The Schreier generator s_{K,a} = rep(K) a rep(Ka)^-1 is dropped up front
+    when it is freely trivial, so rewritten words use only the essential
+    generators.  Representatives are positive words, so rep(K) a rep(Ka)^-1
+    reduces to nothing exactly when rep(Ka) = rep(K) a, that is when (K, a)
+    is the BFS tree edge that reached Ka.
+    """
+
+    def __init__(self, p: Presentation, t: CosetTable):
+        self.presentation = p
+        self.table = t
+        tree = set(_tree_edges(t).values())
+        self.names: List[str] = []
+        # (coset, gen) -> subgroup generator index, or None when trivial
+        self.index: Dict[Tuple[int, int], Optional[int]] = {}
+        for coset in range(t.n):
+            for g in range(t.n_gens):
+                if (coset, g) in tree:
+                    self.index[(coset, g)] = None
+                else:
+                    self.index[(coset, g)] = len(self.names)
+                    self.names.append(f"s{coset}_{p.generators[g]}")
+
+    def _walk(self, coset: int, letters: Sequence[int]) -> Tuple[int, List[int]]:
+        """Follow ``letters`` through the table from ``coset``; returns the
+        end coset and the Schreier generator letters met on the way."""
+        out: List[int] = []
+        forward, backward, index = self.table.forward, self.table.backward, self.index
+        for x in letters:
+            g = abs(x) - 1
+            if x > 0:
+                idx = index[(coset, g)]
+                coset = forward[g][coset]
+                if idx is not None:
+                    out.append(idx + 1)
+            else:
+                coset = backward[g][coset]
+                idx = index[(coset, g)]
+                if idx is not None:
+                    out.append(-(idx + 1))
+        return coset, out
+
+    def rewrite(self, w: Word) -> Word:
+        """The rewriting function: a word in the ambient generators that
+        lies in the subgroup becomes a word in the Schreier generators."""
+        self.presentation.check_word(w)
+        end, letters = self._walk(0, w.letters)
+        if end != 0:
+            raise ValueError("word does not lie in the subgroup (leaves coset 0)")
+        return Word(letters)
+
+    def subgroup_presentation(self) -> Presentation:
+        """Generators: the nontrivial s_{K,a}; relators: each ambient
+        relator conjugated by each representative and rewritten.
+
+        The representative's letters are BFS tree edges, which rewrite to
+        nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
+        """
+        rels: List[Word] = []
+        for coset in range(self.table.n):
+            for r in self.presentation.relators:
+                end, letters = self._walk(coset, r.letters)
+                if end != coset:
+                    raise ValueError(f"relator does not close at coset {coset}")
+                rels.append(Word(letters))
+        return Presentation(self.names, rels)

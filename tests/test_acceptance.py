@@ -243,6 +243,23 @@ def test_scale_e6_index_2160_raw_abelianization():
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_scale_e6_index_2160_rewriting():
+    # the tuple-keyed walk, which re-reduced every relator, peaked near
+    # 14 MiB under tracemalloc; the label walk builds each relator once
+    with timed("S6", "E6 index 2160: Reidemeister-Schreier presentation, < 10 MiB", 20.0):
+        p = parse_presentation(E6)
+        t = todd_coxeter(p, [parse_word(p, g) for g in "abc"])
+        assert t.n == 2160
+        tracemalloc.start()
+        try:
+            raw = subgroup_presentation(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(raw.generators), len(raw.relators)) == (10801, 45360)
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 E7 = (
     "<a,b,c,d,e,f,g | a^2,b^2,c^2,d^2,e^2,f^2,g^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(ef)^3,(cg)^3, "
     "(ac)^2,(ad)^2,(ae)^2,(af)^2,(ag)^2,(bd)^2,(be)^2,(bf)^2,(bg)^2,(ce)^2,(cf)^2,"

@@ -13,6 +13,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from curvepi.cli import main
+from curvepi.words import MAX_LETTERS
 
 PKG = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi")
 TYPES = os.path.join(PKG, "data", "types")
@@ -220,6 +221,15 @@ def test_exponent_beyond_maxsize_is_a_parse_error():
     assert (code, out, err) == (2, "", f"{message} (line 1, column 8)\n")
     code, out, err = run(["tc", "<a,b | a^2, b^3>", "--subgroup", f"a^{huge}"])
     assert (code, out, err) == (2, "", f"{message} (line 1, column 3)\n")
+
+
+@pytest.mark.parametrize("r", [sys.maxsize // 2 + 1, sys.maxsize + 1])
+def test_catalog_power_too_long_for_a_tuple_is_a_usage_error(r):
+    # c^r would hold r letters, more than a tuple can; the check comes
+    # before anything is allocated
+    code, out, err = run(["catalog", f"gr:2,3,{r}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: power makes a word longer than {MAX_LETTERS} letters\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -23,11 +23,40 @@ def test_relators_cyclically_reduced():
     # a conjugated relator loses its conjugator on ingestion
     p = Presentation(["a", "b"], [Word([1, 2, 2, -1])])
     assert p.relators[0].letters == (2, 2)
+    kept = Word([1, 2, -1, -2])
+    p = Presentation(["a", "b", "c"], [Word([3, 1, 2, -3]), kept, Word([-2, -3, 1, 1, 3, 2])])
+    assert [w.letters for w in p.relators] == [(1, 2), (1, 2, -1, -2), (1, 1)]
+    assert p.relators[1] is kept  # nothing to strip, so the word itself
 
 
 def test_undeclared_generator_rejected():
     with pytest.raises(ValueError):
         Presentation(["a"], [Word([2])])
+
+
+@pytest.mark.parametrize("letter", [3, -3])
+def test_undeclared_generator_message(letter):
+    # letter n+1 or its inverse, for n = 2 declared generators
+    with pytest.raises(ValueError) as info:
+        Presentation(["a", "b"], [Word([1, 2]), Word([1, letter])])
+    assert str(info.value) == f"relator Word([1, {letter}]) uses an undeclared generator"
+
+
+def test_relator_without_generators_rejected():
+    assert Presentation([], [Word()]).relators == ()
+    for letter in (1, -1):
+        with pytest.raises(ValueError, match="uses an undeclared generator"):
+            Presentation([], [Word([letter])])
+
+
+def test_relator_must_be_a_word():
+    with pytest.raises(TypeError, match="relators must be Word values"):
+        Presentation(["a"], [(1, 1)])
+
+
+def test_relators_that_reduce_to_nothing_are_dropped():
+    p = Presentation(["a", "b"], [Word([1, 2, -2, -1]), Word(), Word([2, 2])])
+    assert [w.letters for w in p.relators] == [(2, 2)]
 
 
 def test_duplicate_names_rejected():

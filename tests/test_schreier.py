@@ -3,7 +3,7 @@ import random
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
@@ -17,6 +17,7 @@ from curvepi.schreier import (
 )
 from curvepi.presentations import Presentation
 from curvepi.words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
+from schreier_oracle import OracleRewriter
 
 
 def hnn_presentation():
@@ -189,9 +190,88 @@ def test_trivial_schreier_generators_are_the_tree_edges():
         for c in range(t.n):
             for g in range(t.n_gens):
                 value = reps[c] * Word.gen(g) * ~reps[t.forward[g][c]]
-                assert (rw.index[(c, g)] is None) == (not value)
+                assert (rw.label[g][c] == 0) == (not value)
         if i % 10 == 0:
             assert_relators_are_rewritten_conjugates(p, t)
+
+
+def assert_same_as_the_oracle(p, t, rng):
+    """Names, relators and the rewriting of random subgroup words agree
+    with the tuple-keyed rewriter kept in tests/schreier_oracle.py."""
+    new, old = SchreierRewriter(p, t), OracleRewriter(p, t)
+    assert new.names == old.names
+    got, want = new.subgroup_presentation(), old.subgroup_presentation()
+    assert got.generators == want.generators
+    assert [w.letters for w in got.relators] == [w.letters for w in want.relators]
+    reps = schreier_transversal(t)
+    for _ in range(20):
+        w = Word([rng.choice([1, -1]) * rng.randint(1, p.n_gens) for _ in range(rng.randint(0, 12))])
+        w = w * ~reps[t.trace(0, w)]  # push back into the subgroup
+        assert new.rewrite(w).letters == old.rewrite(w).letters
+
+
+def test_label_walk_matches_the_tuple_keyed_rewriter():
+    rng = random.Random(17)
+    corpus = [random_action_table(rng) for _ in range(200)]
+    corpus += [x for x in (random_enumerated_table(rng) for _ in range(200)) if x]
+    assert sum(1 for _, t in corpus if t.n > 1) > 200
+    e6 = parse_presentation(
+        "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+        "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+    )
+    for gens, index in (("abcde", 72), ("abcd", 432)):
+        t = todd_coxeter(e6, [parse_word(e6, g) for g in gens])
+        assert t.n == index
+        corpus.append((e6, t))
+    d4 = coxeter([{1: 3}, {2: 3, 3: 3}, {}])
+    t = todd_coxeter(d4, [Word.gen(0)])
+    assert t.n == 96
+    corpus.append((d4, t))
+    for p, t in corpus:
+        assert_same_as_the_oracle(p, t, rng)
+
+
+@st.composite
+def actions_with_relators(draw):
+    """A transitive action of a free group of rank <= 3 on <= 8 points, and
+    relators that hold in it: the least power of each random word that
+    fixes every point."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    perms = [draw(st.permutations(range(n))) for _ in range(k)]
+    free = Presentation([f"g{i}" for i in range(k)])
+    try:
+        t = table_from_action(free, perms)
+    except ValueError:  # not transitive
+        assume(False)
+    letter = st.sampled_from([s * g for g in range(1, k + 1) for s in (1, -1)])
+    relators = []
+    for letters in draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=4)):
+        w = Word(letters)
+        m = 1
+        while any(t.trace(c, w**m) != c for c in range(n)):
+            m += 1
+        relators.append(w**m)
+    p = Presentation(free.generators, relators)
+    return p, table_from_action(p, perms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions_with_relators())
+def test_rewritten_relators_need_no_reduction(action):
+    """The label walk builds relators without reducing them: each one is
+    freely and cyclically reduced as it comes out of the walk, and the
+    presentation stores it unchanged."""
+    p, t = action
+    rw = SchreierRewriter(p, t)
+    walked = [rw.rewrite(rep * r * ~rep) for rep in schreier_transversal(t) for r in p.relators]
+    for w in walked:
+        assert w == Word(w.letters)
+        assert cyclic_reduce(w.letters) == w.letters
+    sp = rw.subgroup_presentation()
+    assert list(sp.relators) == [w for w in walked if w]
+    for r in sp.relators:
+        assert r == Word(r.letters)
+        assert cyclic_reduce(r.letters) == r.letters
 
 
 def test_relator_that_does_not_close_is_rejected():

@@ -1,4 +1,6 @@
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from curvepi.abelian import exponent_row
 from curvepi.derive import DerivationBudget, ProofTrace, _canonical_steps, derive_relator, replay_trace
 from curvepi.presentations import Presentation
 from curvepi.words import (
+    MAX_LETTERS,
     Word,
     canonical_cyclic,
     concat,
@@ -87,6 +90,15 @@ def test_powers_match_repeated_products():
 def test_large_power_is_linear():
     assert len(Word([1, 2]) ** 10**6) == 2 * 10**6
     assert len(Word([2, 1, -2]) ** -(10**6)) == 10**6 + 2
+
+
+def test_power_longer_than_a_tuple_can_hold_is_rejected():
+    message = f"power makes a word longer than {MAX_LETTERS} letters"
+    assert MAX_LETTERS * struct.calcsize("P") <= sys.maxsize
+    cases = ((Word([1]), MAX_LETTERS + 1), (Word([1, 2]), -(MAX_LETTERS // 2 + 1)), (Word(), sys.maxsize + 1))
+    for w, n in cases:
+        with pytest.raises(ValueError, match=message):
+            w**n
 
 
 def test_conjugate():
