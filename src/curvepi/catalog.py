@@ -23,6 +23,8 @@ class LabeledGraph:
     __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int, Optional[int]]]):
+        if n_vertices < 0:
+            raise ValueError(f"negative vertex count {n_vertices}")
         seen = set()
         norm = []
         for v, w, m in edges:

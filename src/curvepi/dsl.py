@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import re
 import string
-import sys
 from itertools import islice
 from typing import Optional, Sequence
 
 from .presentations import IDENTIFIER, Presentation
-from .words import Word, reduce_letters
+from .words import Word, invert, power, reduce_letters
 
 # \d matches exactly the decimal digits that int() reads
 _TOKEN = re.compile(rf"[ \t\r\n]*({IDENTIFIER.pattern}|[+-]?\d+|[^ \t\r\n])")
@@ -99,11 +98,12 @@ class _Parser:
         e = int(tok)
         if e == 0:
             raise self.error("zero exponent is not allowed")
-        # a list repeats at most sys.maxsize times, and holds at most as many letters
-        if max(len(letters), 1) * abs(e) > sys.maxsize:
-            raise self.error(f"exponent makes a power longer than {sys.maxsize} letters")
+        try:
+            letters = power(letters, e)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
         self.i += 1
-        return letters * e if e > 0 else [-x for x in reversed(letters)] * -e
+        return letters
 
     def presentation(self) -> Presentation:
         self.take(*_OPEN)
@@ -132,7 +132,7 @@ class _Parser:
         letters = self.word()
         if self.tokens[self.i] == "=":
             self.i += 1
-            letters += [-x for x in reversed(self.word())]
+            letters += invert(self.word())
         return Word(letters)
 
     def word(self) -> list[int]:

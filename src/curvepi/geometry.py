@@ -79,6 +79,48 @@ class Singularity:
         return f"Singularity({self.kind!r}, {self.at!r}, {self.owners!r})"
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
+def _shaped(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind`` (dict, list, str or int), else a
+    ValueError: a document of the wrong shape is bad input, like bad JSON."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} is not a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _items(doc: dict, key: str, what: str) -> List[dict]:
+    """The objects of the array ``doc[key]``; ``what`` names one of them."""
+    return [_shaped(x, dict, f"{what} {i}") for i, x in enumerate(_shaped(doc[key], list, key))]
+
+
+def _strings(value, what: str) -> List[str]:
+    return [_shaped(x, str, f"an entry of {what}") for x in _shaped(value, list, what)]
+
+
+def _pairs(value, what: str) -> List[Tuple[str, int]]:
+    """The [id, multiplicity] entries of a JSON array."""
+    pairs = []
+    for x in _shaped(value, list, what):
+        if not (isinstance(x, list) and len(x) == 2):
+            raise ValueError(f"an entry of {what} is not an [id, multiplicity] array")
+        cid = _shaped(x[0], str, f"an id in {what}")
+        pairs.append((cid, _shaped(x[1], int, f"a multiplicity in {what}")))
+    return pairs
+
+
+def _components(doc: dict) -> List[Tuple[str, int]]:
+    """The (id, degree) pairs of a document's "components" array."""
+    return [
+        (
+            _shaped(c["id"], str, f"id of component {i}"),
+            _shaped(c["degree"], int, f"degree of component {i}"),
+        )
+        for i, c in enumerate(_items(doc, "components", "component"))
+    ]
+
+
 class CombinatorialType:
     __slots__ = ("components", "singularities")
 
@@ -116,12 +158,16 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        comps = [(c["id"], c["degree"]) for c in data["components"]]
+        _shaped(data, dict, "a combinatorial type")
         sings = [
-            Singularity(s["kind"], s.get("at", f"p{i}"), s["owners"])
-            for i, s in enumerate(data["singularities"])
+            Singularity(
+                _shaped(s["kind"], str, f"kind of singularity {i}"),
+                _shaped(s.get("at", f"p{i}"), str, f'"at" of singularity {i}'),
+                _strings(s["owners"], f"owners of singularity {i}"),
+            )
+            for i, s in enumerate(_items(data, "singularities", "singularity"))
         ]
-        return cls(comps, sings)
+        return cls(_components(data), sings)
 
     def __repr__(self) -> str:
         return f"CombinatorialType(degrees={self.degrees}, singularities={len(self.singularities)})"
@@ -265,9 +311,13 @@ class Point:
         if kind in ("cusp", "cusp_tangent_line", "node_tangent_line"):
             if not mults or mults[0] != 2 or any(m != 1 for m in mults[1:]):
                 raise ValueError(f"{kind} expects parties (C, 2) then lines (L, 1)")
+            if kind != "cusp" and len(mults) < 2:
+                raise ValueError(f"{kind} needs a line through the point")
         elif kind in ("tangency", "multiple"):
             if any(m != 1 for m in mults):
                 raise ValueError(f"{kind} branches are smooth (m = 1)")
+            if kind == "tangency" and len(mults) != 2:
+                raise ValueError("a tangency has two branches")
         elif kind == "node":
             if sum(1 for m in mults if m == 2) > 1:
                 raise ValueError("a node has at most one doubled component")
@@ -440,17 +490,21 @@ def nori_check(ledger: BlowUpLedger, d_components: Sequence[str]) -> NoriReport:
 def run_script(script: dict) -> Tuple[BlowUpLedger, NoriReport]:
     """Execute a blow-up script (parsed JSON document): build the initial
     ledger, apply the steps, and run the final criterion check."""
+    _shaped(script, dict, "a blow-up script")
     points = [
-        Point(p["id"], p["kind"], [tuple(x) for x in p["parties"]], p.get("order", 0))
-        for p in script.get("points", [])
+        Point(
+            _shaped(p["id"], str, f"id of point {i}"),
+            _shaped(p["kind"], str, f"kind of point {i}"),
+            _pairs(p["parties"], f"parties of point {i}"),
+            _shaped(p.get("order", 0), int, f"order of point {i}"),
+        )
+        for i, p in enumerate(_items(script, "points", "point") if "points" in script else [])
     ]
-    ledger = BlowUpLedger.from_type_data(
-        [(c["id"], c["degree"]) for c in script["components"]], points
-    )
-    for step in script["steps"]:
+    ledger = BlowUpLedger.from_type_data(_components(script), points)
+    for i, step in enumerate(_items(script, "steps", "step")):
         at = step["blow"]
-        ledger = blow_up(ledger, at if isinstance(at, str) else [tuple(x) for x in at])
-    report = nori_check(ledger, script["d"])
+        ledger = blow_up(ledger, at if isinstance(at, str) else _pairs(at, f"blow of step {i}"))
+    report = nori_check(ledger, _strings(script["d"], "d"))
     return ledger, report
 
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import re
-import sys
 from typing import Iterable, Sequence, Tuple
 
-from .words import Word, cyclic_reduce
+from .words import Word, cyclic_reduce, invert, power
 
 # a generator name: exactly what the DSL reads as one identifier
 IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
+
+
+def _undeclared(letters: Tuple[int, ...], n: int) -> bool:
+    """Whether nonempty ``letters`` use a generator beyond the first ``n``."""
+    return max(letters) > n or -min(letters) > n
 
 
 class Presentation:
@@ -38,7 +42,7 @@ class Presentation:
             letters = w.letters
             if not letters:
                 continue
-            if max(letters) > n or -min(letters) > n:
+            if _undeclared(letters, n):
                 raise ValueError(f"relator {w!r} uses an undeclared generator")
             core = cyclic_reduce(letters)
             # a reduced word of one letter or more keeps at least one
@@ -66,16 +70,11 @@ class Presentation:
         """Word from (name, exponent) pairs; exponents may be any int."""
         letters: list[int] = []
         for name, e in pairs:
-            g = self.gen_index(name) + 1
-            if abs(e) > sys.maxsize:
-                raise ValueError(
-                    f"exponent {e} of {name!r} makes a power longer than {sys.maxsize} letters"
-                )
-            letters.extend([g if e > 0 else -g] * abs(e))
+            letters.extend(power((self.gen_index(name) + 1,), e))
         return Word(letters)
 
     def check_word(self, w: Word) -> Word:
-        if w.max_generator() >= self.n_gens:
+        if w and _undeclared(w.letters, self.n_gens):
             raise ValueError(f"word {w!r} uses an undeclared generator")
         return w
 
@@ -134,11 +133,10 @@ class SubstitutionMap:
 def substitute(m: SubstitutionMap, w: Word) -> Word:
     """Apply the substitution letterwise and freely reduce."""
     m.source.check_word(w)
-    out = Word()
+    letters: list[int] = []
     for x in w.letters:
-        img = m.images[abs(x) - 1]
-        out = out * (img if x > 0 else ~img)
-    return out
+        letters += m.images[x - 1].letters if x > 0 else invert(m.images[-x - 1].letters)
+    return Word(letters)
 
 
 def compose(outer: SubstitutionMap, inner: SubstitutionMap) -> SubstitutionMap:

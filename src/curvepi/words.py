@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 # the most letters a word can hold: each letter is a pointer in its tuple,
 # and no object takes more than sys.maxsize bytes
@@ -77,18 +77,11 @@ class Word:
         return Word._raw(invert(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if max(len(self.letters), 1) * abs(n) > MAX_LETTERS:
-            raise ValueError(f"power makes a word longer than {MAX_LETTERS} letters")
-        base = self.letters if n >= 0 else invert(self.letters)
-        return Word(base * abs(n))
+        return Word(power(self.letters, n))
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^-1"""
         return by * self * ~by
-
-    def max_generator(self) -> int:
-        """Largest 0-based generator index used, or -1 for the empty word."""
-        return max((abs(x) for x in self.letters), default=0) - 1
 
     def __repr__(self) -> str:
         return f"Word({list(self.letters)})"
@@ -108,8 +101,16 @@ def concat(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
         i += 1
     return tuple(la) + b[i:]
 
-def invert(letters: Tuple[int, ...]) -> Tuple[int, ...]:
+def invert(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
+
+
+def power(letters: Sequence[int], n: int) -> list[int]:
+    """``letters`` repeated |n| times, inverted when n < 0, not reduced;
+    checked first (a repeat count must fit an index, even of an empty base)."""
+    if max(len(letters), 1) * abs(n) > MAX_LETTERS:
+        raise ValueError(f"power makes a word longer than {MAX_LETTERS} letters")
+    return list(letters if n >= 0 else invert(letters)) * abs(n)
 
 
 def splice(letters: Tuple[int, ...], pos: int, ins: Tuple[int, ...]) -> Tuple[int, ...]:

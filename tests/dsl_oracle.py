@@ -9,12 +9,11 @@ line and column.
 from __future__ import annotations
 
 import string
-import sys
 from typing import Optional
 
 from curvepi.dsl import ParseError
 from curvepi.presentations import Presentation
-from curvepi.words import Word
+from curvepi.words import MAX_LETTERS, Word
 
 _IDENT_START = set(string.ascii_letters)
 _IDENT_CONT = set(string.ascii_letters + string.digits + "_'")
@@ -153,8 +152,8 @@ class _Parser:
         s.skip_ws()
         start = s.pos
         e = s.signed_int()
-        if max(len(base), 1) * abs(e) > sys.maxsize:
-            raise s.error(f"exponent makes a power longer than {sys.maxsize} letters", start)
+        if max(len(base), 1) * abs(e) > MAX_LETTERS:
+            raise s.error(f"power makes a word longer than {MAX_LETTERS} letters", start)
         return base ** e
 
     def ident_word(self) -> Word:

@@ -137,6 +137,11 @@ def test_catalog_bad_tag_usage_error():
     assert "error" in err
 
 
+def test_catalog_raag_vertex_count_is_not_negative():
+    assert run(["catalog", "raag:-1;"]) == (2, "", "error: bad tag syntax 'raag:-1;'\n")
+    assert run(["catalog", "raag:0;"]) == (0, "<  |  >\n", "")
+
+
 def test_classify_fixture():
     path = os.path.join(TYPES, "four_concurrent_lines.json")
     code, out, _ = run(["classify", "--type", path])
@@ -166,6 +171,82 @@ def test_classify_not_covered(tmp_path):
     code, out, err = run(["classify", "--type", str(path)])
     assert code == 1
     assert "not covered" in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("classify", [], "a combinatorial type is not a JSON object"),
+        (
+            "classify",
+            {"components": [["C", 3]], "singularities": []},
+            "component 0 is not a JSON object",
+        ),
+        (
+            "classify",
+            {"components": [{"id": "C", "degree": None}], "singularities": []},
+            "degree of component 0 is not a JSON integer",
+        ),
+        ("blowup", [], "a blow-up script is not a JSON object"),
+    ],
+    ids=["type-array", "component-array", "null-degree", "script-array"],
+)
+def test_document_of_the_wrong_shape_is_a_usage_error(tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--type" if command == "classify" else "--script"
+    assert run([command, flag, str(path)]) == (2, "", f"error: {message}\n")
+
+
+def _nodes(doc, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("classify", os.path.join(TYPES, "two_conics_two_tangencies.json")),
+        ("blowup", os.path.join(BLOWUP, "example1.json")),
+    ],
+    ids=["type", "script"],
+)
+def test_fixture_with_any_one_value_replaced_exits_without_a_traceback(tmp_path, command, path):
+    # a value of the wrong JSON type is a usage error (2); a well-formed
+    # document is a verdict (0 or 1); nothing ends in an exception
+    with open(path, encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    flag = "--type" if command == "classify" else "--script"
+    doc_path = tmp_path / "doc.json"
+    for node in _nodes(fixture):
+        for value in (None, True, 7, "x", [], {}, [None], [["C", 2]]):
+            doc = json.loads(json.dumps(fixture))
+            if node:
+                parent = doc
+                for key in node[:-1]:
+                    parent = parent[key]
+                parent[node[-1]] = value
+            else:
+                doc = value
+            doc_path.write_text(json.dumps(doc))
+            code, _, _ = run([command, flag, str(doc_path)])
+            assert code in (0, 1, 2), (node, value)
+
+
+def test_classify_type_that_breaks_bezout_is_a_failure(tmp_path):
+    # a well-formed document whose type is invalid is a verdict, not a usage error
+    doc = {
+        "components": [{"id": "L", "degree": 1}, {"id": "M", "degree": 1}],
+        "singularities": [{"kind": "x2", "at": "p", "owners": ["L", "M"]}],
+    }
+    path = tmp_path / "ct.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["classify", "--type", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid combinatorial type:")
 
 
 def test_blowup_script():
@@ -215,12 +296,13 @@ def test_superscript_exponent_is_a_parse_error():
 
 
 def test_exponent_beyond_maxsize_is_a_parse_error():
-    huge = sys.maxsize + 1
-    message = f"parse error: exponent makes a power longer than {sys.maxsize} letters"
-    code, out, err = run(["ab", f"<a | a^{huge}>"])
-    assert (code, out, err) == (2, "", f"{message} (line 1, column 8)\n")
-    code, out, err = run(["tc", "<a,b | a^2, b^3>", "--subgroup", f"a^{huge}"])
-    assert (code, out, err) == (2, "", f"{message} (line 1, column 3)\n")
+    # 2^62 letters fit under sys.maxsize but not in a list
+    message = f"parse error: power makes a word longer than {MAX_LETTERS} letters"
+    for huge in (2**62, sys.maxsize + 1):
+        code, out, err = run(["ab", f"<a | a^{huge}>"])
+        assert (code, out, err) == (2, "", f"{message} (line 1, column 8)\n")
+        code, out, err = run(["tc", "<a,b | a^2, b^3>", "--subgroup", f"a^{huge}"])
+        assert (code, out, err) == (2, "", f"{message} (line 1, column 3)\n")
 
 
 @pytest.mark.parametrize("r", [sys.maxsize // 2 + 1, sys.maxsize + 1])

@@ -156,6 +156,16 @@ def test_free_form_blow_up_validation():
         blow_up(ledger, [("C", 2)])  # free-form blow-ups are smooth points
 
 
+def test_point_needs_the_branches_its_blow_up_reads():
+    # blowing up such a point read a second party that was not there
+    with pytest.raises(ValueError, match="a tangency has two branches"):
+        Point("p", "tangency", [("C", 1)], order=2)
+    for kind in ("node_tangent_line", "cusp_tangent_line"):
+        with pytest.raises(ValueError, match=f"{kind} needs a line through the point"):
+            Point("p", kind, [("C", 2)])
+    assert Point("p", "cusp", [("C", 2)]).parties == (("C", 2),)
+
+
 def test_nori_rejects_unresolved():
     ledger = BlowUpLedger({"C": 9}, [Point("q", "cusp", [("C", 2)])])
     with pytest.raises(ValueError):

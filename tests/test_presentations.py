@@ -17,6 +17,7 @@ from curvepi.presentations import compose
 from curvepi.schreier import simplify, subgroup_presentation
 from curvepi.words import Word
 from map_helpers import identity_map
+from word_oracles import substitute_by_products
 
 
 def test_relators_cyclically_reduced():
@@ -133,6 +134,23 @@ def test_substitute_distributes_over_concatenation():
         u = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8))])
         v = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8))])
         assert substitute(m, u * v) == substitute(m, u) * substitute(m, v)
+
+
+def test_substitute_matches_the_product_of_images():
+    # few generators and short images, so that images cancel deeply
+    rng = random.Random(18)
+
+    def word(n_gens, longest):
+        length = rng.randint(0, longest)
+        return Word([rng.choice([-1, 1]) * rng.randint(1, n_gens) for _ in range(length)])
+
+    for _ in range(300):
+        src = Presentation([f"a{i}" for i in range(rng.randint(1, 3))])
+        dst = Presentation([f"b{i}" for i in range(rng.randint(1, 3))])
+        m = SubstitutionMap(src, dst, [word(dst.n_gens, 6) for _ in range(src.n_gens)])
+        for _ in range(10):
+            w = word(src.n_gens, 12)
+            assert substitute(m, w) == substitute_by_products(m, w)
 
 
 def test_compose():

@@ -113,3 +113,16 @@ def test_library_reads_no_environment():
             tree = ast.parse(fh.read(), filename=name)
         found += [f"{name}: {ref}" for ref in sorted(_references(tree) & _ENVIRONMENT)]
     assert found == []
+
+
+def test_only_words_reads_maxsize():
+    # words.MAX_LETTERS, derived from sys.maxsize, is the one bound on the
+    # length of a word; a bound read from sys.maxsize elsewhere would pass
+    # powers that no list can hold
+    found = []
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        if "maxsize" in _references(tree):
+            found.append(name)
+    assert found == ["words.py"]

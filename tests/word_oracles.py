@@ -1,6 +1,9 @@
 """Booth's least-rotation algorithm, the oracle for the library's
 least-rotation kernel and for the verbatim copies of its earlier word
-kernels in test_words.py."""
+kernels in test_words.py; and substitution as a product of image words,
+the oracle for presentations.substitute."""
+
+from curvepi.words import Word
 
 
 def least_rotation(letters):
@@ -25,3 +28,14 @@ def least_rotation(letters):
         else:
             f[j - k] = i + 1
     return k
+
+
+def substitute_by_products(m, w):
+    """The image of ``w`` under ``m``, multiplied out one image word per
+    letter of ``w``."""
+    m.source.check_word(w)
+    out = Word()
+    for x in w.letters:
+        img = m.images[abs(x) - 1]
+        out = out * (img if x > 0 else ~img)
+    return out
