@@ -379,7 +379,7 @@ def _parse_simple(text: str) -> GroupTag:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         return parse_tag(text[1:-1])
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     name = name.strip().lower()
     arg = arg.strip()
     try:
@@ -389,6 +389,8 @@ def _parse_simple(text: str) -> GroupTag:
                 raise ValueError
             return GroupTag(name, *values)
         if name == "spherebraid3":
+            if colon:
+                raise ValueError
             return GroupTag("spherebraid3")
         if name in ("artin", "coxeter"):
             if "," in arg:

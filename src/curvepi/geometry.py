@@ -1,11 +1,18 @@
 """Combinatorial types of plane curves and blow-up bookkeeping.
 
-Singularity kinds are the ones the degree-<=5 case analysis uses.  Each
-kind fixes the local data the validator and the blow-up ledger need: how
-many branches each incident component contributes, the pairwise local
-intersection numbers, and the delta-invariant charged against the genus
-bound (delta(A_p) = ceil(p/2); an ordinary m-fold self-point of a single
-component costs m(m-1)/2).
+Singularity kinds are the ones the degree-<=5 case analysis uses.  One
+table, ``_KINDS``, holds each kind's local data: how many branches a
+singularity of that kind lists (one owning component each), the
+delta-invariant of the first listed branch (a cusp A_2k costs k; a node or
+cusp that a line passes through is listed as one branch of delta 1), and
+the local intersection number of each pair of listed branches.  Pairs on
+distinct components make up the Bezout sums.  A component's share of the
+genus bound is the standard delta = sum of the branches' deltas + sum over
+pairs of their intersection numbers, over the branches that lie on it
+(Wall, Singular Points of Plane Curves, 2004): a self-node A1 (C, C) costs
+C one, an ordinary m-fold self-point m(m-1)/2.  A decorated kind (A1T, A1*,
+A2T, A2*, A3T) may list one component twice; its branch pairs on that
+component then count toward the component's delta.
 
 Blow-up scripts are explicit fixtures: each step names a point; the ledger
 applies the self-intersection drop m^2 per incident component, counts the
@@ -25,36 +32,38 @@ from typing import Dict, List, Sequence, Tuple
 # ---------------------------------------------------------------------------
 # combinatorial types
 
-# kind -> (number of incident components, per-branch multiplicities)
-# (a multiplicity of 2 means the component has a 2-branch node / cusp there)
-_KINDS: Dict[str, dict] = {
-    # ordinary double point of the union; owners may coincide (self-node)
-    "A1": {"owners": 2, "contact": 1},
-    # cusp of one component
-    "A2": {"owners": 1, "delta": 1},
-    # simple tangency of two smooth branches
-    "A3": {"owners": 2, "contact": 2},
-    # higher cusp (e.g. the quintic with three A4 points)
-    "A4": {"owners": 1, "delta": 2},
-    # order-3 tangency of two smooth branches (inflectional tangency)
-    "A5": {"owners": 2, "contact": 3},
-    "A6": {"owners": 1, "delta": 3},
-    # order-4 tangency (two conics meeting at a single point)
-    "A7": {"owners": 2, "contact": 4},
-    "A9": {"owners": 2, "contact": 5},
-    # line through a node, transverse to both branches
-    "A1T": {"owners": 2, "node_plus_line": True},
-    # line through a node, tangent to one branch
-    "A1*": {"owners": 2, "node_plus_line": True, "tangent": True},
-    # line through a cusp, transverse / tangent
-    "A2T": {"owners": 2, "cusp_plus_line": True},
-    "A2*": {"owners": 2, "cusp_plus_line": True, "tangent": True},
-    # tangency point of two components with a further component through it
-    "A3T": {"owners": 3, "tangency_plus_line": True},
-    # ordinary multiple points (pairwise transverse smooth branches)
-    "O3": {"owners": 3, "ordinary": True},
-    "O4": {"owners": 4, "ordinary": True},
-    "O5": {"owners": 5, "ordinary": True},
+# kind -> (listed branches, delta of the first branch, ((i, j, m), ...)),
+# m the local intersection number of listed branches i and j
+_Kind = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]
+
+
+def _ordinary(n: int) -> _Kind:
+    """An ordinary n-fold point: n pairwise transverse smooth branches."""
+    return n, 0, tuple((i, j, 1) for i in range(n) for j in range(i + 1, n))
+
+
+_KINDS: Dict[str, _Kind] = {
+    # two smooth branches with contact k: a node (A1), a simple tangency
+    # (A3), an inflectional one (A5), two conics meeting at one point (A7)
+    "A1": (2, 0, ((0, 1, 1),)),
+    "A3": (2, 0, ((0, 1, 2),)),
+    "A5": (2, 0, ((0, 1, 3),)),
+    "A7": (2, 0, ((0, 1, 4),)),
+    "A9": (2, 0, ((0, 1, 5),)),
+    # cusps of one component (e.g. the quintic with three A4 points)
+    "A2": (1, 1, ()),
+    "A4": (1, 2, ()),
+    "A6": (1, 3, ()),
+    # a line through a node (A1) or a cusp (A2), transverse or tangent (*)
+    "A1T": (2, 1, ((0, 1, 2),)),
+    "A1*": (2, 1, ((0, 1, 3),)),
+    "A2T": (2, 1, ((0, 1, 2),)),
+    "A2*": (2, 1, ((0, 1, 3),)),
+    # tangency of branches 0 and 1, branch 2 transverse to both
+    "A3T": (3, 0, ((0, 1, 2), (0, 2, 1), (1, 2, 1))),
+    "O3": _ordinary(3),
+    "O4": _ordinary(4),
+    "O5": _ordinary(5),
 }
 
 # contact order d of a tangency, written "xd", as the A-kind it is
@@ -190,57 +199,31 @@ class TypeReport:
 def _pairwise_contacts(s: Singularity) -> Dict[Tuple[str, str], int]:
     """Local intersection numbers this singularity contributes to each
     unordered pair of distinct components."""
-    info = _KINDS[s.kind]
     out: Dict[Tuple[str, str], int] = {}
-
-    def add(a: str, b: str, m: int):
-        if a == b:
-            return
-        key = (min(a, b), max(a, b))
-        out[key] = out.get(key, 0) + m
-
-    owners = s.owners
-    if "contact" in info:
-        add(owners[0], owners[1], info["contact"])
-    elif "node_plus_line" in info:
-        # owners = (noded component, line); node has multiplicity 2
-        add(owners[0], owners[1], 3 if info.get("tangent") else 2)
-    elif "cusp_plus_line" in info:
-        add(owners[0], owners[1], 3 if info.get("tangent") else 2)
-    elif "tangency_plus_line" in info:
-        # owners = (P, Q, L): P and Q tangent, L transverse through the point
-        add(owners[0], owners[1], 2)
-        add(owners[0], owners[2], 1)
-        add(owners[1], owners[2], 1)
-    elif info.get("ordinary"):
-        for i in range(len(owners)):
-            for j in range(i + 1, len(owners)):
-                add(owners[i], owners[j], 1)
+    for i, j, m in _KINDS[s.kind][2]:
+        a, b = sorted((s.owners[i], s.owners[j]))
+        if a != b:
+            out[a, b] = out.get((a, b), 0) + m
     return out
 
 
 def _self_delta(s: Singularity, cid: str) -> int:
-    """Delta-invariant this singularity charges against component cid."""
-    info = _KINDS[s.kind]
-    if "delta" in info:
-        return info["delta"] if s.owners[0] == cid else 0
-    if "contact" in info:
-        if s.owners[0] == cid and s.owners[1] == cid:
-            return info["contact"]
-        return 0
-    if "node_plus_line" in info or "cusp_plus_line" in info:
-        return 1 if s.owners[0] == cid else 0
-    if info.get("ordinary"):
-        k = sum(1 for o in s.owners if o == cid)
-        return k * (k - 1) // 2
-    return 0
+    """Delta-invariant this singularity charges against component cid: the
+    first branch's delta if it lies on cid, plus m over every listed pair
+    of branches that both lie on cid."""
+    _, delta, pairs = _KINDS[s.kind]
+    o = s.owners
+    return (delta if o[0] == cid else 0) + sum(m for i, j, m in pairs if o[i] == o[j] == cid)
 
 
 def validate_combinatorial_type(ct: CombinatorialType) -> TypeReport:
-    """Checks: degrees positive, total degree flagged above 5, singularity
-    arities and owner references, pairwise Bezout sums, and the genus bound
-    sum(delta) <= (d-1)(d-2)/2 per component."""
+    """Checks: at least one component, degrees positive, total degree
+    flagged above 5, singularity arities and owner references, pairwise
+    Bezout sums, and the genus bound sum(delta) <= (d-1)(d-2)/2 per
+    component."""
     violations: List[Tuple[str, object]] = []
+    if not ct.components:
+        violations.append(("type has no components", 0))
     ids = {c for c, _ in ct.components}
     for c, d in ct.components:
         if d < 1:
@@ -248,17 +231,15 @@ def validate_combinatorial_type(ct: CombinatorialType) -> TypeReport:
     if ct.total_degree > 5:
         violations.append(("total degree exceeds 5", ct.total_degree))
     for s in ct.singularities:
-        info = _KINDS[s.kind]
-        if len(s.owners) != info["owners"]:
+        branches = _KINDS[s.kind][0]
+        if len(s.owners) != branches:
             violations.append(
-                (f"{s.kind} expects {info['owners']} branches", (s.at, len(s.owners)))
+                (f"{s.kind} expects {branches} branches", (s.at, len(s.owners)))
             )
             continue
         for o in s.owners:
             if o not in ids:
                 violations.append(("unknown component in singularity", (s.at, o)))
-        if "delta" in info and len(set(s.owners)) != 1:
-            violations.append((f"{s.kind} is a one-component singularity", s.at))
     if violations:
         return TypeReport(violations)
     # Bezout: for each pair of distinct components the listed local

@@ -151,7 +151,7 @@ def test_artin_digit_shorthand():
 
 
 def test_bad_tags_rejected():
-    for text in ("unknown:1", "free:x", "artin:12", "gr:1", "toric:4"):
+    for text in ("unknown:1", "free:x", "artin:12", "gr:1", "toric:4", "spherebraid3:5"):
         with pytest.raises(ValueError):
             built(text)
 

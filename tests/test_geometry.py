@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,9 @@ from curvepi.geometry import (
     CombinatorialType,
     Point,
     Singularity,
+    _KINDS,
+    _pairwise_contacts,
+    _self_delta,
     blow_up,
     load_script,
     nori_check,
@@ -69,6 +73,55 @@ def test_decorated_kinds():
     # tangent through the node uses all three intersections
     good2 = ct([("C", 3), ("L", 1)], [("A1*", ("C", "L"))])
     assert validate_combinatorial_type(good2).ok
+
+
+def test_a_tacnode_with_a_line_through_it_counts_toward_the_genus_bound():
+    # a quartic with a tacnode (delta 2) and two cusps has used up its
+    # genus 3, whether or not the line passes through the tacnode
+    cusps = [("A2", ("C",))] * 2
+    plain = [("A3", ("C", "C"))] + cusps + [("A1", ("C", "L"))] * 4
+    with_line = [("A3T", ("C", "C", "L"))] + cusps + [("A1", ("C", "L"))] * 2
+    for sings in (plain, with_line):
+        report = validate_combinatorial_type(ct([("C", 4), ("L", 1)], sings))
+        assert report.violations == (("genus bound violated", ("C", 4, 3)),)
+
+
+# kind -> (owners, local intersection numbers of distinct owners, nonzero deltas)
+PINNED_KINDS = {
+    "A1": ("PQ", {"PQ": 1}, {}),
+    "A2": ("P", {}, {"P": 1}),
+    "A3": ("PQ", {"PQ": 2}, {}),
+    "A4": ("P", {}, {"P": 2}),
+    "A5": ("PQ", {"PQ": 3}, {}),
+    "A6": ("P", {}, {"P": 3}),
+    "A7": ("PQ", {"PQ": 4}, {}),
+    "A9": ("PQ", {"PQ": 5}, {}),
+    "A1T": ("PQ", {"PQ": 2}, {"P": 1}),
+    "A1*": ("PQ", {"PQ": 3}, {"P": 1}),
+    "A2T": ("PQ", {"PQ": 2}, {"P": 1}),
+    "A2*": ("PQ", {"PQ": 3}, {"P": 1}),
+    "A3T": ("PQR", {"PQ": 2, "PR": 1, "QR": 1}, {}),
+    "O3": ("PQR", {a + b: 1 for a, b in combinations("PQR", 2)}, {}),
+    "O4": ("PQRS", {a + b: 1 for a, b in combinations("PQRS", 2)}, {}),
+    "O5": ("PQRST", {a + b: 1 for a, b in combinations("PQRST", 2)}, {}),
+}
+
+
+def test_every_kind_has_its_pinned_bezout_sums_and_delta():
+    assert set(PINNED_KINDS) == set(_KINDS)
+    for kind, (owners, contacts, deltas) in PINNED_KINDS.items():
+        s = Singularity(kind, "p", tuple(owners))
+        assert {a + b: m for (a, b), m in _pairwise_contacts(s).items()} == contacts, kind
+        assert {c: _self_delta(s, c) for c in owners if _self_delta(s, c)} == deltas, kind
+    # a self-node, a self-tangency and an ordinary triple point of one component
+    for kind, owners, delta in (("A1", "CC", 1), ("A3", "CC", 2), ("O3", "CCC", 3)):
+        s = Singularity(kind, "p", tuple(owners))
+        assert (_pairwise_contacts(s), _self_delta(s, "C")) == ({}, delta), kind
+
+
+def test_a_type_without_components_is_invalid():
+    report = validate_combinatorial_type(ct([], []))
+    assert report.violations == (("type has no components", 0),)
 
 
 def test_total_degree_flagged():
