@@ -3,66 +3,93 @@ verification suite, keyed by structured tags.
 
 Tags have a compact text syntax (``toric:3,4``, ``artin:333``,
 ``quintic:C4_3A2``, products with ``*``) used by the CLI and serializable
-to JSON.
+to JSON.  A tag's parameters are the plain values its text gives:
+``toric:3,4`` holds ``(3, 4)``, ``raag:3;1-0`` holds ``(3, ((0, 1),))``
+and ``gpolymod:3;1,1`` holds ``(3, (1, 1))``.  ``_VARIANTS`` holds, for
+each variant, the reader of the text after the colon and the check of the
+parameters.  The check runs once, when a tag is made, so every
+``GroupTag`` builds, whether parsed or made in code; ``artin`` and
+``coxeter`` labels are >= 2.  Every text that is not a tag raises the one
+``bad tag syntax '<text>'``.
 """
 
 from __future__ import annotations
 
 import string
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List
 
 from .dsl import parse_presentation
 from .presentations import Presentation
 from .words import Word
 
 
-class LabeledGraph:
-    """Simple graph with integer edge labels >= 2 (None encodes an
-    unlabeled/infinite edge, which contributes no relator)."""
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
-    __slots__ = ("n_vertices", "edges")
 
-    def __init__(self, n_vertices: int, edges: Sequence[Tuple[int, int, Optional[int]]]):
-        if n_vertices < 0:
-            raise ValueError(f"negative vertex count {n_vertices}")
-        seen = set()
-        norm = []
-        for v, w, m in edges:
-            if not (0 <= v < n_vertices and 0 <= w < n_vertices) or v == w:
-                raise ValueError(f"bad edge ({v}, {w})")
-            if m is not None and m < 2:
-                raise ValueError("edge labels must be >= 2")
-            key = (min(v, w), max(v, w))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append((key[0], key[1], m))
-        self.n_vertices = n_vertices
-        self.edges = tuple(sorted(norm))
+def _no_text(text: str) -> tuple:
+    raise ValueError("this variant takes no text after a colon")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledGraph)
-            and self.n_vertices == other.n_vertices
-            and self.edges == other.edges
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.n_vertices, self.edges))
+def _read_labels(text: str) -> tuple:
+    """``m,n,p``, or ``mnp`` with one digit per label."""
+    return _ints(text) if "," in text else tuple(int(c) for c in text)
 
-    @classmethod
-    def triangle(cls, m: int, n: int, p: int) -> "LabeledGraph":
-        return cls(3, [(0, 1, m), (1, 2, n), (0, 2, p)])
 
-    @classmethod
-    def complete_with_path(cls, n_vertices: int, path_label: int = 3, other_label: int = 2):
-        """Complete graph, spanning path labeled ``path_label``, rest
-        ``other_label`` (the braid-group graph)."""
-        edges = []
-        for v in range(n_vertices):
-            for w in range(v + 1, n_vertices):
-                edges.append((v, w, path_label if w == v + 1 else other_label))
-        return cls(n_vertices, edges)
+def _read_raag(text: str) -> tuple:
+    """``n;i-j,...`` as ``(n, edges)``, each edge and the edge list sorted."""
+    n, _, pairs = text.partition(";")
+    edges = []
+    for pair in filter(None, pairs.split(",")):
+        i, j = sorted(int(x) for x in pair.split("-"))
+        edges.append((i, j))
+    return int(n), tuple(sorted(edges))
+
+
+def _read_gpolymod(text: str) -> tuple:
+    p, _, coeffs = text.partition(";")
+    return int(p), _ints(coeffs)
+
+
+def _int(*values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+def _monic(coeffs) -> bool:
+    """Ascending coefficients of a monic polynomial of degree >= 1."""
+    return type(coeffs) is tuple and _int(*coeffs) and len(coeffs) >= 2 and coeffs[-1] == 1
+
+
+def _simple_graph(n, edges) -> bool:
+    """Edges ``(i, j)``, 0 <= i < j < n, listed once each and in order."""
+    return (
+        _int(n) and n >= 0 and type(edges) is tuple
+        and all(_int(i, j) and 0 <= i < j < n for i, j in edges)
+        and edges == tuple(sorted(set(edges)))
+    )
+
+
+# variant -> (reader of the text after the colon, check of the parameters);
+# the check takes the parameters as its arguments, so a wrong count fails it
+_VARIANTS = {
+    "free": (_ints, lambda n: _int(n) and n >= 1),
+    "braid": (_ints, lambda n: _int(n) and n >= 2),
+    "spherebraid3": (_no_text, lambda: True),
+    "artin": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2),
+    "coxeter": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2),
+    "raag": (_read_raag, _simple_graph),
+    "toric": (_ints, lambda p, q: _int(p, q) and gcd(p, q) == 1),  # (2, 2r) is toriceven
+    "toriceven": (_ints, lambda r: _int(r) and r >= 1),
+    "gpoly": (lambda text: (_ints(text),), _monic),
+    "gpolymod": (_read_gpolymod, lambda p, coeffs: _int(p) and p >= 2 and _monic(coeffs)),
+    "gr": (_ints, lambda p, q, r: _int(p, q, r)),
+    "triangle": (_ints, lambda p, q, r: _int(p, q, r)),
+    "surface": (_ints, lambda g: _int(g) and g >= 1),
+    "surfext": (_ints, lambda g, p: _int(g, p) and g >= 0),
+    "product": (_no_text, lambda left, right: isinstance(left, GroupTag) and isinstance(right, GroupTag)),
+    "quintic": (lambda text: (text,), lambda case: _QUINTIC_ALIASES.get(case, case) in _QUINTIC_DSL),
+}
 
 
 class GroupTag:
@@ -71,30 +98,17 @@ class GroupTag:
 
     __slots__ = ("variant", "params")
 
-    VARIANTS = {
-        "free",
-        "braid",
-        "spherebraid3",
-        "artin",
-        "coxeter",
-        "raag",
-        "toric",
-        "toriceven",
-        "gpoly",
-        "gpolymod",
-        "gr",
-        "triangle",
-        "surface",
-        "surfext",
-        "product",
-        "quintic",
-    }
+    VARIANTS = frozenset(_VARIANTS)
 
     def __init__(self, variant: str, *params):
-        if variant not in self.VARIANTS:
-            raise ValueError(f"unknown group tag variant {variant!r}")
+        try:
+            ok = _VARIANTS[variant][1](*params)
+        except (LookupError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"no {variant!r} tag has the parameters {params!r}")
         self.variant = variant
-        self.params = tuple(params)
+        self.params = params
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,14 +124,10 @@ class GroupTag:
         return f"GroupTag({format_tag(self)!r})"
 
     def to_json(self):
-        def enc(x):
-            if isinstance(x, GroupTag):
-                return x.to_json()
-            if isinstance(x, LabeledGraph):
-                return {"vertices": x.n_vertices, "edges": [list(e) for e in x.edges]}
-            return x
-
-        return {"variant": self.variant, "params": [enc(x) for x in self.params]}
+        return {
+            "variant": self.variant,
+            "params": [x.to_json() if isinstance(x, GroupTag) else x for x in self.params],
+        }
 
 
 def _gen_names(n: int) -> List[str]:
@@ -135,13 +145,14 @@ def _alternating(a: Word, b: Word, m: int) -> Word:
     return out
 
 
-def _artin_relators(gens: List[Word], graph: LabeledGraph) -> List[Word]:
-    rels = []
-    for v, w, m in graph.edges:
-        if m is None:
-            continue
-        rels.append(_alternating(gens[v], gens[w], m) * ~_alternating(gens[w], gens[v], m))
-    return rels
+def _artin(n: int, edges, involutions: bool = False) -> Presentation:
+    """n generators and, for each edge ``(a, b, m)``, the braid relation
+    {a,b}^m = {b,a}^m; with ``involutions``, every generator squared first."""
+    gens = [Word.gen(i) for i in range(n)]
+    rels = [g * g for g in gens] if involutions else []
+    for a, b, m in edges:
+        rels.append(_alternating(gens[a], gens[b], m) * ~_alternating(gens[b], gens[a], m))
+    return Presentation(_gen_names(n), rels)
 
 
 def _commutator(a: Word, b: Word) -> Word:
@@ -154,64 +165,39 @@ def build(tag: GroupTag) -> Presentation:
 
     if v == "free":
         (n,) = params
-        if n < 1:
-            raise ValueError("free rank must be >= 1")
         return Presentation(_gen_names(n))
 
     if v == "braid":
+        # the complete graph on n - 1 vertices, the path labelled 3, the rest 2
         (n,) = params
-        if n < 2:
-            raise ValueError("braid index must be >= 2")
-        graph = LabeledGraph.complete_with_path(n - 1)
-        names = _gen_names(n - 1)
-        gens = [Word.gen(i) for i in range(n - 1)]
-        return Presentation(names, _artin_relators(gens, graph))
+        edges = [(a, b, 3 if b == a + 1 else 2) for a in range(n - 1) for b in range(a + 1, n - 1)]
+        return _artin(n - 1, edges)
 
     if v == "spherebraid3":
         return parse_presentation("<s1, s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>")
 
     if v in ("artin", "coxeter"):
-        (graph,) = params
-        names = _gen_names(graph.n_vertices)
-        gens = [Word.gen(i) for i in range(graph.n_vertices)]
-        rels = _artin_relators(gens, graph)
-        if v == "coxeter":
-            rels = [g * g for g in gens] + rels
-        return Presentation(names, rels)
+        # labels of the edges (a,b), (b,c) and (a,c)
+        m, n, p = params
+        return _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)], v == "coxeter")
 
     if v == "raag":
-        (graph,) = params
-        names = _gen_names(graph.n_vertices)
-        gens = [Word.gen(i) for i in range(graph.n_vertices)]
-        return Presentation(names, [_commutator(gens[a], gens[b]) for a, b, _ in graph.edges])
+        n, edges = params
+        gens = [Word.gen(i) for i in range(n)]
+        return Presentation(_gen_names(n), [_commutator(gens[i], gens[j]) for i, j in edges])
 
     if v == "toric":
         p, q = params
-        from math import gcd
-
-        if gcd(p, q) != 1:
-            raise ValueError("toric:p,q requires gcd(p, q) = 1; use toriceven for (2, 2r)")
         a, b = Word.gen(0), Word.gen(1)
         return Presentation(["a", "b"], [a**p * b**-q])
 
     if v == "toriceven":
         (r,) = params
-        if r < 1:
-            raise ValueError("toriceven requires r >= 1")
         a, b = Word.gen(0), Word.gen(1)
         return Presentation(["a", "b"], [(a * b) ** r * ~((b * a) ** r)])
 
     if v == "gpoly" or v == "gpolymod":
-        if v == "gpolymod":
-            p, coeffs = params
-            if p < 2:
-                raise ValueError("modulus must be >= 2")
-        else:
-            (coeffs,) = params
-            p = None
-        coeffs = list(coeffs)
-        if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic of degree >= 1 (ascending coefficients)")
+        p, coeffs = params if v == "gpolymod" else (None, params[0])
         d = len(coeffs) - 1
         names = [f"a{i}" for i in range(d)] + ["t"]
         a = [Word.gen(i) for i in range(d)]
@@ -248,8 +234,6 @@ def build(tag: GroupTag) -> Presentation:
 
     if v == "surface":
         (g,) = params
-        if g < 1:
-            raise ValueError("genus must be >= 1")
         return Presentation(*_surface_data(g))
 
     if v == "surfext":
@@ -267,11 +251,9 @@ def build(tag: GroupTag) -> Presentation:
         left, right = params
         return direct_product(build(left), build(right))
 
-    if v == "quintic":
-        (case,) = params
-        return quintic_presentation(case)
-
-    raise AssertionError(f"unhandled variant {v}")
+    # the one variant left, quintic
+    (case,) = params
+    return quintic_presentation(case)
 
 
 def _surface_data(g: int):
@@ -341,8 +323,16 @@ def quintic_presentation(case: str) -> Presentation:
 
 
 def parse_tag(text: str) -> GroupTag:
-    """Parse the compact tag syntax; ``*`` builds direct products
-    (left associative)."""
+    """Parse the compact tag syntax; ``*`` builds direct products (left
+    associative) and parentheses group.  Any text that is not a tag, nested
+    however deep, raises ``bad tag syntax``."""
+    try:
+        return _parse(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad tag syntax {text!r}") from exc
+
+
+def _parse(text: str) -> GroupTag:
     parts = _split_products(text)
     tag = _parse_simple(parts[0])
     for part in parts[1:]:
@@ -368,76 +358,32 @@ def _split_products(text: str) -> List[str]:
     return [p.strip() for p in parts]
 
 
-# tags whose parameters are just comma-separated integers, by their count
-_INT_ARITY = {
-    "free": 1, "braid": 1, "toric": 2, "toriceven": 1,
-    "gr": 3, "triangle": 3, "surface": 1, "surfext": 2,
-}
-
-
 def _parse_simple(text: str) -> GroupTag:
-    text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        return parse_tag(text[1:-1])
+        return _parse(text[1:-1])
     name, colon, arg = text.partition(":")
     name = name.strip().lower()
-    arg = arg.strip()
-    try:
-        if name in _INT_ARITY:
-            values = [int(x) for x in arg.split(",")]
-            if len(values) != _INT_ARITY[name]:
-                raise ValueError
-            return GroupTag(name, *values)
-        if name == "spherebraid3":
-            if colon:
-                raise ValueError
-            return GroupTag("spherebraid3")
-        if name in ("artin", "coxeter"):
-            if "," in arg:
-                m, n, p = (int(x) for x in arg.split(","))
-            else:
-                if len(arg) != 3:
-                    raise ValueError
-                m, n, p = (int(c) for c in arg)
-            return GroupTag(name, LabeledGraph.triangle(m, n, p))
-        if name == "raag":
-            vtx, _, edges = arg.partition(";")
-            edge_list = []
-            for e in filter(None, edges.split(",")):
-                i, j = e.split("-")
-                edge_list.append((int(i), int(j), 2))
-            return GroupTag("raag", LabeledGraph(int(vtx), edge_list))
-        if name == "gpoly":
-            return GroupTag("gpoly", tuple(int(x) for x in arg.split(",")))
-        if name == "gpolymod":
-            mod, _, coeffs = arg.partition(";")
-            return GroupTag("gpolymod", int(mod), tuple(int(x) for x in coeffs.split(",")))
-        if name == "quintic":
-            return GroupTag("quintic", arg)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad tag syntax {text!r}") from exc
-    raise ValueError(f"unknown tag {name!r}")
+    if name not in _VARIANTS:
+        raise ValueError(f"unknown variant {name!r}")
+    # no colon, no parameters
+    params = _VARIANTS[name][0](arg.strip()) if colon else ()
+    return GroupTag(name, *params)
 
 
 def format_tag(tag: GroupTag) -> str:
     v, params = tag.variant, tag.params
     if v == "product":
-        return f"{format_tag(params[0])}*{format_tag(params[1])}"
+        left, right = (format_tag(t) for t in params)
+        if params[1].variant == "product":
+            right = f"({right})"
+        return f"{left}*{right}"
     if v == "spherebraid3":
         return v
-    if v in ("artin", "coxeter"):
-        g: LabeledGraph = params[0]
-        labels = {(a, b): m for a, b, m in g.edges}
-        if g.n_vertices == 3 and len(labels) == 3:
-            m, n, p = labels[(0, 1)], labels[(1, 2)], labels[(0, 2)]
-            return f"{v}:{m},{n},{p}"
-        return f"{v}:<graph>"
     if v == "raag":
-        g = params[0]
-        edges = ",".join(f"{a}-{b}" for a, b, _ in g.edges)
-        return f"raag:{g.n_vertices};{edges}"
+        n, edges = params
+        return f"raag:{n};" + ",".join(f"{i}-{j}" for i, j in edges)
     if v == "gpoly":
-        return "gpoly:" + ",".join(str(c) for c in params[0])
+        return "gpoly:" + ",".join(map(str, params[0]))
     if v == "gpolymod":
-        return f"gpolymod:{params[0]};" + ",".join(str(c) for c in params[1])
-    return v + ":" + ",".join(str(x) for x in params)
+        return f"gpolymod:{params[0]};" + ",".join(map(str, params[1]))
+    return v + ":" + ",".join(map(str, params))

@@ -152,7 +152,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     selection = None
-    if args.only:
+    if args.only is not None:
         selection = [s.strip() for s in args.only.split(",") if s.strip()]
     budget = DerivationBudget(max_states=args.budget) if args.budget is not None else None
     cfg = SuiteConfig(max_cosets=args.max_cosets, budget=budget)

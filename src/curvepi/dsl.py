@@ -16,7 +16,8 @@ them) and the parser walks that list.  Relators written as equalities
 w1 = w2 are stored as w1 * w2^-1.  Inside words, an identifier run that is
 not itself a declared generator is split greedily into the longest
 declared generator names ("aba" means a b a when a and b are generators),
-which mirrors the usual juxtaposition notation.
+which mirrors the usual juxtaposition notation.  Parentheses nested deeper
+than the recursion limit allows are a ParseError, like any other bad input.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ class _Parser:
             raise self.error("expected an identifier")
         self.i += 1
         return tok
+
+    def nested(self, rule):
+        """``rule()``, with the RecursionError of parentheses nested too deep
+        for the recursive descent raised as a ParseError at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            raise self.error("parentheses nested too deeply") from None
 
     def end(self, message: str) -> None:
         if self.i != len(self.tokens) - 1:
@@ -183,12 +192,13 @@ class _Parser:
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the DSL; raises ParseError with line/column on bad input."""
-    return _Parser(text).presentation()
+    parser = _Parser(text)
+    return parser.nested(parser.presentation)
 
 
 def parse_word(p: Presentation, text: str) -> Word:
     """Parse a single word over the generators of an existing presentation."""
     parser = _Parser(text, p.generators)
-    w = Word(parser.word())
+    w = Word(parser.nested(parser.word))
     parser.end("trailing input after word")
     return w

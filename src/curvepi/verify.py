@@ -557,8 +557,12 @@ def run_suite(
     selection: Optional[Sequence[str]] = None,
     config: Optional[SuiteConfig] = None,
 ) -> List[LemmaReport]:
+    """Run the checks named in ``selection``, every check when it is None;
+    an empty selection is an error, not an empty report."""
     cfg = config or SuiteConfig()
-    chosen = list(selection) if selection else ALL_CHECKS
+    chosen = ALL_CHECKS if selection is None else list(selection)
+    if not chosen:
+        raise ValueError(f"no check selected; known: {', '.join(ALL_CHECKS)}")
     reports = []
     for check_id in chosen:
         if check_id not in _CHECKS:

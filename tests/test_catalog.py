@@ -1,10 +1,13 @@
+import os
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
 from curvepi.catalog import (
     GroupTag,
-    LabeledGraph,
     build,
     direct_product,
     format_tag,
@@ -14,6 +17,17 @@ from curvepi.catalog import (
 )
 from curvepi.coset_table import todd_coxeter
 from curvepi.schreier import simplify, subgroup_presentation
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+# one text per variant, and a product on the right, as format_tag prints them
+_ROUND_TRIP = (
+    "free:3", "braid:4", "spherebraid3", "artin:3,3,3", "coxeter:2,3,3",
+    "toric:3,4", "toriceven:2", "gpoly:-1,0,1", "gpolymod:3;1,1",
+    "gr:2,3,5", "triangle:2,3,7", "surface:3", "surfext:3,2",
+    "quintic:C5_3A4", "free:1*braid:3", "raag:4;0-1,1-2", "free:3*(free:1*free:2)",
+)
 
 
 def built(text):
@@ -135,15 +149,43 @@ def test_quintic_cases_and_aliases():
 
 
 def test_tag_round_trip():
-    for text in (
-        "free:3", "braid:4", "spherebraid3", "artin:3,3,3", "coxeter:2,3,3",
-        "toric:3,4", "toriceven:2", "gpoly:-1,0,1", "gpolymod:3;1,1",
-        "gr:2,3,5", "triangle:2,3,7", "surface:3", "surfext:3,2",
-        "quintic:C5_3A4", "free:1*braid:3", "raag:4;0-1,1-2",
-    ):
+    for text in _ROUND_TRIP:
         tag = parse_tag(text)
         assert parse_tag(format_tag(tag)) == tag
         tag.to_json()  # serializable
+
+
+@st.composite
+def tag_texts(draw):
+    """Small integers after a variant name, or a valid tag with one to three
+    characters deleted, replaced or inserted; no digit is inserted, so every
+    number stays small and every tag that parses builds at once."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(GroupTag.VARIANTS)))
+        values = draw(st.lists(st.integers(-2, 12), max_size=4))
+        return f"{name}:" + draw(st.sampled_from(",;-")).join(map(str, values))
+    chars = list(draw(st.sampled_from(_ROUND_TRIP)))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(chars) - 1))
+        edit = draw(st.sampled_from(("delete", "replace", "insert")))
+        if edit == "delete":
+            del chars[k]
+        elif edit == "replace":
+            chars[k] = draw(st.sampled_from("0123456789,;-:*() ax"))
+        else:
+            chars.insert(k, draw(st.sampled_from(",;-:*() ax")))
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag_texts())
+def test_every_parsed_tag_builds_and_round_trips(text):
+    try:
+        tag = parse_tag(text)
+    except ValueError:
+        return
+    build(tag)
+    assert parse_tag(format_tag(tag)) == tag
 
 
 def test_artin_digit_shorthand():
@@ -151,19 +193,44 @@ def test_artin_digit_shorthand():
 
 
 def test_bad_tags_rejected():
-    for text in ("unknown:1", "free:x", "artin:12", "gr:1", "toric:4", "spherebraid3:5"):
-        with pytest.raises(ValueError):
+    for text in (
+        "unknown:1", "free:x", "artin:12", "gr:1", "toric:4", "spherebraid3:5",
+        # a loop, a label below 2, and one edge listed twice
+        "raag:2;0-0", "artin:1,3,3", "raag:2;0-1,1-0",
+        # these used to parse and then fail in build with messages of their own
+        "free:0", "braid:1", "toric:2,4", "toriceven:0", "gpoly:2,3",
+        "gpolymod:1;1,1", "surface:0", "surfext:-1,2", "quintic:C9_unknown",
+    ):
+        with pytest.raises(ValueError, match=f"^bad tag syntax {re.escape(repr(text))}$"):
             built(text)
 
 
 def test_labeled_graph_validation():
-    with pytest.raises(ValueError):
-        LabeledGraph(2, [(0, 0, 3)])
-    with pytest.raises(ValueError):
-        LabeledGraph(2, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        LabeledGraph(2, [(0, 1, 2), (1, 0, 3)])
-    g = LabeledGraph(3, [(0, 1, None), (1, 2, 2)])
-    assert build(GroupTag("artin", g)).relators == build(
-        GroupTag("raag", LabeledGraph(3, [(1, 2, 2)]))
-    ).relators
+    # a loop, an edge listed twice, and a label below 2 are rejected
+    for variant, params in (
+        ("raag", (2, ((0, 0),))), ("raag", (2, ((0, 1), (0, 1)))), ("artin", (1, 3, 3)),
+    ):
+        with pytest.raises(ValueError):
+            GroupTag(variant, *params)
+    # an edge labelled 2 is a commutation, the relator a graph edge gives
+    assert built("artin:2,2,2").relators == built("raag:3;0-1,0-2,1-2").relators
+    assert built("raag:3;1-2").relators == parse_presentation("<a, b, c | b c = c b>").relators
+
+
+def test_tags_made_in_code_are_checked():
+    assert build(GroupTag("raag", 3, ((1, 2),))) == built("raag:3;1-2")
+    for variant, params in (
+        ("free", (0,)), ("free", (1, 2)), ("free", ("3",)), ("artin", (1, 3, 3)),
+        ("raag", (2, ((1, 0),))), ("raag", (2, ((0, 1), (0, 1)))), ("gpoly", ([1, 1],)),
+        ("product", (GroupTag("free", 1),)), ("nonsense", ()),
+    ):
+        with pytest.raises(ValueError):
+            GroupTag(variant, *params)
+
+
+def test_readme_names_every_tag_variant():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    paragraph = text[text.index("Group tags:"):].split("\n\n")[0]
+    named = set(re.findall(r"`([a-z0-9]+)[:`]", paragraph))
+    assert named == GroupTag.VARIANTS - {"product"}

@@ -138,6 +138,17 @@ def test_catalog_bad_tag_usage_error():
     assert "error" in err
 
 
+def test_deep_parentheses_are_a_usage_error():
+    # the recursive descent runs out of stack; that is the input's fault
+    deep = "(" * 600 + "a" + ")" * 600
+    for argv in (["ab", f"<a | {deep}>"], ["tc", "<a | a^2>", "--subgroup", deep]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: parentheses nested too deeply (line 1, column ")
+    tag = "(" * 600 + "free:1" + ")" * 600
+    assert run(["catalog", tag]) == (2, "", f"error: bad tag syntax {tag!r}\n")
+
+
 def test_catalog_raag_vertex_count_is_not_negative():
     assert run(["catalog", "raag:-1;"]) == (2, "", "error: bad tag syntax 'raag:-1;'\n")
     assert run(["catalog", "raag:0;"]) == (0, "<  |  >\n", "")
@@ -287,6 +298,13 @@ def test_verify_subset_and_json_schema():
     assert [e["id"] for e in doc["suite"]] == ["V1", "V12"]
     if jsonschema:
         jsonschema.validate(doc, schema("verify_report.schema.json"))
+
+
+@pytest.mark.parametrize("only", ["", ",", " "])
+def test_verify_only_naming_no_check_is_a_usage_error(only):
+    code, out, err = run(["verify", "--only", only])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no check selected; known: V1, V2,")
 
 
 def test_verify_text_mode():
