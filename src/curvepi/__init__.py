@@ -25,7 +25,7 @@ from .coset_table import (
     todd_coxeter,
     validate_table,
 )
-from .schreier import schreier_transversal, subgroup_presentation, simplify
+from .schreier import subgroup_presentation, simplify
 from .derive import DerivationBudget, ProofTrace, Inconclusive, derive_relator, replay_trace
 from .homomorphisms import Verified, Refuted, check_homomorphism, verify_isomorphism
 from .catalog import GroupTag, build, parse_tag
@@ -63,7 +63,6 @@ __all__ = [
     "Overflow",
     "todd_coxeter",
     "validate_table",
-    "schreier_transversal",
     "subgroup_presentation",
     "simplify",
     "DerivationBudget",

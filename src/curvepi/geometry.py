@@ -99,9 +99,18 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
-def _items(doc: dict, key: str, what: str) -> List[dict]:
+def _field(doc: dict, key: str, of: str):
+    """``doc[key]``; a missing field is bad input too, named with ``of``,
+    the object that lacks it."""
+    if key not in doc:
+        raise ValueError(f'{of} has no "{key}" field')
+    return doc[key]
+
+
+def _items(doc: dict, key: str, of: str, what: str) -> List[dict]:
     """The objects of the array ``doc[key]``; ``what`` names one of them."""
-    return [_shaped(x, dict, f"{what} {i}") for i, x in enumerate(_shaped(doc[key], list, key))]
+    items = _shaped(_field(doc, key, of), list, key)
+    return [_shaped(x, dict, f"{what} {i}") for i, x in enumerate(items)]
 
 
 def _strings(value, what: str) -> List[str]:
@@ -119,14 +128,14 @@ def _pairs(value, what: str) -> List[Tuple[str, int]]:
     return pairs
 
 
-def _components(doc: dict) -> List[Tuple[str, int]]:
+def _components(doc: dict, of: str) -> List[Tuple[str, int]]:
     """The (id, degree) pairs of a document's "components" array."""
     return [
         (
-            _shaped(c["id"], str, f"id of component {i}"),
-            _shaped(c["degree"], int, f"degree of component {i}"),
+            _shaped(_field(c, "id", f"component {i}"), str, f"id of component {i}"),
+            _shaped(_field(c, "degree", f"component {i}"), int, f"degree of component {i}"),
         )
-        for i, c in enumerate(_items(doc, "components", "component"))
+        for i, c in enumerate(_items(doc, "components", of, "component"))
     ]
 
 
@@ -167,16 +176,17 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        _shaped(data, dict, "a combinatorial type")
+        what = "a combinatorial type"
+        _shaped(data, dict, what)
         sings = [
             Singularity(
-                _shaped(s["kind"], str, f"kind of singularity {i}"),
+                _shaped(_field(s, "kind", f"singularity {i}"), str, f"kind of singularity {i}"),
                 _shaped(s.get("at", f"p{i}"), str, f'"at" of singularity {i}'),
-                _strings(s["owners"], f"owners of singularity {i}"),
+                _strings(_field(s, "owners", f"singularity {i}"), f"owners of singularity {i}"),
             )
-            for i, s in enumerate(_items(data, "singularities", "singularity"))
+            for i, s in enumerate(_items(data, "singularities", what, "singularity"))
         ]
-        return cls(_components(data), sings)
+        return cls(_components(data, what), sings)
 
     def __repr__(self) -> str:
         return f"CombinatorialType(degrees={self.degrees}, singularities={len(self.singularities)})"
@@ -471,21 +481,22 @@ def nori_check(ledger: BlowUpLedger, d_components: Sequence[str]) -> NoriReport:
 def run_script(script: dict) -> Tuple[BlowUpLedger, NoriReport]:
     """Execute a blow-up script (parsed JSON document): build the initial
     ledger, apply the steps, and run the final criterion check."""
-    _shaped(script, dict, "a blow-up script")
+    what = "a blow-up script"
+    _shaped(script, dict, what)
     points = [
         Point(
-            _shaped(p["id"], str, f"id of point {i}"),
-            _shaped(p["kind"], str, f"kind of point {i}"),
-            _pairs(p["parties"], f"parties of point {i}"),
+            _shaped(_field(p, "id", f"point {i}"), str, f"id of point {i}"),
+            _shaped(_field(p, "kind", f"point {i}"), str, f"kind of point {i}"),
+            _pairs(_field(p, "parties", f"point {i}"), f"parties of point {i}"),
             _shaped(p.get("order", 0), int, f"order of point {i}"),
         )
-        for i, p in enumerate(_items(script, "points", "point") if "points" in script else [])
+        for i, p in enumerate(_items(script, "points", what, "point") if "points" in script else [])
     ]
-    ledger = BlowUpLedger.from_type_data(_components(script), points)
-    for i, step in enumerate(_items(script, "steps", "step")):
-        at = step["blow"]
+    ledger = BlowUpLedger.from_type_data(_components(script, what), points)
+    for i, step in enumerate(_items(script, "steps", what, "step")):
+        at = _field(step, "blow", f"step {i}")
         ledger = blow_up(ledger, at if isinstance(at, str) else _pairs(at, f"blow of step {i}"))
-    report = nori_check(ledger, _strings(script["d"], "d"))
+    report = nori_check(ledger, _strings(_field(script, "d", what), "d"))
     return ledger, report
 
 

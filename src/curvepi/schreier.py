@@ -1,5 +1,5 @@
-"""Schreier transversals, Reidemeister-Schreier rewriting, subgroup
-presentations, and Tietze simplification."""
+"""Reidemeister-Schreier rewriting over the BFS tree of a coset table,
+subgroup presentations, and Tietze simplification."""
 
 from __future__ import annotations
 
@@ -33,15 +33,6 @@ def _tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
     if len(order) != t.n:
         raise ValueError("table is not transitive")
     return edges
-
-
-def schreier_transversal(t: CosetTable) -> Tuple[Word, ...]:
-    """BFS-minimal coset representatives, index-aligned with the table:
-    prefix-closed positive words, representative 0 the empty word."""
-    reps = [Word()] * t.n
-    for d, (c, g) in _tree_edges(t).items():
-        reps[d] = reps[c] * Word.gen(g)
-    return tuple(reps)
 
 
 # a column of the coset table and the Schreier letter read at each coset

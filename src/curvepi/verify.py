@@ -16,16 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .abelian import abelian_invariants, curve_abelianization
 from .catalog import build, parse_tag, quintic_presentation
-from .classify import (
-    ClassificationEntry,
-    _entry_from_row,
-    all_case_labels,
-    classify,
-    keyed_reference_labels,
-    lookup_case,
-    reference_type,
-    table_rows,
-)
+from .classify import CASES, ClassificationEntry, classify, lookup_case
 from .coset_table import (
     EnumLimits,
     Overflow,
@@ -469,14 +460,6 @@ def check_v11(cfg: SuiteConfig) -> Tuple[str, dict]:
     """Classifier goldens: keyed rows classify from their reference types;
     the table is complete; every presentation's abelianization matches the
     component-degree formula; finite orders are certified by enumeration."""
-    for label in keyed_reference_labels():
-        entry = classify(reference_type(label))
-        expected = lookup_case(label)
-        _require(
-            isinstance(entry, ClassificationEntry)
-            and entry.group_name == expected.group_name,
-            f"{label}: got {entry!r}, expected {expected.group_name!r}",
-        )
     expected_labels = {
         "1.1", "1.2", "1.3",
         "2.1.1", "2.1.2", "2.1.3",
@@ -495,31 +478,36 @@ def check_v11(cfg: SuiteConfig) -> Tuple[str, dict]:
         "C2+3C1:ZxF2", "C2+3C1:ZxT(2,4)", "C2+3C1:Pi", "C2+3C1:Art244",
         "5C1:F4", "5C1:ZxF3", "5C1:F2xF2", "5C1:Z2xF2",
     }
-    have = set(all_case_labels())
-    missing = expected_labels - have
+    missing = expected_labels - set(CASES)
     _require(not missing, f"table rows missing: {sorted(missing)}")
     consistency = {}
-    for row in table_rows():
-        entry = _entry_from_row(row)
+    for label, row in CASES.items():
+        entry = lookup_case(label)
+        if row.type is not None:
+            got = classify(row.type)
+            _require(
+                isinstance(got, ClassificationEntry) and got.group_name == entry.group_name,
+                f"{label}: got {got!r}, expected {entry.group_name!r}",
+            )
         if entry.presentation is None:
             continue
         inv = abelian_invariants(entry.presentation)
         want = curve_abelianization(row.degrees)
         _require(
             inv == want,
-            f"{row.label}: presentation abelianization {inv.display()} != "
+            f"{label}: presentation abelianization {inv.display()} != "
             f"formula {want.display()}",
         )
-        consistency[row.label] = inv.display()
+        consistency[label] = inv.display()
         if entry.finite_order is not None:
-            t = _settle(todd_coxeter(entry.presentation, [], cfg.limits), f"{row.label} order")
+            t = _settle(todd_coxeter(entry.presentation, [], cfg.limits), f"{label} order")
             _require(
                 t.n == entry.finite_order,
-                f"{row.label}: enumerated order {t.n} != {entry.finite_order}",
+                f"{label}: enumerated order {t.n} != {entry.finite_order}",
             )
     return "classifier table complete and consistent with the degree formula", {
-        "rows": len(table_rows()),
-        "keyed_rows": len(keyed_reference_labels()),
+        "rows": len(CASES),
+        "keyed_rows": sum(row.key is not None for row in CASES.values()),
         "abelianizations": consistency,
     }
 

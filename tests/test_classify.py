@@ -3,18 +3,10 @@ import random
 import pytest
 
 from curvepi.abelian import abelian_invariants, curve_abelianization
-from curvepi.classify import (
-    ClassificationEntry,
-    NotCovered,
-    all_case_labels,
-    canonical_key,
-    classify,
-    keyed_reference_labels,
-    lookup_case,
-    reference_type,
-    table_rows,
-)
-from curvepi.geometry import CombinatorialType, Singularity
+from curvepi.classify import CASES, ClassificationEntry, NotCovered, canonical_key, classify, lookup_case
+from curvepi.geometry import CombinatorialType, Singularity, validate_combinatorial_type
+
+SMOOTH_QUINTIC = CombinatorialType([("C", 5)])
 
 
 def relabeled(ct, rng):
@@ -34,16 +26,63 @@ def relabeled(ct, rng):
     return CombinatorialType(comps, sings)
 
 
+# the key of every keyed row, written out so that a change to a row's
+# reference type or to canonical_key shows here
+KEYS = {
+    "1.1": "1+1+1+1;6×A1",
+    "1.2": "1+1+1+1;3×A1+O3",
+    "1.3": "1+1+1+1;O4",
+    "2.1.1": "1+3;3×A1",
+    "2.1.2": "1+3;A5",
+    "2.1.3": "1+3;A1+A3",
+    "2.2.1": "1+3;4×A1",
+    "2.2.2": "1+3;2×A1+A3",
+    "2.2.3": "1+3;A1+A5",
+    "2.2.4": "1+3;A1+A1T",
+    "2.2.5": "1+3;A1*",
+    "2.3.1": "1+3;3×A1+A2",
+    "2.3.2": "1+3;A1+A2+A3",
+    "2.3.3": "1+3;A2+A5",
+    "2.3.4": "1+3;A1+A2+A3",
+    "2.3.5": "1+3;A2*",
+    "3.1": "2+2;A7",
+    "3.2": "2+2;A1+A5",
+    "3.3": "2+2;2×A1+A3",
+    "3.4": "2+2;2×A3",
+    "3.5": "2+2;4×A1",
+    "4.1": "1+1+2;5×A1",
+    "4.2": "1+1+2;2×A1+O3",
+    "4.3": "1+1+2;3×A1+A3",
+    "4.4": "1+1+2;A1+A3T",
+    "4.5": "1+1+2;A1+2×A3",
+    "C4(3A2)": "4;3×A2",
+    "C5(3A4)": "5;3×A4",
+    "C5(A6+3A2)": "5;3×A2+A6",
+    "C4(3A2)+{x2,x2}": "1+4;3×A2+2×A3",
+    "C3(A2)+{x3}+{x2,x1}": "1+1+3;2×A1+A2+A3+A5",
+    "5C1:F4": "1+1+1+1+1;O5",
+    "3C1:concurrent": "1+1+1;O3",
+}
+
+
+def test_keyed_rows_have_the_stated_keys_and_valid_reference_types():
+    keyed = {label: row for label, row in CASES.items() if row.key is not None}
+    assert {label: row.key for label, row in keyed.items()} == KEYS
+    for label, row in keyed.items():
+        assert validate_combinatorial_type(row.type).ok, label
+        assert row.degrees == sorted(row.type.degrees), label
+
+
 def test_canonical_key_examples():
-    assert canonical_key(reference_type("1.1")) == "1+1+1+1;6×A1"
-    assert canonical_key(reference_type("3.4")) == "2+2;2×A3"
-    assert canonical_key(reference_type("C4(3A2)")) == "4;3×A2"
+    assert canonical_key(CASES["1.1"].type) == "1+1+1+1;6×A1"
+    assert canonical_key(CASES["3.4"].type) == "2+2;2×A3"
+    assert canonical_key(CASES["C4(3A2)"].type) == "4;3×A2"
 
 
 def test_canonical_key_invariant_under_relabeling():
     rng = random.Random(42)
-    for label in keyed_reference_labels():
-        ct = reference_type(label)
+    for label in KEYS:
+        ct = CASES[label].type
         key = canonical_key(ct)
         for _ in range(5):
             assert canonical_key(relabeled(ct, rng)) == key
@@ -52,7 +91,7 @@ def test_canonical_key_invariant_under_relabeling():
 def test_classify_invariant_under_relabeling():
     rng = random.Random(43)
     for label in ("1.2", "2.3.3", "3.4", "4.5", "C4(3A2)+{x2,x2}"):
-        ct = reference_type(label)
+        ct = CASES[label].type
         want = classify(ct).group_name
         for _ in range(3):
             assert classify(relabeled(ct, rng)).group_name == want
@@ -84,7 +123,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("label,group,abelian", GOLDEN)
 def test_classify_goldens(label, group, abelian):
-    entry = classify(reference_type(label))
+    entry = classify(CASES[label].type)
     assert isinstance(entry, ClassificationEntry)
     assert entry.group_name == group
     assert entry.abelian == abelian
@@ -92,7 +131,7 @@ def test_classify_goldens(label, group, abelian):
 
 
 def test_smooth_quintic_is_z5():
-    entry = classify(reference_type("smooth-quintic"))
+    entry = classify(SMOOTH_QUINTIC)
     assert entry.group_name == "Z/5"
     assert entry.invariants == curve_abelianization([5])
     assert entry.finite_order == 5
@@ -143,7 +182,7 @@ def _abelian_json(case, key, group, free_rank, torsion, gens, relators, finite_o
     "ct,expected",
     [
         (
-            reference_type("smooth-quintic"),
+            SMOOTH_QUINTIC,
             _abelian_json("smooth", "5;", "Z/5", 0, [5], ["t1"], [[["t1", 1]] * 5], 5,
                           "smooth curve: complement group is abelian"),
         ),
@@ -202,13 +241,14 @@ def test_invalid_type_raises():
 
 def test_duplicate_key_rows_agree():
     # cases 2.3.2 and 2.3.4 share a combinatorial type and an answer
+    assert CASES["2.3.2"].type is CASES["2.3.4"].type
     assert lookup_case("2.3.2").group_name == lookup_case("2.3.4").group_name
-    entry = classify(reference_type("2.3.4"))
+    entry = classify(CASES["2.3.4"].type)
     assert entry.group_name == "Z"
 
 
 def test_table_completeness():
-    labels = set(all_case_labels())
+    labels = set(CASES)
     for expected in (
         "1.1", "1.2", "1.3", "2.1.1", "2.1.2", "2.1.3", "2.2.1", "2.2.2",
         "2.2.3", "2.2.4", "2.2.5", "2.3.1", "2.3.2", "2.3.3", "2.3.4", "2.3.5",
@@ -227,21 +267,17 @@ def test_table_completeness():
 
 def test_formula_consistency_across_table():
     """Every presentation in the table abelianizes to the degree formula."""
-    from curvepi.classify import _entry_from_row
-
-    for row in table_rows():
-        entry = _entry_from_row(row)
+    for label, row in CASES.items():
+        entry = lookup_case(label)
         if entry.presentation is None:
             continue
-        assert abelian_invariants(entry.presentation) == curve_abelianization(row.degrees), row.label
+        assert abelian_invariants(entry.presentation) == curve_abelianization(row.degrees), label
 
 
 def test_partial_rows_have_no_key():
-    for row in table_rows():
-        if row.label.startswith(("C4+C1", "C3+2C1", "2C2+C1", "C2+3C1")):
-            assert row.key is None
-        if row.label == "C3+C2":
-            assert row.key is None
+    for label, row in CASES.items():
+        if label.startswith(("C4+C1", "C3+2C1", "2C2+C1", "C2+3C1")) or label == "C3+C2":
+            assert row.key is None and row.type is None, label
 
 
 def test_lookup_case_unknown():
@@ -250,7 +286,7 @@ def test_lookup_case_unknown():
 
 
 def test_entry_json_shape():
-    doc = classify(reference_type("2.3.3")).to_json()
+    doc = classify(CASES["2.3.3"].type).to_json()
     assert doc["group"] == "B_3"
     assert doc["case"] == "2.3.3"
     assert doc["presentation"]["generators"] == ["a", "b"]

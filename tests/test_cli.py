@@ -185,6 +185,11 @@ def test_classify_not_covered(tmp_path):
     assert "not covered" in err
 
 
+def _example_script(**changes):
+    with open(os.path.join(BLOWUP, "example1.json"), encoding="utf-8") as fh:
+        return {**json.load(fh), **changes}
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -199,9 +204,20 @@ def test_classify_not_covered(tmp_path):
             {"components": [{"id": "C", "degree": None}], "singularities": []},
             "degree of component 0 is not a JSON integer",
         ),
+        (
+            "classify",
+            {"components": [{"id": "C", "degree": 3}]},
+            'a combinatorial type has no "singularities" field',
+        ),
         ("blowup", [], "a blow-up script is not a JSON object"),
+        ("blowup", _example_script(steps=[{}]), 'step 0 has no "blow" field'),
+        ("blowup", _example_script(steps=[{"blow": "z"}]), "no pending point 'z'"),
+        ("blowup", _example_script(d=["Z"]), "unknown component 'Z'"),
     ],
-    ids=["type-array", "component-array", "null-degree", "script-array"],
+    ids=[
+        "type-array", "component-array", "null-degree", "no-singularities",
+        "script-array", "step-without-blow", "unknown-point", "unknown-d-component",
+    ],
 )
 def test_document_of_the_wrong_shape_is_a_usage_error(tmp_path, command, doc, message):
     path = tmp_path / "doc.json"
@@ -221,7 +237,7 @@ def _nodes(doc, path=()):
 def _type_accepted(doc) -> bool:
     try:
         CombinatorialType.from_json(doc)
-    except (ValueError, KeyError):
+    except ValueError:
         return False
     return True
 
@@ -305,6 +321,11 @@ def test_verify_only_naming_no_check_is_a_usage_error(only):
     code, out, err = run(["verify", "--only", only])
     assert (code, out) == (2, "")
     assert err.startswith("error: no check selected; known: V1, V2,")
+
+
+def test_verify_only_naming_an_unknown_check_is_a_usage_error():
+    known = ", ".join(f"V{i}" for i in range(1, 13))
+    assert run(["verify", "--only", "V99"]) == (2, "", f"error: unknown check 'V99'; known: {known}\n")
 
 
 def test_verify_text_mode():

@@ -255,7 +255,7 @@ PRINTED_VALUES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PRINTED_VALUES))
+@pytest.mark.parametrize("case", sorted(name[: -len(".json")] for name in os.listdir(DATA)))
 def test_scripted_replays(case):
     script = load_script(os.path.join(DATA, f"{case}.json"))
     ledger, report = run_script(script)
@@ -265,6 +265,13 @@ def test_scripted_replays(case):
     assert report.d_nodal_only and report.d_e_transverse
     # the exceptional count equals the script length
     assert len(ledger.exceptional) == len(script["steps"])
+    # the fixture's own expect block
+    expect = script["expect"]
+    assert {cid: cc for cid, cc, _, _ in report.rows} == expect["self_int"]
+    assert {cid: two_r for cid, _, two_r, _ in report.rows} == expect["two_r"]
+    assert report.overall == expect["nori"]
+    if "exceptional" in expect:
+        assert len(ledger.exceptional) == expect["exceptional"]
 
 
 def test_example1_details():

@@ -9,15 +9,19 @@ from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
 from curvepi.cli import main
 from curvepi.coset_table import CosetTable, EnumLimits, Overflow, table_from_action, todd_coxeter
-from curvepi.schreier import (
-    SchreierRewriter,
-    schreier_transversal,
-    simplify,
-    subgroup_presentation,
-)
+from curvepi.schreier import SchreierRewriter, _tree_edges, simplify, subgroup_presentation
 from curvepi.presentations import Presentation
 from curvepi.words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
 from schreier_oracle import OracleRewriter
+
+
+def schreier_transversal(t: CosetTable):
+    """BFS-minimal coset representatives, index-aligned with the table:
+    prefix-closed positive words, representative 0 the empty word."""
+    reps = [Word()] * t.n
+    for d, (c, g) in _tree_edges(t).items():
+        reps[d] = reps[c] * Word.gen(g)
+    return tuple(reps)
 
 
 def hnn_presentation():
