@@ -46,10 +46,12 @@ def smith_normal_form(M: IntMatrix) -> List[int]:
     return divisors + [0] * (min(M.rows, M.cols) - len(divisors))
 
 
-def _fold(rows: Sequence[Mapping[int, int]], ncols: int) -> Tuple[int, List[Dict[int, int]]]:
+def _fold(rows: Iterable[Mapping[int, int]], ncols: int) -> Tuple[int, List[Dict[int, int]]]:
     """Fold the rows with at most two entries, all +-1, into a signed
     union-find over the columns; returns the number of columns folded and
-    the other rows, rewritten over the surviving roots as new dicts.
+    the other rows, rewritten over the surviving roots as new dicts.  The
+    rows are read once, in order, and a column outside 0..ncols-1 is a
+    ValueError.
 
     Column j is ``sign[j]`` times column ``up[j]``; a root is its own
     ``up``, and the extra root ``ncols`` is 0.  Each row is substituted
@@ -89,6 +91,10 @@ def _fold(rows: Sequence[Mapping[int, int]], ncols: int) -> Tuple[int, List[Dict
         for i, line in todo:
             row: Dict[int, int] = {}
             for j, x in line.items():
+                # list indexing would wrap a negative column, and ncols is
+                # the zero root
+                if not 0 <= j < ncols:
+                    raise ValueError(f"rows have entries outside columns 0..{ncols - 1}")
                 if up[j] != j:
                     j, s = find(j)
                     if j == zero:
@@ -126,7 +132,7 @@ def _fold(rows: Sequence[Mapping[int, int]], ncols: int) -> Tuple[int, List[Dict
         todo = [(k, kept.pop(k)) for k in dirty if k in kept]
 
 
-def _pivots(entries: Sequence[Mapping[int, int]], ncols: int) -> List[int]:
+def _pivots(entries: Iterable[Mapping[int, int]], ncols: int) -> List[int]:
     """Diagonalize a copy of the sparse rows ``entries`` by unimodular row
     and column operations; returns the nonzero elementary divisors
     d1 | d2 | ..., the units first.
@@ -154,9 +160,6 @@ def _pivots(entries: Sequence[Mapping[int, int]], ncols: int) -> List[int]:
     nonzero.  So the loop ends.  A gcd/lcm pass over the pivots other than
     1 gives the divisor chain.
     """
-    used = set().union(*entries)
-    if used and not (0 <= min(used) and max(used) < ncols):
-        raise ValueError(f"rows have entries outside columns 0..{ncols - 1}")
     folds, kept = _fold(entries, ncols)
     rows: Dict[int, Dict[int, int]] = dict(enumerate(kept))
     col_rows: Dict[int, Set[int]] = {}
@@ -302,17 +305,17 @@ def exponent_row(w: Word) -> Dict[int, int]:
     return {j: s for j, s in row.items() if s}
 
 
-def invariants_of_rows(rows: Sequence[Mapping[int, int]], ncols: int) -> InvariantFactors:
+def invariants_of_rows(rows: Iterable[Mapping[int, int]], ncols: int) -> InvariantFactors:
     """Invariant factors of Z^ncols modulo the lattice spanned by ``rows``,
-    each a ``{col: value}`` mapping with 0 <= col < ncols.  The rows are
-    read, not changed."""
+    any iterable of ``{col: value}`` mappings with 0 <= col < ncols.  The
+    rows are read once, not changed."""
     divisors = _pivots(rows, ncols)
     return InvariantFactors(ncols - len(divisors), [d for d in divisors if d > 1])
 
 
 def abelian_invariants(p: Presentation) -> InvariantFactors:
     """Invariant factors of the abelianization of a presented group."""
-    return invariants_of_rows([exponent_row(w) for w in p.relators], p.n_gens)
+    return invariants_of_rows((exponent_row(w) for w in p.relators), p.n_gens)
 
 
 def curve_abelianization(degrees: Sequence[int]) -> InvariantFactors:

@@ -14,14 +14,18 @@ immediately with a union-find that always keeps the smaller index, which
 pins coset 0 to the subgroup.  Finished tables are renumbered by BFS from
 coset 0 (positive generator columns first) so transversals are reproducible.
 
-Strategy.  HLT visits the live cosets in order; at each it scans and fills
-every relator (coset 0 scans the subgroup words first), then defines the
+Strategy.  One routine, ``scan_at``, scans a list of words at a coset
+until the coset dies, one scan step per pass: a closed word with a
+mismatch is a coincidence, a single gap is filled, and a longer gap ends
+the word's scan, unless the scan is HLT's, which defines a coset there and
+scans on.  HLT visits the live cosets in order; at each it scans every
+relator that way (coset 0 scans the subgroup words first), then defines the
 row's empty entries.  Every entry that a fill or a definition sets goes on
-a deduction stack, which is drained after each scan and after each row.
-For an entry of column x at coset c, draining scans at c, without defining
-cosets, each distinct cyclic conjugate that starts with x of every relator
-of length at most 3 (other than g^2) and of its inverse: a single gap is
-filled, and its entry pushed in turn; a closed mismatch is a coincidence.
+a deduction stack, which is drained after each HLT word and after each
+row.  For an entry of column x at coset c, draining calls ``scan_at`` at c,
+without defining cosets, on each distinct cyclic conjugate that starts
+with x of every relator of length at most 3 (other than g^2) and of its
+inverse; a filled gap pushes its entry in turn.
 Such relators are the torsion x^3 and triangle relators abc that HLT would
 otherwise cover with cosets that later die.  Longer relators do not deduce,
 since on the E6 Coxeter group their deductions cost more than the cosets
@@ -418,20 +422,19 @@ def todd_coxeter(
         parent.append(beta)
         fill(x, c, beta)
 
-    def drain() -> None:
-        # deduce from each entry on the stack: scans only, each filling a
-        # single gap or merging a closed mismatch, one step each
+    def scan_at(c: int, scans, hlt: bool) -> None:
+        # the one scan loop (module docstring); hlt defines cosets at a
+        # longer gap and drains the deductions after each word
         nonlocal steps, dead
-        while stack:
-            c, x = stack.pop()
-            for fwd, bwd, last, w in deduce[x]:
-                if parent[c] != c:
-                    break
+        for fwd, bwd, last, w in scans:
+            if parent[c] != c:
+                return
+            f = b = c
+            i, j = 0, last
+            while True:
                 steps += 1
                 if steps > max_deductions:
                     raise _Overflowed
-                f = b = c
-                i, j = 0, last
                 while i <= j:
                     y = fwd[i][f]
                     if y is None:
@@ -441,7 +444,7 @@ def todd_coxeter(
                 if i > j:
                     if f != b:
                         dead += _coincidence(parent, pairs, f, b)
-                    continue
+                    break
                 while j >= i:
                     y = bwd[j][b]
                     if y is None:
@@ -450,8 +453,21 @@ def todd_coxeter(
                     j -= 1
                 if j < i:
                     dead += _coincidence(parent, pairs, f, b)
-                elif j == i:
+                    break
+                if j == i:
                     fill(w[i], f, b)
+                    break
+                if not hlt:
+                    break
+                define(w[i], f)
+            if hlt and stack:
+                drain()
+
+    def drain() -> None:
+        # deduce from each entry on the stack, without defining cosets
+        while stack:
+            c, x = stack.pop()
+            scan_at(c, deduce[x], False)
 
     def skip_mask(w):
         # one bit per shortcut column
@@ -491,42 +507,8 @@ def todd_coxeter(
                         ]
                     # a relator symmetry proves the others closed at alpha
                     skipped += len(relator_scans) - len(todo)
-                for fwd, bwd, last, w in todo:
-                    # HLT scan and fill of one word at alpha
-                    f = b = alpha
-                    i, j = 0, last
-                    while True:
-                        steps += 1
-                        if steps > max_deductions:
-                            raise _Overflowed
-                        while i <= j:
-                            x = fwd[i][f]
-                            if x is None:
-                                break
-                            f = x
-                            i += 1
-                        if i > j:
-                            if f != b:
-                                dead += _coincidence(parent, pairs, f, b)
-                            break
-                        while j >= i:
-                            x = bwd[j][b]
-                            if x is None:
-                                break
-                            b = x
-                            j -= 1
-                        if j < i:
-                            dead += _coincidence(parent, pairs, f, b)
-                            break
-                        if j == i:
-                            fill(w[i], f, b)
-                            break
-                        define(w[i], f)
-                    if stack:
-                        drain()
-                    if parent[alpha] != alpha:
-                        break
-                else:
+                scan_at(alpha, todo, True)
+                if parent[alpha] == alpha:
                     for x in rows:
                         if cols[x][alpha] is None:
                             define(x, alpha)

@@ -80,9 +80,16 @@ class Singularity:
         kind = _TANGENCY_MARKER.get(kind, kind)
         if kind not in _KINDS:
             raise ValueError(f"unsupported singularity kind {kind!r}")
+        owners = tuple(owners)
+        if kind == "O3" and len(owners) == 3 and len(set(owners)) == 2:
+            # a triple point of two components is a node of the one listed
+            # twice with a line through it, transverse to both branches: the
+            # same delta and intersection numbers, spelled one way
+            kind = "A1T"
+            owners = tuple(sorted(set(owners), key=owners.count, reverse=True))
         self.kind = kind
         self.at = at
-        self.owners = tuple(owners)
+        self.owners = owners
 
     def __repr__(self) -> str:
         return f"Singularity({self.kind!r}, {self.at!r}, {self.owners!r})"

@@ -180,10 +180,35 @@ def test_int_matrix_rejects_a_width_that_disagrees_with_cols():
     assert (A.rows, A.cols) == (1, 2)
     E = IntMatrix([], cols=3)
     assert (E.rows, E.cols) == (0, 3)
-    # the sparse entry rejects a column outside 0..ncols-1 the same way
-    for row in ({2: 1}, {-1: 1}):
-        with pytest.raises(ValueError, match="columns"):
-            invariants_of_rows([{0: 1}, row], 2)
+
+
+@pytest.mark.parametrize("col", [-1, 3, 8])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_column_outside_the_range_is_rejected_wherever_it_is_read(col, at):
+    # the sparse entry rejects it as IntMatrix rejects a wrong width: -1
+    # would wrap to the fold's zero root, 3 is that root, 8 is past it;
+    # the bad entry is in the first, a middle or the last row, there as an
+    # explicit zero
+    rows = [{0: 1, 1: -1}, {1: 2, 2: 4}, {0: 3}]
+    rows[at] = {**rows[at], col: 0 if at == 2 else 1}
+    with pytest.raises(ValueError, match="outside columns 0..2"):
+        invariants_of_rows(rows, 3)
+    with pytest.raises(ValueError, match="outside columns 0..2"):
+        invariants_of_rows(iter(rows), 3)
+
+
+def test_rows_from_a_generator_match_a_list():
+    rng = random.Random(22)
+    for _ in range(50):
+        cols = rng.randint(1, 6)
+        rows = [
+            {j: rng.randint(-3, 3) for j in rng.sample(range(cols), rng.randint(0, cols))}
+            for _ in range(rng.randint(0, 8))
+        ]
+        want = invariants_of_rows(rows, cols)
+        assert invariants_of_rows((dict(row) for row in rows), cols) == want
+    p = parse_presentation("<a,b,c | a^2 b^-1, b c^3, a c a^-1 c^-1, (a b c)^4>")
+    assert abelian_invariants(p) == invariants_of_rows([exponent_row(w) for w in p.relators], 3)
 
 
 def apply_unimodular(entries, ops):

@@ -233,6 +233,20 @@ def test_unenumerated_cusp_line_position_not_covered():
     assert isinstance(res, NotCovered)
 
 
+@pytest.mark.parametrize("owners", [("C", "L"), ("C", "C", "L"), ("C", "L", "C"), ("L", "C", "C")])
+def test_line_through_a_node_in_either_spelling(owners):
+    # a nodal cubic, a line through the node transverse to both branches,
+    # and one more crossing: an ordinary triple point with one component
+    # listed twice is the line through the node, A1T
+    kind = "A1T" if len(owners) == 2 else "O3"
+    ct = CombinatorialType(
+        [("C", 3), ("L", 1)],
+        [Singularity(kind, "p", owners), Singularity("A1", "q", ("C", "L"))],
+    )
+    assert [(s.kind, s.owners) for s in ct.singularities][0] == ("A1T", ("C", "L"))
+    assert classify(ct).case_label == "2.2.4"
+
+
 def test_invalid_type_raises():
     bad = CombinatorialType([("C", 4)], [Singularity("A1", f"p{i}", ("C", "C")) for i in range(4)])
     with pytest.raises(ValueError):

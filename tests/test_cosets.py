@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,8 +349,8 @@ def _relator_offsets(p):
 def _agree_with_scan_every(p, sub, limits):
     """Both column-major enumerators on one case: the tables agree whenever
     both finish, and every finished table passes ``validate_table``.
-    Returns which way the one that scans everything ended, whether the other
-    finished, and the scans the other skipped."""
+    Returns which way the one that scans everything ended, and the other's
+    result."""
     res = todd_coxeter(p, sub, limits)
     ref = scan_every_todd_coxeter(p, sub, limits)
     finished = isinstance(res, CosetTable)
@@ -362,7 +363,7 @@ def _agree_with_scan_every(p, sub, limits):
         end = "finished"
         if finished:
             assert res.forward == ref.forward and res.backward == ref.backward, (p, sub)
-    return end, finished, res.stats.skipped
+    return end, res
 
 
 def _deduces(p):
@@ -375,24 +376,36 @@ def test_matches_scan_every_enumerator_on_seeded_corpus():
     rng = random.Random(8)
     ends = {"finished": 0, "cosets": 0, "deductions": 0}
     offsets = {(True, False): 0, (False, True): 0, (True, True): 0, (False, False): 0}
-    skipped = lost = deducing = 0
+    lost = deducing = 0
+    # the enumerator's exact work: its stats summed, and its results by type
+    work = Counter()
     for _ in range(400):
         p, sub = _symmetric_case(rng.randint, lambda q: rng.random() < q)
         for pair in _relator_offsets(p):
             offsets[pair] += 1
         deducing += _deduces(p)
         max_deductions = rng.choice([10**8, rng.randint(20, 2000)])
-        end, finished, skips = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
+        end, res = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
         ends[end] += 1
         # deductions may change where a budget runs out, but no case that
         # the enumerator scanning everything finishes runs out here
-        lost += end == "finished" and not finished
-        skipped += skips
+        lost += end == "finished" and isinstance(res, Overflow)
+        work[type(res).__name__] += 1
+        work.update(res.stats._asdict())
     assert ends["finished"] > 100 and ends["cosets"] > 10 and ends["deductions"] > 10, ends
     assert lost == 0
     # offset-1-only, offset-(L-1)-only and both-offset relators all occur
     assert min(offsets.values()) > 10, offsets
-    assert deducing > 10 and skipped > 0
+    assert deducing > 10 and work["skipped"] > 0
+    # any change to the order of scans or deductions moves these
+    assert work == {
+        "CosetTable": 233,
+        "Overflow": 167,
+        "allocated": 258472,
+        "dead": 26636,
+        "scan_steps": 299930,
+        "skipped": 30453,
+    }
 
 
 @settings(max_examples=150, deadline=None)

@@ -119,6 +119,17 @@ def test_every_kind_has_its_pinned_bezout_sums_and_delta():
         assert (_pairwise_contacts(s), _self_delta(s, "C")) == ({}, delta), kind
 
 
+def test_only_a_three_branch_o3_of_two_components_is_respelled():
+    # an O3 listing one component twice is A1T; one of the wrong arity is
+    # left for the validator to reject
+    assert Singularity("O3", "p", ("L", "C", "L")).owners == ("L", "C")
+    for owners in ("CL", "CCLL"):
+        s = Singularity("O3", "p", tuple(owners))
+        assert (s.kind, s.owners) == ("O3", tuple(owners))
+        report = validate_combinatorial_type(CombinatorialType([("C", 3), ("L", 1)], [s]))
+        assert report.violations == (("O3 expects 3 branches", ("p", len(owners))),)
+
+
 def test_a_type_without_components_is_invalid():
     report = validate_combinatorial_type(ct([], []))
     assert report.violations == (("type has no components", 0),)

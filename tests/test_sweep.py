@@ -25,7 +25,7 @@ VERDICTS = {
     "irreducible quintic": 202,
     "nodal": 24,
     "smooth": 5,
-    "not covered": 470,
+    "not covered": 426,
 }
 
 
@@ -44,7 +44,7 @@ def test_every_admissible_type_gets_a_sound_verdict():
         if result.abelian:
             abelian += 1
             assert result.invariants == curve_abelianization(ct.degrees), result.key
-    assert (len(types), abelian, len(types) - abelian - verdicts["not covered"]) == (755, 261, 24)
+    assert (len(types), abelian, len(types) - abelian - verdicts["not covered"]) == (711, 261, 24)
     assert dict(verdicts) == VERDICTS
     # every keyed row is reached, and the coarse key, which drops which
     # component owns which branch, never stands for two ownership structures

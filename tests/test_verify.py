@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from curvepi import verify
+from curvepi.cli import main as cli_main
 from curvepi.derive import DerivationBudget, Inconclusive
 from curvepi.dsl import parse_presentation, parse_word
 from curvepi.homomorphisms import Refuted, Verified, verify_isomorphism
@@ -56,6 +58,17 @@ def test_json_reports_are_byte_identical():
     assert [entry["id"] for entry in doc["suite"]] == ALL_CHECKS
     # timings are excluded by design so reports can be byte-stable
     assert "elapsed" not in first
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "bench", "reference", "verify.json")
+
+
+def test_verify_json_is_the_reference_output(capsys):
+    # the byte-stable report, as the benchmark's gate compares it
+    with open(REFERENCE, encoding="utf-8") as fh:
+        want = fh.read()
+    assert cli_main(["verify", "--json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_reports_carry_audit_artifacts():

@@ -78,6 +78,8 @@ def admissible_types(degrees: Tuple[int, ...]) -> Iterator[CombinatorialType]:
             # what the singularity adds to each pair's Bezout sum and to
             # each component's delta
             s = Singularity(kind, "", owners)
+            if s.kind != kind:
+                continue  # another kind's spelling, which that kind lists
             contacts, deltas = _pairwise_contacts(s), tuple(_self_delta(s, c) for c in ids)
             if all(m <= bezout[pair] for pair, m in contacts.items()) and all(
                 d <= g for d, g in zip(deltas, genus)
