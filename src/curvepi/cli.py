@@ -9,6 +9,7 @@ bracket) or as file paths; ``-`` reads standard input.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -167,7 +168,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing starts each call from a fresh
+    namespace, so no value of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="curvepi",
         description=(

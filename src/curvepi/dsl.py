@@ -145,10 +145,33 @@ class _Parser:
         return Word(letters)
 
     def word(self) -> list[int]:
-        letters = self.atom()
-        while self.tokens[self.i] == "(" or self.tokens[self.i][:1] in _IDENT_START:
+        """Letters of one or more atoms, up to a token that cannot start one.
+
+        A declared name, bare or to the power -1 (all that raw Reidemeister-
+        Schreier output writes), is read here; every other atom, and all
+        malformed input, goes through ``atom()`` at the same token, with the
+        same errors.  Whether an atom has been read is told by the token
+        position, since a group can reduce to no letters."""
+        tokens, names = self.tokens, self.gen_index
+        letters: list[int] = []
+        start = i = self.i
+        while True:
+            g = names.get(tokens[i])
+            if g is not None:
+                if tokens[i + 1] != "^":
+                    letters.append(g + 1)
+                    i += 1
+                    continue
+                if tokens[i + 2] == "-1":
+                    letters.append(-g - 1)
+                    i += 3
+                    continue
+            elif i != start and tokens[i] != "(" and tokens[i][:1] not in _IDENT_START:
+                self.i = i
+                return letters
+            self.i = i
             letters += self.atom()
-        return letters
+            i = self.i
 
     def atom(self) -> list[int]:
         if self.tokens[self.i] == "(":

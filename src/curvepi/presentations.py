@@ -44,9 +44,9 @@ class Presentation:
                 continue
             if _undeclared(letters, n):
                 raise ValueError(f"relator {w!r} uses an undeclared generator")
-            core = cyclic_reduce(letters)
-            # a reduced word of one letter or more keeps at least one
-            rels.append(w if len(core) == len(letters) else Word._raw(core))
+            # a reduced word has something to strip only if it is x ... x^-1,
+            # and then keeps at least one letter
+            rels.append(w if letters[0] != -letters[-1] else Word._raw(cyclic_reduce(letters)))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "_index", None)  # name -> index, on first lookup

@@ -12,7 +12,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from curvepi.cli import main
+from curvepi.cli import main, make_parser
 from curvepi.geometry import CombinatorialType
 from curvepi.words import MAX_LETTERS
 
@@ -64,6 +64,19 @@ def test_tc_pipeline_quotient():
     code, out2, _ = run(["tc", "-", "--quotient-by", "a^2"], stdin=out)
     assert code == 0
     assert out2.strip() == "60"
+
+
+def test_calls_in_one_process_share_the_parser_but_not_their_values():
+    # a repeated option starts from nothing in every call: if the values of
+    # one call reached the next, the second would impose (ab)^5 and (ab)^3,
+    # so ab = 1 and the index is 1, and the third would see both subgroups
+    text = "<a,b | a^2, b^3>"
+    first = run(["tc", text, "--quotient-by", "(ab)^5", "--subgroup", "a"])
+    second = run(["tc", text, "--quotient-by", "(ab)^3", "--subgroup", "b"])
+    third = run(["tc", text, "--quotient-by", "(ab)^5", "--subgroup", "a"])
+    assert make_parser() is make_parser()
+    assert first == third == (0, "30\n", "")
+    assert second == (0, "4\n", "")
 
 
 def test_tc_json_schema():

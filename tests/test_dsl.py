@@ -355,6 +355,40 @@ def test_token_parser_matches_the_scanner_oracle_on_seeded_corpus():
     assert min(counts.values()) >= 10, counts
 
 
+def test_a_first_group_that_reduces_to_nothing_is_still_an_atom():
+    # the word before "=" has one atom and no letters
+    text = "<a,b | (b b^-1) = b>"
+    p = parse_presentation(text)
+    assert format_presentation(p) == "< a, b | b^-1 >"
+    assert p == dsl_oracle.parse_presentation(text)
+    assert parse_word(WORD_OVER, "(b b^-1) a") == dsl_oracle.parse_word(WORD_OVER, "(b b^-1) a")
+
+
+@pytest.mark.parametrize("exponent", ["^-1", "^ -1", "^-01", "^+1", "^-", "^-1^2"])
+@pytest.mark.parametrize("atom", ["b", "ab"])
+def test_exponent_spellings_match_the_oracle(atom, exponent):
+    # "b" is a declared name, read inline; "ab" a juxtaposed run, split
+    for text in (f"<a,b | {atom}{exponent}>", f"<a,b | a {atom}{exponent} a, b>"):
+        got = outcome(parse_presentation, text)
+        assert got == outcome(dsl_oracle.parse_presentation, text), text
+    word = f"{atom}{exponent} b"
+    assert outcome(parse_word, WORD_OVER, word) == outcome(dsl_oracle.parse_word, WORD_OVER, word)
+
+
+def test_exponent_spellings_examples():
+    p = parse_presentation("<a,b | b^-01 a^+1, a b ^ -1>")
+    assert format_presentation(p) == "< a, b | b^-1 a, a b^-1 >"
+    # the digits are missing after the sign, at the closing bracket
+    for text, column in (("<a,b | b^->", 11), ("<a,b | ab^->", 12)):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert str(err.value) == f"expected an integer (line 1, column {column})"
+        assert err.value.col == column
+    with pytest.raises(ParseError) as err:
+        parse_presentation("<a,b | b^-1^2>")
+    assert str(err.value) == "expected >/\u27e9, found '^' (line 1, column 12)"
+
+
 def test_juxtaposed_runs_cost_does_not_grow_with_the_generator_count():
     # a run that is not a declared name is split by dict lookups of its
     # prefixes, not by a scan of every declared name, so 200 runs under

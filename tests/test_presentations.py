@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepi import (
     Presentation,
@@ -16,6 +17,7 @@ from curvepi.coset_table import todd_coxeter
 from curvepi.presentations import compose
 from curvepi.schreier import simplify, subgroup_presentation
 from curvepi.words import Word
+import presentation_oracles
 from map_helpers import identity_map
 from word_oracles import substitute_by_products
 
@@ -58,6 +60,67 @@ def test_relator_must_be_a_word():
 def test_relators_that_reduce_to_nothing_are_dropped():
     p = Presentation(["a", "b"], [Word([1, 2, -2, -1]), Word(), Word([2, 2])])
     assert [w.letters for w in p.relators] == [(2, 2)]
+
+
+# the constructor against its earlier per-relator checks
+
+# names are drawn with repetition, so that some lists declare one twice
+_VALID_NAMES = ["a", "b", "c", "g10", "x_1", "y'"]
+# names the DSL cannot read, and a non-string
+_INVALID_NAMES = ["1", "x y", "", 7]
+
+
+@st.composite
+def relator_items(draw, n):
+    """A Word over the first ``n`` generators, perhaps conjugated, empty,
+    holding a letter ±(n+1) at some position, or not a Word at all."""
+    letters = st.builds(lambda g, sign: g * sign, st.integers(1, max(n, 1)), st.sampled_from([1, -1]))
+    size = 8 if n else 0
+    core = draw(st.lists(letters, max_size=size))
+    kind = draw(st.sampled_from(["word"] * 6 + ["conjugated", "undeclared", "empty", "other"]))
+    if kind == "conjugated":
+        by = draw(st.lists(letters, max_size=min(size, 3)))
+        core = by + core + [-x for x in reversed(by)]
+    elif kind == "undeclared":
+        core.insert(draw(st.integers(0, len(core))), draw(st.sampled_from([n + 1, -n - 1])))
+    elif kind == "empty":
+        core = []
+    elif kind == "other":
+        return draw(st.sampled_from([(1,), None, "a", [1, 2]]))
+    return Word(core)
+
+
+def _parts_or_error(build, generators, relators):
+    try:
+        return build(generators, relators)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _parts(generators, relators):
+    p = Presentation(generators, relators)
+    return p.generators, p.relators
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constructor_matches_the_per_relator_oracle(data):
+    valid = data.draw(st.booleans())
+    pool = _VALID_NAMES if valid else _VALID_NAMES + _INVALID_NAMES
+    names = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    if valid:
+        names = list(dict.fromkeys(names))  # so that the relators are checked
+    rels = data.draw(st.lists(relator_items(len(names)), max_size=6))
+    one_shot = data.draw(st.booleans())
+    args = [(names, iter(rels) if one_shot else rels) for _ in range(2)]
+    got = _parts_or_error(_parts, *args[0])
+    expected = _parts_or_error(presentation_oracles.presentation_parts, *args[1])
+    assert got == expected
+    if isinstance(expected[0], tuple):
+        # a relator kept as it was is the caller's Word itself
+        given_ids = {id(w) for w in rels}
+        kept = [id(b) in given_ids for b in expected[1]]
+        assert [a is b for a, b in zip(got[1], expected[1])] == kept
 
 
 def test_duplicate_names_rejected():
