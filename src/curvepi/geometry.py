@@ -15,12 +15,14 @@ A2T, A2*, A3T) may list one component twice; its branch pairs on that
 component then count toward the component's delta.
 
 Blow-up scripts are explicit fixtures: each step names a point; the ledger
-applies the self-intersection drop m^2 per incident component, counts the
-exceptional divisor, and rewrites the point into its successor (cusp ->
-tangency with the new exceptional curve, tangency of order k -> order k-1,
-order-2 tangency -> ordinary triple point with the exceptional curve,
-nodes and ordinary multiple points -> resolved).  Anything outside that
-vocabulary is rejected.
+applies the self-intersection drop m^2 per incident component (a point
+names each component once) and counts the exceptional divisor.  One table,
+``_POINT_KINDS``, holds each point kind's check of its parties'
+multiplicities and its blow-up rule, the point left after the blow-up
+(cusp -> tangency with the new exceptional curve, tangency of order k ->
+order k-1, order 2 -> ordinary triple point with that curve).  Nodes and
+ordinary multiple points have no rule: "resolved" means "no blow-up rule".
+Anything outside that vocabulary is rejected.
 """
 
 from __future__ import annotations
@@ -287,41 +289,79 @@ def validate_combinatorial_type(ct: CombinatorialType) -> TypeReport:
 # ---------------------------------------------------------------------------
 # blow-up ledger
 
-_BLOCKING_KINDS = {"cusp", "tangency", "node_tangent_line", "cusp_tangent_line"}
-_POINT_KINDS = _BLOCKING_KINDS | {"node", "multiple"}
+def _curve_then_lines(lines: int):
+    """One (C, 2) party, then at least ``lines`` smooth ones."""
+    return lambda ms: len(ms) > lines and ms[0] == 2 and all(m == 1 for m in ms[1:])
+
+
+def _cusp_rule(ids: List[str], order: int, e: str):
+    # the cusp's curve comes out smooth and tangent to E, to order 2
+    return "tangency", [ids[0], e], 2
+
+
+# point kind -> (check of its parties' multiplicities, the message when it
+# fails, blow-up rule).  A rule maps the point's party ids, its order and the
+# new exceptional curve E to the kind, party ids (all smooth) and order of
+# the one point left.  A kind without a rule (None) is resolved.
+_POINT_KINDS = {
+    "node": (lambda ms: ms.count(2) <= 1, "a node has at most one doubled component", None),
+    "multiple": (lambda ms: all(m == 1 for m in ms), "multiple branches are smooth (m = 1)", None),
+    "cusp": (_curve_then_lines(0), "cusp expects parties (C, 2) then lines (L, 1)", _cusp_rule),
+    "cusp_tangent_line": (
+        _curve_then_lines(1),
+        "cusp_tangent_line needs a line through the point: parties (C, 2) then lines (L, 1)",
+        _cusp_rule,
+    ),
+    # the two branches separate; the tangent line, the branch it was
+    # tangent to, and E form an ordinary triple point
+    "node_tangent_line": (
+        _curve_then_lines(1),
+        "node_tangent_line needs a line through the point: parties (C, 2) then lines (L, 1)",
+        lambda ids, order, e: ("multiple", [ids[0], ids[1], e], 0),
+    ),
+    # order k > 2 drops to k - 1; order 2 becomes a triple point with E
+    "tangency": (
+        lambda ms: ms == [1, 1],
+        "a tangency has two branches, both smooth (m = 1)",
+        lambda ids, order, e: (
+            ("tangency", ids, order - 1) if order > 2 else ("multiple", ids + [e], 0)
+        ),
+    ),
+}
+
+
+def _parties(parties, what: str) -> Tuple[Tuple[str, int], ...]:
+    """(id, multiplicity) pairs that name at least one component, none twice."""
+    out = tuple((str(c), int(m)) for c, m in parties)
+    if not out:
+        raise ValueError(f"{what} must lie on at least one component")
+    ids = [c for c, _ in out]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{what} names {max(ids, key=ids.count)!r} twice")
+    return out
 
 
 class Point:
     """A remembered point of the arrangement: parties are
-    (component-or-exceptional id, local multiplicity) pairs."""
+    (component-or-exceptional id, local multiplicity) pairs.  Only a
+    tangency has an order, its contact order (>= 2)."""
 
     __slots__ = ("id", "kind", "parties", "order")
 
     def __init__(self, pid: str, kind: str, parties: Sequence[Tuple[str, int]], order: int = 0):
         if kind not in _POINT_KINDS:
             raise ValueError(f"unsupported point kind {kind!r}")
-        if kind == "tangency" and order < 2:
-            raise ValueError("tangency order must be >= 2")
+        if (order < 2) if kind == "tangency" else (order != 0):
+            raise ValueError("tangency order must be >= 2; other points have none")
         for _, m in parties:
             if m not in (1, 2):
                 raise ValueError("local multiplicities are 1 (smooth) or 2 (node/cusp)")
-        mults = [m for _, m in parties]
-        if kind in ("cusp", "cusp_tangent_line", "node_tangent_line"):
-            if not mults or mults[0] != 2 or any(m != 1 for m in mults[1:]):
-                raise ValueError(f"{kind} expects parties (C, 2) then lines (L, 1)")
-            if kind != "cusp" and len(mults) < 2:
-                raise ValueError(f"{kind} needs a line through the point")
-        elif kind in ("tangency", "multiple"):
-            if any(m != 1 for m in mults):
-                raise ValueError(f"{kind} branches are smooth (m = 1)")
-            if kind == "tangency" and len(mults) != 2:
-                raise ValueError("a tangency has two branches")
-        elif kind == "node":
-            if sum(1 for m in mults if m == 2) > 1:
-                raise ValueError("a node has at most one doubled component")
+        self.parties = _parties(parties, f"point {pid!r}")
+        check, message, _ = _POINT_KINDS[kind]
+        if not check([m for _, m in self.parties]):
+            raise ValueError(message)
         self.id = pid
         self.kind = kind
-        self.parties = tuple((str(c), int(m)) for c, m in parties)
         self.order = order
 
     def __repr__(self) -> str:
@@ -332,7 +372,7 @@ class BlowUpLedger:
     """Immutable snapshot: per-component self-intersection, remaining
     points, and the exceptional divisor count."""
 
-    __slots__ = ("self_int", "points", "exceptional", "component_ids")
+    __slots__ = ("self_int", "points", "exceptional")
 
     def __init__(
         self,
@@ -343,33 +383,10 @@ class BlowUpLedger:
         self.self_int = dict(self_int)
         self.points = tuple(points)
         self.exceptional = tuple(exceptional)
-        self.component_ids = frozenset(self.self_int)
-
-    @classmethod
-    def from_type_data(
-        cls, components: Sequence[Tuple[str, int]], points: Sequence[Point]
-    ) -> "BlowUpLedger":
-        return cls({c: d * d for c, d in components}, points)
-
-    def live_ids(self) -> frozenset:
-        return self.component_ids | frozenset(self.exceptional)
-
-    def point(self, pid: str) -> Point:
-        for pt in self.points:
-            if pt.id == pid:
-                return pt
-        raise KeyError(f"no pending point {pid!r}")
 
     def node_count(self, cid: str) -> int:
         """Remaining self-nodes on a component (the r of the Nori test)."""
-        return sum(
-            1
-            for pt in self.points
-            if pt.kind == "node" and any(c == cid and m == 2 for c, m in pt.parties)
-        )
-
-    def blocking_points(self) -> List[Point]:
-        return [pt for pt in self.points if pt.kind in _BLOCKING_KINDS]
+        return sum(pt.kind == "node" and (cid, 2) in pt.parties for pt in self.points)
 
     def __repr__(self) -> str:
         return (
@@ -378,68 +395,47 @@ class BlowUpLedger:
         )
 
 
-def _successors(pt: Point, new_exceptional: str) -> List[Point]:
-    """The local picture after blowing up at the point."""
-    if pt.kind in ("node", "multiple"):
-        return []
-    if pt.kind == "node_tangent_line":
-        # the two branches separate; the tangent line, the branch it was
-        # tangent to, and the exceptional curve form an ordinary triple point
-        comp, line = pt.parties[0][0], pt.parties[1][0]
-        return [
-            Point(pt.id + ".1", "multiple", [(comp, 1), (line, 1), (new_exceptional, 1)])
-        ]
-    if pt.kind in ("cusp", "cusp_tangent_line"):
-        comp = pt.parties[0][0]
-        return [
-            Point(pt.id + ".1", "tangency", [(comp, 1), (new_exceptional, 1)], order=2)
-        ]
-    if pt.kind == "tangency":
-        a, b = pt.parties[0][0], pt.parties[1][0]
-        if pt.order > 2:
-            return [Point(pt.id + ".1", "tangency", [(a, 1), (b, 1)], order=pt.order - 1)]
-        return [Point(pt.id + ".1", "multiple", [(a, 1), (b, 1), (new_exceptional, 1)])]
-    raise AssertionError(pt.kind)
-
-
 def blow_up(ledger: BlowUpLedger, at) -> BlowUpLedger:
     """Blow up at a pending point (by id) or at a fresh smooth point given
     as (component, 1) parties.  Returns a new ledger; the input is unchanged."""
     new_e = f"E{len(ledger.exceptional) + 1}"
     if isinstance(at, str):
-        pt = ledger.point(at)
+        pt = next((p for p in ledger.points if p.id == at), None)
+        if pt is None:
+            raise KeyError(f"no pending point {at!r}")
         parties = pt.parties
         remaining = [p for p in ledger.points if p.id != at]
-        successors = _successors(pt, new_e)
+        rule = _POINT_KINDS[pt.kind][2]
+        if rule:
+            kind, ids, order = rule([c for c, _ in parties], pt.order, new_e)
+            remaining.append(Point(pt.id + ".1", kind, [(c, 1) for c in ids], order))
     else:
-        parties = tuple((str(c), int(m)) for c, m in at)
-        if not parties:
-            raise ValueError("blow-up point must lie on at least one component")
+        parties = _parties(at, "blow-up point")
         if any(m != 1 for _, m in parties):
             raise ValueError("free-form blow-ups are at smooth points (m = 1)")
         remaining = list(ledger.points)
-        successors = []
-    live = ledger.live_ids()
+    live = set(ledger.self_int) | set(ledger.exceptional)
     for c, _ in parties:
         if c not in live:
             raise ValueError(f"blow-up point references unknown component {c!r}")
-    self_int = dict(ledger.self_int)
-    for c, m in parties:
-        if c in self_int:  # exceptional curves are not tracked
-            self_int[c] -= m * m
-    return BlowUpLedger(self_int, remaining + successors, ledger.exceptional + (new_e,))
+    drop = dict(parties)  # one party per id; exceptional curves are not tracked
+    self_int = {c: n - drop.get(c, 0) ** 2 for c, n in ledger.self_int.items()}
+    return BlowUpLedger(self_int, remaining, ledger.exceptional + (new_e,))
 
 
 class NoriReport:
     """Per-component inequality C.C > 2 r(C) plus the hypothesis flags."""
 
-    __slots__ = ("rows", "overall", "d_nodal_only", "d_e_transverse", "notes")
+    __slots__ = ("rows", "overall", "notes")
 
-    def __init__(self, rows, overall, d_nodal_only, d_e_transverse, notes):
+    # nori_check reports only on a resolved ledger, with no cusp or tangency
+    # left: D is nodal and meets the exceptional curves transversally
+    d_nodal_only = True
+    d_e_transverse = True
+
+    def __init__(self, rows, overall, notes):
         self.rows = tuple(rows)
         self.overall = overall
-        self.d_nodal_only = d_nodal_only
-        self.d_e_transverse = d_e_transverse
         self.notes = tuple(notes)
 
     def __repr__(self) -> str:
@@ -448,38 +444,20 @@ class NoriReport:
 
 def nori_check(ledger: BlowUpLedger, d_components: Sequence[str]) -> NoriReport:
     """Evaluate the criterion exactly.  Rejects unresolved ledgers: any
-    remaining cusp or tangency means the crossings are not yet normal."""
-    blocking = ledger.blocking_points()
-    if blocking:
-        raise ValueError(f"ledger not resolved; pending: {[p.id for p in blocking]}")
+    remaining point whose kind has a blow-up rule (a cusp or tangency)
+    means the crossings are not yet normal."""
+    pending = [p.id for p in ledger.points if _POINT_KINDS[p.kind][2]]
+    if pending:
+        raise ValueError(f"ledger not resolved; pending: {pending}")
     rows = []
-    overall = True
     for cid in d_components:
         if cid not in ledger.self_int:
             raise KeyError(f"unknown component {cid!r}")
-        cc = ledger.self_int[cid]
-        r = ledger.node_count(cid)
-        ok = cc > 2 * r
-        overall = overall and ok
-        rows.append((cid, cc, 2 * r, ok))
-    d_set = set(d_components)
-    d_nodal_only = not any(
-        pt.kind in ("cusp", "cusp_tangent_line", "node_tangent_line")
-        and any(c in d_set for c, _ in pt.parties)
-        for pt in ledger.points
-    )
-    d_e_transverse = not any(
-        pt.kind == "tangency" and any(c in d_set for c, _ in pt.parties)
-        for pt in ledger.points
-    )
-    notes = []
-    multiples = [p for p in ledger.points if p.kind == "multiple"]
-    if multiples:
-        notes.append(
-            "pairwise-transverse multiple points remain: "
-            + ", ".join(p.id for p in multiples)
-        )
-    return NoriReport(rows, overall, d_nodal_only, d_e_transverse, notes)
+        cc, two_r = ledger.self_int[cid], 2 * ledger.node_count(cid)
+        rows.append((cid, cc, two_r, cc > two_r))
+    multiples = [p.id for p in ledger.points if p.kind == "multiple"]
+    notes = ["pairwise-transverse multiple points remain: " + ", ".join(multiples)]
+    return NoriReport(rows, all(ok for *_, ok in rows), notes if multiples else [])
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +477,7 @@ def run_script(script: dict) -> Tuple[BlowUpLedger, NoriReport]:
         )
         for i, p in enumerate(_items(script, "points", what, "point") if "points" in script else [])
     ]
-    ledger = BlowUpLedger.from_type_data(_components(script, what), points)
+    ledger = BlowUpLedger({c: d * d for c, d in _components(script, what)}, points)
     for i, step in enumerate(_items(script, "steps", what, "step")):
         at = _field(step, "blow", f"step {i}")
         ledger = blow_up(ledger, at if isinstance(at, str) else _pairs(at, f"blow of step {i}"))

@@ -311,6 +311,50 @@ def test_blowup_script():
                 jsonschema.validate(json.load(fh), schema("blowup_script.schema.json"))
 
 
+def _self_node_script(parties, second_blow=(["C", 1],)):
+    # a conic blown up at two smooth points has C.C = 2, here with a self-node
+    return {
+        "components": [{"id": "C", "degree": 2}],
+        "points": [{"id": "n", "kind": "node", "parties": parties}],
+        "steps": [{"blow": [["C", 1]]}, {"blow": list(second_blow)}],
+        "d": ["C"],
+    }
+
+
+def test_blowup_point_names_each_component_once(tmp_path):
+    # written [C, 2] the node gives r = 1 and the criterion fails; written
+    # [C, 1], [C, 1] it gave r = 0, and the script passed with exit 0
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(_self_node_script([["C", 2]])))
+    code, out, _ = run(["blowup", "--script", str(path)])
+    assert code == 1
+    assert "C: self-intersection 2 > 2 -> FAIL" in out
+    path.write_text(json.dumps(_self_node_script([["C", 1], ["C", 1]])))
+    assert run(["blowup", "--script", str(path)]) == (2, "", "error: point 'n' names 'C' twice\n")
+    # a free-form blow-up there dropped C.C by 2, not 4
+    path.write_text(json.dumps(_self_node_script([["C", 2]], [["C", 1], ["C", 1]])))
+    assert run(["blowup", "--script", str(path)]) == (
+        2, "", "error: blow-up point names 'C' twice\n"
+    )
+
+
+@pytest.mark.skipif(jsonschema is None, reason="jsonschema unavailable")
+def test_blowup_schema_point_rules():
+    # a point lies on a component, and only a tangency has an order
+    script_schema = schema("blowup_script.schema.json")
+    valid = _self_node_script([["C", 2]])
+    tangency = {"id": "t", "kind": "tangency", "parties": [["C", 1], ["L", 1]]}
+    jsonschema.validate(valid, script_schema)
+    jsonschema.validate({**valid, "points": [{**tangency, "order": 3}]}, script_schema)
+    for point in (
+        {"id": "n", "kind": "node", "parties": []},
+        {"id": "q", "kind": "cusp", "parties": [["C", 2]], "order": 7},
+        tangency,
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**valid, "points": [point]}, script_schema)
+
+
 def test_type_fixtures_validate_against_schema():
     if not jsonschema:
         pytest.skip("jsonschema unavailable")

@@ -3,13 +3,16 @@ import os
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import blowup_oracle
 from curvepi.geometry import (
     BlowUpLedger,
     CombinatorialType,
     Point,
     Singularity,
     _KINDS,
+    _POINT_KINDS,
     _pairwise_contacts,
     _self_delta,
     blow_up,
@@ -230,6 +233,37 @@ def test_point_needs_the_branches_its_blow_up_reads():
     assert Point("p", "cusp", [("C", 2)]).parties == (("C", 2),)
 
 
+def test_a_point_names_each_component_once():
+    # a self-node of C written (C, 1), (C, 1) gave r = 0 where (C, 2) gives
+    # r = 1, so C.C = 2 passed the criterion (test_nori_boundary_case)
+    with pytest.raises(ValueError, match="point 'n' names 'C' twice"):
+        Point("n", "node", [("C", 1), ("C", 1)])
+    with pytest.raises(ValueError, match="point 'm' names 'L' twice"):
+        Point("m", "multiple", [("L", 1), ("C", 1), ("L", 1)])
+
+
+def test_a_free_form_blow_up_names_each_component_once():
+    # it dropped C.C by 1 + 1 = 2 where one point of multiplicity 2 drops 4
+    ledger = BlowUpLedger({"C": 9}, [])
+    with pytest.raises(ValueError, match="blow-up point names 'C' twice"):
+        blow_up(ledger, [("C", 1), ("C", 1)])
+
+
+def test_a_point_lies_on_a_component():
+    for kind in ("node", "multiple"):
+        with pytest.raises(ValueError, match="point 'n' must lie on at least one component"):
+            Point("n", kind, [])
+
+
+def test_only_a_tangency_has_an_order():
+    for kind in ("node", "multiple", "cusp"):
+        with pytest.raises(ValueError, match="tangency order must be >= 2; other points have none"):
+            Point("x", kind, [("C", 2)], order=7)
+    with pytest.raises(ValueError, match="tangency order must be >= 2"):
+        Point("x", "tangency", [("C", 1), ("L", 1)])
+    assert Point("x", "tangency", [("C", 1), ("L", 1)], order=3).order == 3
+
+
 def test_nori_rejects_unresolved():
     ledger = BlowUpLedger({"C": 9}, [Point("q", "cusp", [("C", 2)])])
     with pytest.raises(ValueError):
@@ -307,3 +341,120 @@ def test_case_2_3_1_leaves_a_transverse_triple_point():
     ledger, report = run_script(script)
     assert any(p.kind == "multiple" for p in ledger.points)
     assert report.notes
+
+
+# ---------------------------------------------------------------------------
+# the point kind table against the earlier per-kind rules (blowup_oracle)
+
+_ORACLE_KINDS = sorted(blowup_oracle._POINT_KINDS)
+
+# the table holds one message per kind, so where the earlier rules had two
+# checks for a kind, the one message names both
+_RENAMED = {
+    "tangency order must be >= 2": "tangency order must be >= 2; other points have none",
+    "tangency branches are smooth (m = 1)": "a tangency has two branches, both smooth (m = 1)",
+    "a tangency has two branches": "a tangency has two branches, both smooth (m = 1)",
+    **{
+        old: f"{kind} needs a line through the point: parties (C, 2) then lines (L, 1)"
+        for kind in ("cusp_tangent_line", "node_tangent_line")
+        for old in (
+            f"{kind} expects parties (C, 2) then lines (L, 1)",
+            f"{kind} needs a line through the point",
+        )
+    },
+}
+
+
+def test_the_table_has_the_earlier_point_kinds():
+    assert sorted(_POINT_KINDS) == _ORACLE_KINDS
+    assert {k for k, (_, _, rule) in _POINT_KINDS.items() if rule} == blowup_oracle._BLOCKING_KINDS
+
+
+def _newly_rejected(kind, parties, order):
+    """Inputs the earlier rules took and the table rejects: a point on no
+    component, and an order on a kind other than a tangency."""
+    return not parties or (kind != "tangency" and order != 0)
+
+
+def _made(make, *args):
+    try:
+        return make(*args), None
+    except Exception as exc:  # compared by type and message
+        return None, exc
+
+
+def _state(points):
+    return [(p.id, p.kind, p.parties, p.order) for p in points]
+
+
+_IDS = ["C0", "C1", "C2", "C3"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.sampled_from(_ORACLE_KINDS + ["smooth"]),
+    st.lists(st.sampled_from(_IDS), max_size=4, unique=True),
+    st.lists(st.sampled_from([0, 1, 2, 3]), min_size=4, max_size=4),
+    st.integers(0, 5),
+)
+def test_point_checks_and_rules_agree_with_the_earlier_rules(kind, ids, mults, order):
+    parties = list(zip(ids, mults))
+    if _newly_rejected(kind, parties, order):
+        with pytest.raises(ValueError):
+            Point("p", kind, parties, order)
+        return
+    got, error = _made(Point, "p", kind, parties, order)
+    want, oracle_error = _made(blowup_oracle.Point, "p", kind, parties, order)
+    if oracle_error:
+        assert type(error) is type(oracle_error)
+        assert str(error) == _RENAMED.get(str(oracle_error), str(oracle_error))
+        return
+    assert error is None
+    assert _state([got]) == _state([want])
+    after = blow_up(BlowUpLedger({c: 9 for c in ids}, [got]), "p")
+    assert _state(after.points) == _state(blowup_oracle._successors(want, "E1"))
+
+
+@st.composite
+def _ledger_pair(draw):
+    """The same ledger built twice, with the table's points and with the
+    oracle's, on points that both accept."""
+    comps = draw(st.lists(st.sampled_from(_IDS), min_size=1, unique=True))
+    self_int = {c: draw(st.integers(1, 5)) ** 2 for c in comps}
+    points, oracle_points = [], []
+    for i in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(_ORACLE_KINDS))
+        ids = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=3, unique=True))
+        mults = draw(st.lists(st.sampled_from([1, 2]), min_size=len(ids), max_size=len(ids)))
+        order = draw(st.integers(2, 5)) if kind == "tangency" else 0
+        want, oracle_error = _made(blowup_oracle.Point, f"p{i}", kind, list(zip(ids, mults)), order)
+        if oracle_error is None:
+            points.append(Point(f"p{i}", kind, list(zip(ids, mults)), order))
+            oracle_points.append(want)
+    return BlowUpLedger(self_int, points), blowup_oracle.BlowUpLedger(self_int, oracle_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ledger_pair(), st.data())
+def test_blowing_up_until_resolved_agrees_with_the_earlier_rules(ledgers, data):
+    ledger, oracle = ledgers
+    comps = sorted(ledger.self_int)
+    extra = data.draw(st.integers(0, 3))  # steps once the ledger is resolved
+    while True:
+        pending = [p.id for p in ledger.points if _POINT_KINDS[p.kind][2]]
+        if not pending:
+            if not extra:
+                break
+            extra -= 1
+        at = data.draw(st.sampled_from(pending or [p.id for p in ledger.points] + ["smooth point"]))
+        if at == "smooth point":
+            on = data.draw(st.lists(st.sampled_from(comps), min_size=1, unique=True))
+            at = [(c, 1) for c in on]
+        ledger, oracle = blow_up(ledger, at), blowup_oracle.blow_up(oracle, at)
+        assert ledger.self_int == oracle.self_int
+        assert ledger.exceptional == oracle.exceptional
+        assert _state(ledger.points) == _state(oracle.points)
+    d = data.draw(st.lists(st.sampled_from(comps), unique=True))
+    report, want = nori_check(ledger, d), blowup_oracle.nori_check(oracle, d)
+    assert (report.rows, report.overall, report.notes) == (want.rows, want.overall, want.notes)
+    assert report.d_nodal_only == want.d_nodal_only and report.d_e_transverse == want.d_e_transverse

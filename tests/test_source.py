@@ -1,10 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import json
 import os
 import re
 
 import curvepi
+from curvepi.geometry import _POINT_KINDS
 
 PKG = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi")
 
@@ -126,3 +128,9 @@ def test_only_words_reads_maxsize():
         if "maxsize" in _references(tree):
             found.append(name)
     assert found == ["words.py"]
+
+
+def test_blowup_schema_names_the_point_kinds_of_the_table():
+    with open(os.path.join(PKG, "schemas", "blowup_script.schema.json"), encoding="utf-8") as fh:
+        point = json.load(fh)["properties"]["points"]["items"]
+    assert sorted(point["properties"]["kind"]["enum"]) == sorted(_POINT_KINDS)
