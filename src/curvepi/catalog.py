@@ -6,10 +6,12 @@ Tags have a compact text syntax (``toric:3,4``, ``artin:333``,
 to JSON.  A tag's parameters are the plain values its text gives:
 ``toric:3,4`` holds ``(3, 4)``, ``raag:3;1-0`` holds ``(3, ((0, 1),))``
 and ``gpolymod:3;1,1`` holds ``(3, (1, 1))``.  ``_VARIANTS`` holds, for
-each variant, the reader of the text after the colon and the check of the
-parameters.  The check runs once, when a tag is made, so every
-``GroupTag`` builds, whether parsed or made in code; ``artin`` and
-``coxeter`` labels are >= 2.  Every text that is not a tag raises the one
+each variant, the reader of the text after the colon, the check of the
+parameters, the builder of the presentation and the writer of the text
+after the colon; a writer of ``None`` means the text has no colon.  The
+check runs once, when a tag is made, so every ``GroupTag`` builds,
+whether parsed or made in code; ``artin`` and ``coxeter`` labels are
+>= 2.  Every text that is not a tag raises the one
 ``bad tag syntax '<text>'``.
 """
 
@@ -26,6 +28,10 @@ from .words import Word
 
 def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
+
+
+def _commas(*values) -> str:
+    return ",".join(map(str, values))
 
 
 def _no_text(text: str) -> tuple:
@@ -70,66 +76,6 @@ def _simple_graph(n, edges) -> bool:
     )
 
 
-# variant -> (reader of the text after the colon, check of the parameters);
-# the check takes the parameters as its arguments, so a wrong count fails it
-_VARIANTS = {
-    "free": (_ints, lambda n: _int(n) and n >= 1),
-    "braid": (_ints, lambda n: _int(n) and n >= 2),
-    "spherebraid3": (_no_text, lambda: True),
-    "artin": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2),
-    "coxeter": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2),
-    "raag": (_read_raag, _simple_graph),
-    "toric": (_ints, lambda p, q: _int(p, q) and gcd(p, q) == 1),  # (2, 2r) is toriceven
-    "toriceven": (_ints, lambda r: _int(r) and r >= 1),
-    "gpoly": (lambda text: (_ints(text),), _monic),
-    "gpolymod": (_read_gpolymod, lambda p, coeffs: _int(p) and p >= 2 and _monic(coeffs)),
-    "gr": (_ints, lambda p, q, r: _int(p, q, r)),
-    "triangle": (_ints, lambda p, q, r: _int(p, q, r)),
-    "surface": (_ints, lambda g: _int(g) and g >= 1),
-    "surfext": (_ints, lambda g, p: _int(g, p) and g >= 0),
-    "product": (_no_text, lambda left, right: isinstance(left, GroupTag) and isinstance(right, GroupTag)),
-    "quintic": (lambda text: (text,), lambda case: _QUINTIC_ALIASES.get(case, case) in _QUINTIC_DSL),
-}
-
-
-class GroupTag:
-    """variant plus parameters; see ``build`` for the presentation each
-    variant produces."""
-
-    __slots__ = ("variant", "params")
-
-    VARIANTS = frozenset(_VARIANTS)
-
-    def __init__(self, variant: str, *params):
-        try:
-            ok = _VARIANTS[variant][1](*params)
-        except (LookupError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"no {variant!r} tag has the parameters {params!r}")
-        self.variant = variant
-        self.params = params
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupTag)
-            and self.variant == other.variant
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.variant, self.params))
-
-    def __repr__(self) -> str:
-        return f"GroupTag({format_tag(self)!r})"
-
-    def to_json(self):
-        return {
-            "variant": self.variant,
-            "params": [x.to_json() if isinstance(x, GroupTag) else x for x in self.params],
-        }
-
-
 def _gen_names(n: int) -> List[str]:
     letters = string.ascii_lowercase
     if n <= len(letters):
@@ -155,105 +101,47 @@ def _artin(n: int, edges, involutions: bool = False) -> Presentation:
     return Presentation(_gen_names(n), rels)
 
 
+def _braid(n: int) -> Presentation:
+    """The complete graph on n - 1 vertices, the path labelled 3, the rest 2."""
+    edges = [(a, b, 3 if b == a + 1 else 2) for a in range(n - 1) for b in range(a + 1, n - 1)]
+    return _artin(n - 1, edges)
+
+
 def _commutator(a: Word, b: Word) -> Word:
     return a * b * ~a * ~b
 
 
-def build(tag: GroupTag) -> Presentation:
-    """The standard presentation for a tag."""
-    v, params = tag.variant, tag.params
+_A, _B, _C = (Word.gen(i) for i in range(3))
 
-    if v == "free":
-        (n,) = params
-        return Presentation(_gen_names(n))
 
-    if v == "braid":
-        # the complete graph on n - 1 vertices, the path labelled 3, the rest 2
-        (n,) = params
-        edges = [(a, b, 3 if b == a + 1 else 2) for a in range(n - 1) for b in range(a + 1, n - 1)]
-        return _artin(n - 1, edges)
+def _raag(n: int, edges) -> Presentation:
+    return Presentation(_gen_names(n), [_commutator(Word.gen(i), Word.gen(j)) for i, j in edges])
 
-    if v == "spherebraid3":
-        return parse_presentation("<s1, s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>")
 
-    if v in ("artin", "coxeter"):
-        # labels of the edges (a,b), (b,c) and (a,c)
-        m, n, p = params
-        return _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)], v == "coxeter")
-
-    if v == "raag":
-        n, edges = params
-        gens = [Word.gen(i) for i in range(n)]
-        return Presentation(_gen_names(n), [_commutator(gens[i], gens[j]) for i, j in edges])
-
-    if v == "toric":
-        p, q = params
-        a, b = Word.gen(0), Word.gen(1)
-        return Presentation(["a", "b"], [a**p * b**-q])
-
-    if v == "toriceven":
-        (r,) = params
-        a, b = Word.gen(0), Word.gen(1)
-        return Presentation(["a", "b"], [(a * b) ** r * ~((b * a) ** r)])
-
-    if v == "gpoly" or v == "gpolymod":
-        p, coeffs = params if v == "gpolymod" else (None, params[0])
-        d = len(coeffs) - 1
-        names = [f"a{i}" for i in range(d)] + ["t"]
-        a = [Word.gen(i) for i in range(d)]
-        t = Word.gen(d)
-        rels = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                rels.append(_commutator(a[i], a[j]))
-        # conjugation by t is multiplication by t on Z[t]/T: companion matrix
-        for i in range(d):
-            if i < d - 1:
-                image = a[i + 1]
-            else:
-                image = Word()
-                for j in range(d):
-                    image = image * a[j] ** (-coeffs[j])
-            rels.append(t * a[i] * ~t * ~image)
-        if p is not None:
-            rels.extend(a[i] ** p for i in range(d))
-        return Presentation(names, rels)
-
-    if v == "gr":
-        p, q, r = params
-        a, b, c = (Word.gen(i) for i in range(3))
-        return Presentation(
-            ["a", "b", "c"],
-            [a**p * b**-q, b**q * c**-r, c**r * ~(a * b * c)],
-        )
-
-    if v == "triangle":
-        p, q, r = params
-        a, b = Word.gen(0), Word.gen(1)
-        return Presentation(["a", "b"], [a**p, b**q, (a * b) ** r])
-
-    if v == "surface":
-        (g,) = params
-        return Presentation(*_surface_data(g))
-
-    if v == "surfext":
-        g, p = params
-        names, rels_src = _surface_data(g)
-        names = names + ["t"]
-        t = Word.gen(2 * g)
-        surf = rels_src[0]
-        rels = [surf * t**-p]
-        for i in range(2 * g):
-            rels.append(_commutator(Word.gen(i), t))
-        return Presentation(names, rels)
-
-    if v == "product":
-        left, right = params
-        return direct_product(build(left), build(right))
-
-    # the one variant left, quintic
-    (case,) = params
-    return quintic_presentation(case)
+def _gpolymod(p, coeffs) -> Presentation:
+    """Z[t]/(T) extended by t acting as multiplication, T monic with
+    ascending ``coeffs``; with p, each a_i also has order p (``gpoly`` is
+    p = None)."""
+    d = len(coeffs) - 1
+    names = [f"a{i}" for i in range(d)] + ["t"]
+    a = [Word.gen(i) for i in range(d)]
+    t = Word.gen(d)
+    rels = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            rels.append(_commutator(a[i], a[j]))
+    # conjugation by t is multiplication by t on Z[t]/T: companion matrix
+    for i in range(d):
+        if i < d - 1:
+            image = a[i + 1]
+        else:
+            image = Word()
+            for j in range(d):
+                image = image * a[j] ** (-coeffs[j])
+        rels.append(t * a[i] * ~t * ~image)
+    if p is not None:
+        rels.extend(a[i] ** p for i in range(d))
+    return Presentation(names, rels)
 
 
 def _surface_data(g: int):
@@ -262,6 +150,13 @@ def _surface_data(g: int):
     for i in range(g):
         rel = rel * _commutator(Word.gen(i), Word.gen(g + i))
     return names, [rel]
+
+
+def _surfext(g: int, p: int) -> Presentation:
+    names, (surf,) = _surface_data(g)
+    t = Word.gen(2 * g)
+    rels = [surf * t**-p] + [_commutator(Word.gen(i), t) for i in range(2 * g)]
+    return Presentation(names + ["t"], rels)
 
 
 def direct_product(left: Presentation, right: Presentation) -> Presentation:
@@ -316,6 +211,92 @@ def quintic_presentation(case: str) -> Presentation:
         raise ValueError(
             f"unknown quintic case {case!r}; known: {', '.join(quintic_cases())}"
         ) from None
+
+
+# variant -> (reader of the text after the colon, check of the parameters,
+#             builder of the presentation, writer of the text after the colon);
+# the check and the builder take the parameters as their arguments, so a
+# wrong count fails the check; format_tag writes a product's ``*``
+_VARIANTS = {
+    "free": (_ints, lambda n: _int(n) and n >= 1,
+             lambda n: Presentation(_gen_names(n)), _commas),
+    "braid": (_ints, lambda n: _int(n) and n >= 2,
+              _braid, _commas),
+    "spherebraid3": (_no_text, lambda: True,
+                     lambda: parse_presentation("<s1, s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>"),
+                     None),
+    # labels of the edges (a,b), (b,c) and (a,c)
+    "artin": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2,
+              lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)]), _commas),
+    "coxeter": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2,
+                lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)], True), _commas),
+    "raag": (_read_raag, _simple_graph,
+             _raag, lambda n, edges: f"{n};" + ",".join(f"{i}-{j}" for i, j in edges)),
+    "toric": (_ints, lambda p, q: _int(p, q) and gcd(p, q) == 1,  # (2, 2r) is toriceven
+              lambda p, q: Presentation(["a", "b"], [_A**p * _B**-q]), _commas),
+    "toriceven": (_ints, lambda r: _int(r) and r >= 1,
+                  lambda r: Presentation(["a", "b"], [(_A * _B) ** r * (_B * _A) ** -r]), _commas),
+    "gpoly": (lambda text: (_ints(text),), _monic,
+              lambda coeffs: _gpolymod(None, coeffs), lambda coeffs: _commas(*coeffs)),
+    "gpolymod": (_read_gpolymod, lambda p, coeffs: _int(p) and p >= 2 and _monic(coeffs),
+                 _gpolymod, lambda p, coeffs: f"{p};" + _commas(*coeffs)),
+    "gr": (_ints, lambda p, q, r: _int(p, q, r),
+           lambda p, q, r: Presentation(["a", "b", "c"], [
+               _A**p * _B**-q, _B**q * _C**-r, _C**r * ~(_A * _B * _C)]), _commas),
+    "triangle": (_ints, lambda p, q, r: _int(p, q, r),
+                 lambda p, q, r: Presentation(["a", "b"], [_A**p, _B**q, (_A * _B) ** r]), _commas),
+    "surface": (_ints, lambda g: _int(g) and g >= 1,
+                lambda g: Presentation(*_surface_data(g)), _commas),
+    "surfext": (_ints, lambda g, p: _int(g, p) and g >= 0,
+                _surfext, _commas),
+    "product": (_no_text, lambda left, right: all(isinstance(t, GroupTag) for t in (left, right)),
+                lambda left, right: direct_product(build(left), build(right)), None),
+    "quintic": (lambda text: (text,), lambda case: _QUINTIC_ALIASES.get(case, case) in _QUINTIC_DSL,
+                quintic_presentation, _commas),
+}
+
+
+class GroupTag:
+    """variant plus parameters; see ``_VARIANTS`` for the presentation each
+    variant builds."""
+
+    __slots__ = ("variant", "params")
+
+    VARIANTS = frozenset(_VARIANTS)
+
+    def __init__(self, variant: str, *params):
+        try:
+            ok = _VARIANTS[variant][1](*params)
+        except (LookupError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"no {variant!r} tag has the parameters {params!r}")
+        self.variant = variant
+        self.params = params
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GroupTag)
+            and self.variant == other.variant
+            and self.params == other.params
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.params))
+
+    def __repr__(self) -> str:
+        return f"GroupTag({format_tag(self)!r})"
+
+    def to_json(self):
+        return {
+            "variant": self.variant,
+            "params": [x.to_json() if isinstance(x, GroupTag) else x for x in self.params],
+        }
+
+
+def build(tag: GroupTag) -> Presentation:
+    """The standard presentation for a tag."""
+    return _VARIANTS[tag.variant][2](*tag.params)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +358,5 @@ def format_tag(tag: GroupTag) -> str:
         if params[1].variant == "product":
             right = f"({right})"
         return f"{left}*{right}"
-    if v == "spherebraid3":
-        return v
-    if v == "raag":
-        n, edges = params
-        return f"raag:{n};" + ",".join(f"{i}-{j}" for i, j in edges)
-    if v == "gpoly":
-        return "gpoly:" + ",".join(map(str, params[0]))
-    if v == "gpolymod":
-        return f"gpolymod:{params[0]};" + ",".join(map(str, params[1]))
-    return v + ":" + ",".join(map(str, params))
+    writer = _VARIANTS[v][3]
+    return v if writer is None else f"{v}:{writer(*params)}"

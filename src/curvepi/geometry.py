@@ -28,6 +28,7 @@ Anything outside that vocabulary is rejected.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -383,6 +384,15 @@ class BlowUpLedger:
         self.self_int = dict(self_int)
         self.points = tuple(points)
         self.exceptional = tuple(exceptional)
+        # blow_up names its curves E1, E2, ... and finds a point by its id
+        for c in self.self_int:
+            if re.fullmatch("E[0-9]+", c):
+                raise ValueError(f"component id {c!r} is reserved for exceptional curves")
+        ids = set()
+        for pt in self.points:
+            if pt.id in ids:
+                raise ValueError(f"two points have the id {pt.id!r}")
+            ids.add(pt.id)
 
     def node_count(self, cid: str) -> int:
         """Remaining self-nodes on a component (the r of the Nori test)."""

@@ -1,9 +1,11 @@
 import os
 import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import catalog_oracle
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
 from curvepi.catalog import (
@@ -149,6 +151,7 @@ def test_quintic_cases_and_aliases():
 
 
 def test_tag_round_trip():
+    assert {parse_tag(t).variant for t in _ROUND_TRIP} == GroupTag.VARIANTS
     for text in _ROUND_TRIP:
         tag = parse_tag(text)
         assert parse_tag(format_tag(tag)) == tag
@@ -185,6 +188,61 @@ def test_every_parsed_tag_builds_and_round_trips(text):
     except ValueError:
         return
     build(tag)
+    assert parse_tag(format_tag(tag)) == tag
+
+
+_LABEL = st.integers(2, 5)
+_MONIC = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: tuple(c) + (1,))
+
+
+def _raag_params(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    return st.tuples(st.just(n), edges.map(lambda e: tuple(sorted(e))))
+
+
+# variant -> small valid parameters; product is drawn from two smaller tags
+_PARAMS = {
+    "free": st.tuples(st.integers(1, 4)),
+    "braid": st.tuples(st.integers(2, 5)),
+    "spherebraid3": st.just(()),
+    "artin": st.tuples(_LABEL, _LABEL, _LABEL),
+    "coxeter": st.tuples(_LABEL, _LABEL, _LABEL),
+    "raag": st.integers(0, 4).flatmap(_raag_params),
+    "toric": st.tuples(st.integers(-5, 7), st.integers(-5, 7)).filter(lambda pq: gcd(*pq) == 1),
+    "toriceven": st.tuples(st.integers(1, 4)),
+    "gpoly": st.tuples(_MONIC),
+    "gpolymod": st.tuples(st.integers(2, 5), _MONIC),
+    "gr": st.tuples(st.integers(-3, 5), st.integers(-3, 5), st.integers(-3, 5)),
+    "triangle": st.tuples(st.integers(-3, 5), st.integers(-3, 5), st.integers(-3, 5)),
+    "surface": st.tuples(st.integers(1, 3)),
+    "surfext": st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+    "quintic": st.tuples(st.sampled_from(quintic_cases() + ["C4_3A2_x2x2", "C3_A2"])),
+}
+
+
+def _tags(depth=2):
+    simple = st.sampled_from(sorted(_PARAMS)).flatmap(
+        lambda v: _PARAMS[v].map(lambda params: GroupTag(v, *params))
+    )
+    if not depth:
+        return simple
+    inner = _tags(depth - 1)
+    return st.one_of(simple, st.builds(lambda a, b: GroupTag("product", a, b), inner, inner))
+
+
+def test_the_differential_strategy_draws_every_variant():
+    assert set(_PARAMS) | {"product"} == GroupTag.VARIANTS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tags())
+def test_table_builds_and_writes_as_the_branch_chain_did(tag):
+    presentation = build(tag)
+    assert presentation == catalog_oracle.build(tag)
+    assert format_presentation(presentation) == format_presentation(catalog_oracle.build(tag))
+    assert format_tag(tag) == catalog_oracle.format_tag(tag)
+    assert repr(tag) == f"GroupTag({catalog_oracle.format_tag(tag)!r})"
     assert parse_tag(format_tag(tag)) == tag
 
 

@@ -338,6 +338,63 @@ def test_blowup_point_names_each_component_once(tmp_path):
     )
 
 
+def test_blowup_rejects_two_points_with_one_id(tmp_path):
+    path = tmp_path / "script.json"
+    # a conic with two self-nodes both called q ended with two_r 0 for C
+    node = {"id": "q", "kind": "node", "parties": [["C", 2]]}
+    steps = [{"blow": [["C", 1]]}, {"blow": "q"}]
+    path.write_text(json.dumps({**_self_node_script([]), "points": [node, node], "steps": steps}))
+    assert run(["blowup", "--script", str(path)]) == (2, "", "error: two points have the id 'q'\n")
+    # blowing up the cusp q leaves a tangency q.1 beside the declared node
+    # q.1; blowing that up dropped the tangency and printed criterion: pass
+    path.write_text(json.dumps({
+        "components": [{"id": "C", "degree": 3}, {"id": "L", "degree": 1}],
+        "points": [
+            {"id": "q", "kind": "cusp", "parties": [["C", 2]]},
+            {"id": "q.1", "kind": "node", "parties": [["C", 1], ["L", 1]]},
+        ],
+        "steps": [{"blow": "q"}, {"blow": "q.1"}],
+        "d": ["C"],
+    }))
+    assert run(["blowup", "--script", str(path)]) == (
+        2, "", "error: two points have the id 'q.1'\n"
+    )
+
+
+def _cubic_and_line_script(line):
+    # a cuspidal cubic and a line away from the cusp, the cusp resolved
+    return {
+        "components": [{"id": "C", "degree": 3}, {"id": line, "degree": 1}],
+        "points": [{"id": "q", "kind": "cusp", "parties": [["C", 2]]}],
+        "steps": [{"blow": "q"}, {"blow": "q.1"}, {"blow": "q.1.1"}],
+        "d": ["C", line],
+    }
+
+
+def test_blowup_rejects_a_component_named_like_an_exceptional_curve(tmp_path):
+    # the line keeps L.L = 1; named E1 it was charged the drops that belong
+    # to the first exceptional curve and read -1
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(_cubic_and_line_script("L")))
+    code, out, _ = run(["blowup", "--script", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["self_intersections"] == {"C": 3, "L": 1}
+    path.write_text(json.dumps(_cubic_and_line_script("E1")))
+    assert run(["blowup", "--script", str(path)]) == (
+        2, "", "error: component id 'E1' is reserved for exceptional curves\n"
+    )
+
+
+@pytest.mark.skipif(jsonschema is None, reason="jsonschema unavailable")
+def test_blowup_schema_reserves_exceptional_curve_ids():
+    script_schema = schema("blowup_script.schema.json")
+    jsonschema.validate(_cubic_and_line_script("L"), script_schema)
+    jsonschema.validate(_cubic_and_line_script("E1a"), script_schema)
+    for line in ("E1", "E23"):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(_cubic_and_line_script(line), script_schema)
+
+
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema unavailable")
 def test_blowup_schema_point_rules():
     # a point lies on a component, and only a tangency has an order

@@ -264,6 +264,33 @@ def test_only_a_tangency_has_an_order():
     assert Point("x", "tangency", [("C", 1), ("L", 1)], order=3).order == 3
 
 
+def test_two_points_never_share_an_id():
+    # blow_up dropped every point with the id it blew up, so the second
+    # self-node q of a conic vanished and C ended with r = 0, not 1
+    nodes = [Point("q", "node", [("C", 2)]), Point("q", "node", [("C", 2)])]
+    with pytest.raises(ValueError, match="^two points have the id 'q'$"):
+        BlowUpLedger({"C": 4}, nodes)
+    # a declared C-L node named q.1 and the tangency left by blowing up the
+    # cusp q: blowing up q.1 then dropped the tangency, and the ledger read
+    # as resolved
+    ledger = BlowUpLedger(
+        {"C": 9, "L": 1},
+        [Point("q", "cusp", [("C", 2)]), Point("q.1", "node", [("C", 1), ("L", 1)])],
+    )
+    with pytest.raises(ValueError, match=r"^two points have the id 'q\.1'$"):
+        blow_up(ledger, "q")
+    assert blow_up(ledger, "q.1").points == ledger.points[:1]
+
+
+def test_component_ids_of_exceptional_curves_are_reserved():
+    # a line named E1 was charged the drop of the first exceptional curve
+    for cid in ("E1", "E0", "E12"):
+        with pytest.raises(ValueError, match=f"^component id '{cid}' is reserved"):
+            BlowUpLedger({"C": 9, cid: 1}, [])
+    for cid in ("E", "E1a", "e1", "L1", "xE1"):
+        assert blow_up(BlowUpLedger({cid: 1}, []), [(cid, 1)]).self_int == {cid: 0}
+
+
 def test_nori_rejects_unresolved():
     ledger = BlowUpLedger({"C": 9}, [Point("q", "cusp", [("C", 2)])])
     with pytest.raises(ValueError):
