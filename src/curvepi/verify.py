@@ -84,8 +84,7 @@ class _CheckFailed(Exception):
 
 
 class _CheckInconclusive(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 def _require(cond: bool, detail: str, artifacts: dict | None = None) -> None:
@@ -108,6 +107,44 @@ def _settle(result, what: str):
     return result
 
 
+def _enumerated(p: Presentation, subgroup: Sequence[Word], cfg: SuiteConfig, what: str, n: int):
+    """The coset table of ``subgroup`` in ``p``, enumerated within the budget,
+    of index ``n`` and accepted by ``validate_table``: the index rests on a
+    checked table, not on the enumerator's word."""
+    t = _settle(todd_coxeter(p, subgroup, cfg.limits), what)
+    _require(t.n == n, f"{what}: expected {n} cosets, got {t.n}", {"cosets": t.n})
+    report = validate_table(p, subgroup, t)
+    _require(report.passed, f"{what}: table certificate failed: {report.failures}")
+    return t
+
+
+def _abelianization(p: Presentation, expected: str, what: str) -> str:
+    """The display of the abelianization of ``p``, required to be
+    ``expected``."""
+    got = abelian_invariants(p).display()
+    _require(got == expected, f"{what}: abelianization {got} != {expected}")
+    return got
+
+
+def _map(
+    src: Presentation, dst: Presentation, images: Sequence[str]
+) -> Tuple[SubstitutionMap, Dict[str, str]]:
+    """The substitution sending the generators of ``src`` to the words
+    ``images`` over ``dst``, and the same map as written, for the report."""
+    m = SubstitutionMap(src, dst, [parse_word(dst, w) for w in images])
+    return m, dict(zip(src.generators, images))
+
+
+def _isomorphic(src, dst, forward, backward, cfg: SuiteConfig, what: str):
+    """Certify that the maps given by the image words ``forward`` (over
+    ``dst``) and ``backward`` (over ``src``) are inverse isomorphisms;
+    returns both maps as written, for the report."""
+    fwd, fwd_text = _map(src, dst, forward)
+    bwd, bwd_text = _map(dst, src, backward)
+    _settle(verify_isomorphism(fwd, bwd, cfg.budget), what)
+    return fwd_text, bwd_text
+
+
 # ---------------------------------------------------------------------------
 # the twelve checks
 
@@ -116,15 +153,10 @@ def check_v1(cfg: SuiteConfig) -> Tuple[str, dict]:
     """Order 320: the three-A4 quintic group is finite of order 320 with
     abelianization Z/5."""
     p = quintic_presentation("C5_3A4")
-    t = _settle(todd_coxeter(p, [], cfg.limits), "C5(3A4) enumeration")
-    _require(t.n == 320, f"expected 320 cosets, got {t.n}", {"cosets": t.n})
-    report = validate_table(p, [], t)
-    _require(report.passed, f"table certificate failed: {report.failures}")
-    inv = abelian_invariants(p)
-    _require(inv.display() == "Z/5", f"abelianization {inv.display()} != Z/5")
+    t = _enumerated(p, [], cfg, "C5(3A4) enumeration", 320)
     return "order 320 with abelianization Z/5", {
         "cosets": t.n,
-        "abelianization": inv.display(),
+        "abelianization": _abelianization(p, "Z/5", "C5(3A4)"),
         "table": t.to_json(p),
     }
 
@@ -132,15 +164,13 @@ def check_v1(cfg: SuiteConfig) -> Tuple[str, dict]:
 def check_v2(cfg: SuiteConfig) -> Tuple[str, dict]:
     """The (2,3,5) quotient has order 60 and trivial abelianization."""
     q = parse_presentation("<a,b,c | a^2, b^3, c^5, abc>")
-    t = _settle(todd_coxeter(q, [], cfg.limits), "Gr<2,3,5>/a^2 enumeration")
-    _require(t.n == 60, f"expected 60 cosets, got {t.n}", {"cosets": t.n})
-    inv = abelian_invariants(q)
-    _require(inv.is_trivial, f"abelianization {inv.display()} is not trivial")
+    t = _enumerated(q, [], cfg, "Gr<2,3,5>/a^2 enumeration", 60)
+    inv = _abelianization(q, "0", "Gr<2,3,5>/a^2")
     order = perm_group_order(t.forward)
     _require(order == 60, f"permutation image order {order} != 60")
     return "order 60, trivial abelianization", {
         "cosets": t.n,
-        "abelianization": inv.display(),
+        "abelianization": inv,
         "permutation_order": order,
     }
 
@@ -169,8 +199,9 @@ def _psl2_elements(p: int):
 
 
 def _find_237_pair(elems, mul, identity):
-    """First pair (x, y) in enumeration order with orders (2, 3), product of
-    order 7, generating the whole group."""
+    """First pair (x, y) in enumeration order with orders (2, 3) and product
+    of order 7.  Whether it generates the group is left to
+    ``table_from_action``, which rejects an action that is not transitive."""
 
     def order(m):
         k, acc = 1, m
@@ -184,18 +215,7 @@ def _find_237_pair(elems, mul, identity):
         if orders[x] != 2:
             continue
         for y in elems:
-            if orders[y] != 3 or orders[mul(x, y)] != 7:
-                continue
-            seen = {identity}
-            stack = [identity]
-            while stack:
-                q = stack.pop()
-                for g in (x, y):
-                    r = mul(q, g)
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            if len(seen) == len(elems):
+            if orders[y] == 3 and orders[mul(x, y)] == 7:
                 return x, y
     return None
 
@@ -207,7 +227,7 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
     elems, mul, identity = _psl2_elements(7)
     _require(len(elems) == 168, f"projective group has {len(elems)} elements")
     pair = _find_237_pair(elems, mul, identity)
-    _require(pair is not None, "no (2,3,7) generating pair found")
+    _require(pair is not None, "no (2,3,7) pair found")
     x, y = pair
     index = {m: i for i, m in enumerate(elems)}
     fa = [index[mul(m, x)] for m in elems]
@@ -216,14 +236,8 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
     t = table_from_action(delta, [fa, fb])
     raw = subgroup_presentation(delta, t)
     slim = simplify(raw)
-    inv = abelian_invariants(slim)
-    _require(
-        inv.display() == "Z^6",
-        f"kernel abelianization {inv.display()} != Z^6",
-        {"generators": len(slim.generators)},
-    )
-    raw_inv = abelian_invariants(raw)
-    _require(raw_inv == inv, "simplification changed the abelianization")
+    inv = _abelianization(slim, "Z^6", "simplified kernel")
+    _abelianization(raw, "Z^6", "raw kernel")
     return "index-168 kernel abelianizes to Z^6", {
         "generating_pair": [list(x), list(y)],
         "index": t.n,
@@ -231,17 +245,8 @@ def check_v3(cfg: SuiteConfig) -> Tuple[str, dict]:
         "raw_relators": len(raw.relators),
         "simplified_generators": len(slim.generators),
         "simplified_relators": len(slim.relators),
-        "abelianization": inv.display(),
+        "abelianization": inv,
     }
-
-
-def _map(
-    src: Presentation, dst: Presentation, images: Sequence[str]
-) -> Tuple[SubstitutionMap, Dict[str, str]]:
-    """The substitution sending the generators of ``src`` to the words
-    ``images`` over ``dst``, and the same map as written, for the report."""
-    m = SubstitutionMap(src, dst, [parse_word(dst, w) for w in images])
-    return m, dict(zip(src.generators, images))
 
 
 def check_v4(cfg: SuiteConfig) -> Tuple[str, dict]:
@@ -251,13 +256,11 @@ def check_v4(cfg: SuiteConfig) -> Tuple[str, dict]:
     # the quotient by the central u^3, in its displayed form
     q = parse_presentation("<u,v | u^3, v^7, (u v^2)^2>")
     q_raw = Presentation(pi.generators, list(pi.relators) + [parse_word(pi, "u^3")])
-    for a, b, what in ((q_raw, q, "raw->displayed"), (q, q_raw, "displayed->raw")):
-        m = SubstitutionMap(a, b, [Word.gen(i) for i in range(a.n_gens)])
-        _settle(check_homomorphism(m, cfg.budget), f"quotient normalization {what}")
+    _isomorphic(q_raw, q, q.generators, q.generators, cfg, "quotient normalization")
     delta = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
-    phi, forward = _map(delta, q, ("u v^2", "u"))
-    psi, backward = _map(q, delta, ("b", "(ab)^3"))
-    _settle(verify_isomorphism(phi, psi, cfg.budget), "quotient vs triangle group")
+    forward, backward = _isomorphic(
+        delta, q, ("u v^2", "u"), ("b", "(ab)^3"), cfg, "quotient vs triangle group"
+    )
     return "central quotient is the (2,3,7) triangle group", {"forward": forward, "backward": backward}
 
 
@@ -266,9 +269,9 @@ def check_v5(cfg: SuiteConfig) -> Tuple[str, dict]:
     (3,3,3), via x = b c b^-1."""
     pi = quintic_presentation("C4_3A2")
     art = parse_presentation("<a,b,x | aba=bab, bxb=xbx, axa=xax>")
-    fwd, forward = _map(art, pi, ("a", "b", "b c b^-1"))
-    bwd, backward = _map(pi, art, ("a", "b", "b^-1 x b"))
-    _settle(verify_isomorphism(fwd, bwd, cfg.budget), "Art_333 isomorphism")
+    forward, backward = _isomorphic(
+        art, pi, ("a", "b", "b c b^-1"), ("a", "b", "b^-1 x b"), cfg, "Art_333 isomorphism"
+    )
     return "isomorphic to Art_333 via x = b c b^-1", {"forward": forward, "backward": backward}
 
 
@@ -278,16 +281,13 @@ def check_v6(cfg: SuiteConfig) -> Tuple[str, dict]:
     artifacts = {}
     for r in (2, 3):
         t22r = build(parse_tag(f"toriceven:{r}"))
-        inv = abelian_invariants(t22r)
-        _require(inv.display() == "Z^2", f"T_(2,{2*r}) abelianization {inv.display()}")
+        inv = _abelianization(t22r, "Z^2", f"T_(2,{2*r})")
         q = Presentation(
             t22r.generators, list(t22r.relators) + [parse_word(t22r, f"(ab)^{r}")]
         )
         free_prod = parse_presentation(f"<a,c | c^{r}>")
-        fwd, _ = _map(q, free_prod, ("a", "a^-1 c"))
-        bwd, _ = _map(free_prod, q, ("a", "a b"))
-        _settle(verify_isomorphism(fwd, bwd, cfg.budget), f"T_(2,{2*r}) quotient")
-        artifacts[f"r={r}"] = {"abelianization": inv.display(), "quotient": f"Z * Z/{r}"}
+        _isomorphic(q, free_prod, ("a", "a^-1 c"), ("a", "a b"), cfg, f"T_(2,{2*r}) quotient")
+        artifacts[f"r={r}"] = {"abelianization": inv, "quotient": f"Z * Z/{r}"}
     return "toric T_{2,2r} quotients and abelianizations verified", artifacts
 
 
@@ -306,13 +306,9 @@ def check_v7(cfg: SuiteConfig) -> Tuple[str, dict]:
     s = parse_presentation("<x,y | x^3, y^3, (xy)^2>")
     hom, _ = _map(s, q, ("a", "b^-1"))
     _settle(check_homomorphism(hom, cfg.budget), "surjection check")
-    onto = _settle(todd_coxeter(q, list(hom.images), cfg.limits), "image subgroup index")
-    _require(onto.n == 1, f"images generate index {onto.n} subgroup, not onto")
-    ts = _settle(todd_coxeter(s, [], cfg.limits), "source order")
-    _require(ts.n == 12, f"source group order {ts.n} != 12")
-    cox = build(parse_tag("coxeter:2,3,3"))
-    tc = _settle(todd_coxeter(cox, [], cfg.limits), "reflection group order")
-    _require(tc.n == 24, f"reflection group order {tc.n} != 24")
+    onto = _enumerated(q, list(hom.images), cfg, "image subgroup index", 1)
+    ts = _enumerated(s, [], cfg, "source order", 12)
+    tc = _enumerated(build(parse_tag("coxeter:2,3,3")), [], cfg, "reflection group order", 24)
     return "quotient finite: covered by the order-12 rotation subgroup", {
         "centrality_steps": len(central.steps),
         "source_order": ts.n,
@@ -329,14 +325,11 @@ def check_v8(cfg: SuiteConfig) -> Tuple[str, dict]:
     free_abx = Presentation(["a", "b", "x"])
     to_abx, _ = _map(pi, free_abx, ("a", "b", "b^-1 x"))
     hnn = Presentation(["a", "b", "x"], [substitute(to_abx, r) for r in pi.relators])
-    fwd, _ = _map(pi, hnn, ("a", "b", "b^-1 x"))
-    bwd, _ = _map(hnn, pi, ("a", "b", "b c"))
-    _settle(verify_isomorphism(fwd, bwd, cfg.budget), "x = bc rewriting")
+    _isomorphic(pi, hnn, ("a", "b", "b^-1 x"), ("a", "b", "b c"), cfg, "x = bc rewriting")
     kernel_words = [
         parse_word(hnn, w) for w in ("a", "b", "x a x^-1", "x b x^-1", "x^2")
     ]
-    t = _settle(todd_coxeter(hnn, kernel_words, cfg.limits), "kernel index")
-    _require(t.n == 2, f"kernel has index {t.n}, expected 2")
+    t = _enumerated(hnn, kernel_words, cfg, "kernel index", 2)
     raw = subgroup_presentation(hnn, t)
     slim = simplify(raw)
     _require(len(slim.generators) == 5, f"{len(slim.generators)} generators != 5")
@@ -348,22 +341,19 @@ def check_v8(cfg: SuiteConfig) -> Tuple[str, dict]:
         edges.add(tuple(sorted(pair)))
     _require(len(edges) == 6, "commutation graph does not have six distinct edges")
     names = slim.generators
-    b_side = {n for n in names if n.endswith("_b")}
-    other = set(range(len(names))) - {names.index(n) for n in b_side}
-    b_idx = {names.index(n) for n in b_side}
+    b_idx = {i for i, n in enumerate(names) if n.endswith("_b")}
+    other = set(range(len(names))) - b_idx
     _require(len(b_idx) == 2 and len(other) == 3, "unexpected generator split")
     expected_edges = {tuple(sorted((i, j))) for i in b_idx for j in other}
     _require(
         edges == expected_edges,
         f"commutation graph is not the complete bipartite {{b,b'}} x {{a,a',t}}: {edges}",
     )
-    inv = abelian_invariants(slim)
-    _require(inv.display() == "Z^5", f"kernel abelianization {inv.display()} != Z^5")
     return "index-2 kernel is the K(2,3) right-angled Artin group", {
         "kernel_generators": list(names),
         "relators": len(slim.relators),
         "bipartition": [sorted(names[i] for i in b_idx), sorted(names[i] for i in other)],
-        "abelianization": inv.display(),
+        "abelianization": _abelianization(slim, "Z^5", "kernel"),
     }
 
 
@@ -420,12 +410,7 @@ def check_v9(cfg: SuiteConfig) -> Tuple[str, dict]:
     """Golden abelianization table for the catalog."""
     results = {}
     for tag_text, expected in _V9_GOLDENS:
-        inv = abelian_invariants(build(parse_tag(tag_text)))
-        _require(
-            inv.display() == expected,
-            f"{tag_text}: abelianization {inv.display()} != {expected}",
-        )
-        results[tag_text] = inv.display()
+        results[tag_text] = _abelianization(build(parse_tag(tag_text)), expected, tag_text)
     return f"{len(_V9_GOLDENS)} catalog abelianizations match", results
 
 
@@ -488,20 +473,10 @@ def check_v11(cfg: SuiteConfig) -> Tuple[str, dict]:
             )
         if entry.presentation is None:
             continue
-        inv = abelian_invariants(entry.presentation)
-        want = curve_abelianization(row.degrees)
-        _require(
-            inv == want,
-            f"{label}: presentation abelianization {inv.display()} != "
-            f"formula {want.display()}",
-        )
-        consistency[label] = inv.display()
+        want = curve_abelianization(row.degrees).display()
+        consistency[label] = _abelianization(entry.presentation, want, label)
         if entry.finite_order is not None:
-            t = _settle(todd_coxeter(entry.presentation, [], cfg.limits), f"{label} order")
-            _require(
-                t.n == entry.finite_order,
-                f"{label}: enumerated order {t.n} != {entry.finite_order}",
-            )
+            _enumerated(entry.presentation, [], cfg, f"{label} order", entry.finite_order)
     return "classifier table complete and consistent with the degree formula", {
         "rows": len(CASES),
         "keyed_rows": sum(row.key is not None for row in CASES.values()),
@@ -513,8 +488,7 @@ def check_v12(cfg: SuiteConfig) -> Tuple[str, dict]:
     """The three-cusped-quartic group (sphere braid group on three strands)
     has order 12."""
     p = build(parse_tag("spherebraid3"))
-    t = _settle(todd_coxeter(p, [], cfg.limits), "sphere braid group order")
-    _require(t.n == 12, f"expected order 12, got {t.n}")
+    t = _enumerated(p, [], cfg, "sphere braid group order", 12)
     order = perm_group_order(t.forward)
     _require(order == 12, f"permutation image order {order} != 12")
     return "sphere braid group on three strands has order 12", {"cosets": t.n}
@@ -543,15 +517,20 @@ def run_suite(
     config: Optional[SuiteConfig] = None,
 ) -> List[LemmaReport]:
     """Run the checks named in ``selection``, every check when it is None;
-    an empty selection is an error, not an empty report."""
+    an empty selection, or one that names a check twice, is an error, not
+    an empty or a doubled report."""
     cfg = config or SuiteConfig()
     chosen = ALL_CHECKS if selection is None else list(selection)
+    known = ", ".join(ALL_CHECKS)
     if not chosen:
-        raise ValueError(f"no check selected; known: {', '.join(ALL_CHECKS)}")
+        raise ValueError(f"no check selected; known: {known}")
+    for i, check_id in enumerate(chosen):
+        if check_id not in _CHECKS:
+            raise KeyError(f"unknown check {check_id!r}; known: {known}")
+        if check_id in chosen[:i]:
+            raise ValueError(f"check {check_id!r} selected twice")
     reports = []
     for check_id in chosen:
-        if check_id not in _CHECKS:
-            raise KeyError(f"unknown check {check_id!r}; known: {', '.join(ALL_CHECKS)}")
         fn, _ = _CHECKS[check_id]
         start = time.perf_counter()
         try:

@@ -442,6 +442,10 @@ def test_verify_only_naming_an_unknown_check_is_a_usage_error():
     assert run(["verify", "--only", "V99"]) == (2, "", f"error: unknown check 'V99'; known: {known}\n")
 
 
+def test_verify_only_naming_a_check_twice_is_a_usage_error():
+    assert run(["verify", "--only", "V1,V1"]) == (2, "", "error: check 'V1' selected twice\n")
+
+
 def test_verify_text_mode():
     code, out, _ = run(["verify", "--only", "V12"])
     assert code == 0

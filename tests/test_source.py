@@ -130,6 +130,25 @@ def test_only_words_reads_maxsize():
     assert found == ["words.py"]
 
 
+def test_verify_certifies_each_kind_of_fact_one_way():
+    # an enumerated order is certified only through _enumerated (which also
+    # checks the table), an isomorphism only through _isomorphic and an
+    # abelianization only through _abelianization
+    with open(os.path.join(PKG, "verify.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="verify.py")
+    engines = {"todd_coxeter", "verify_isomorphism", "abelian_invariants"}
+    users = {
+        (engine, ", ".join(sorted(_defined(stmt))) or f"line {stmt.lineno}")
+        for stmt in tree.body
+        for engine in sorted(_references(stmt) & engines)
+    }
+    assert users == {
+        ("todd_coxeter", "_enumerated"),
+        ("verify_isomorphism", "_isomorphic"),
+        ("abelian_invariants", "_abelianization"),
+    }
+
+
 def test_blowup_schema_names_the_point_kinds_of_the_table():
     with open(os.path.join(PKG, "schemas", "blowup_script.schema.json"), encoding="utf-8") as fh:
         point = json.load(fh)["properties"]["points"]["items"]

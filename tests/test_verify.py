@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from curvepi import verify
 from curvepi.cli import main as cli_main
+from curvepi.coset_table import CosetTable
 from curvepi.derive import DerivationBudget, Inconclusive
 from curvepi.dsl import parse_presentation, parse_word
 from curvepi.homomorphisms import Refuted, Verified, verify_isomorphism
@@ -28,6 +31,12 @@ def test_selected_check():
 def test_unknown_check_rejected():
     with pytest.raises(KeyError):
         run_suite(["V99"])
+
+
+@pytest.mark.parametrize("selection", [["V1", "V1"], ["V2", "V12", "V2"]])
+def test_a_check_selected_twice_is_rejected(selection):
+    with pytest.raises(ValueError, match=f"check '{selection[0]}' selected twice"):
+        run_suite(selection)
 
 
 def test_budget_exhaustion_is_inconclusive_never_fail():
@@ -69,6 +78,45 @@ def test_verify_json_is_the_reference_output(capsys):
         want = fh.read()
     assert cli_main(["verify", "--json"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_verify_json_under_python_dash_o_is_the_reference_output():
+    # -O strips assert statements: no soundness check may be written as one,
+    # so the report must not change when they are gone
+    with open(REFERENCE, "rb") as fh:
+        want = fh.read()
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "curvepi", "verify", "--json"],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
+
+
+def test_an_enumerated_order_rests_on_a_checked_table(monkeypatch):
+    # an enumerator that answers the order-12 group <x,y | x^3, y^3, (xy)^2>
+    # with the identity action on twelve cosets: every relator fixes every
+    # coset, but coset 0 reaches none of the others, so the table proves
+    # nothing about the order
+    real = verify.todd_coxeter
+    source = parse_presentation("<x,y | x^3, y^3, (xy)^2>")
+    identity = list(range(12))
+
+    def enumerator(p, subgroup=(), limits=None):
+        if p == source and not subgroup:
+            return CosetTable([identity, identity], [identity, identity])
+        return real(p, subgroup, limits)
+
+    monkeypatch.setattr(verify, "todd_coxeter", enumerator)
+    [v7] = run_suite(["V7"])
+    assert v7.status == "fail", v7.detail
+    assert v7.detail.startswith("source order: table certificate failed: "), v7.detail
+    assert "not transitive" in v7.detail
 
 
 def test_reports_carry_audit_artifacts():
