@@ -422,9 +422,12 @@ def todd_coxeter(
         parent.append(beta)
         fill(x, c, beta)
 
-    def scan_at(c: int, scans, hlt: bool) -> None:
-        # the one scan loop (module docstring); hlt defines cosets at a
-        # longer gap and drains the deductions after each word
+    def scan_at(c: int, scans, drain) -> None:
+        # the one scan loop (module docstring); an HLT scan, given ``drain``,
+        # defines cosets at a longer gap and drains the deductions after
+        # each word.  ``drain`` comes in as an argument so that the two
+        # closures do not hold each other: a reference cycle would keep the
+        # enumerator's lists alive until the cyclic garbage collector ran
         nonlocal steps, dead
         for fwd, bwd, last, w in scans:
             if parent[c] != c:
@@ -457,17 +460,17 @@ def todd_coxeter(
                 if j == i:
                     fill(w[i], f, b)
                     break
-                if not hlt:
+                if drain is None:
                     break
                 define(w[i], f)
-            if hlt and stack:
+            if drain is not None and stack:
                 drain()
 
     def drain() -> None:
         # deduce from each entry on the stack, without defining cosets
         while stack:
             c, x = stack.pop()
-            scan_at(c, deduce[x], False)
+            scan_at(c, deduce[x], None)
 
     def skip_mask(w):
         # one bit per shortcut column
@@ -507,7 +510,7 @@ def todd_coxeter(
                         ]
                     # a relator symmetry proves the others closed at alpha
                     skipped += len(relator_scans) - len(todo)
-                scan_at(alpha, todo, True)
+                scan_at(alpha, todo, drain)
                 if parent[alpha] == alpha:
                     for x in rows:
                         if cols[x][alpha] is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from operator import eq
 from typing import Iterable, Sequence, Tuple
 
 from .words import Word, cyclic_reduce, invert, power
@@ -171,6 +172,14 @@ def _format_run(p: Presentation, letter: int, count: int) -> str:
 
 
 def format_presentation(p: Presentation) -> str:
-    gens = ", ".join(p.generators)
-    rels = ", ".join(format_word(p, w) for w in p.relators)
-    return f"< {gens} | {rels} >"
+    """The DSL text of ``p``.  A relator with no two equal neighbouring
+    letters has no power to collapse, so it is printed letter by letter
+    from one atom table (letter k at index k, its inverse at -k); only the
+    others go through ``format_word``."""
+    names = p.generators
+    atom = ["", *names, *(f"{g}^-1" for g in reversed(names))].__getitem__
+    rels = ", ".join(
+        format_word(p, w) if any(map(eq, w.letters, w.letters[1:])) else " ".join(map(atom, w.letters))
+        for w in p.relators
+    )
+    return f"< {', '.join(names)} | {rels} >"

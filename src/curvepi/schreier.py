@@ -4,7 +4,8 @@ subgroup presentations, and Tietze simplification."""
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import add as plus
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coset_table import CosetTable
 from .presentations import Presentation
@@ -81,25 +82,33 @@ class SchreierRewriter:
             self._steps[g + 1] = (forward, label)
             self._steps[-g - 1] = (backward, [-label[c] for c in backward])
 
-    def _walk(self, coset: int, steps: Sequence[_Step]) -> Tuple[int, List[int]]:
-        """Follow ``steps`` through the table from ``coset``; returns the end
-        coset and the Schreier generator letters met on the way."""
-        out: List[int] = []
-        for step, lab in steps:
-            s = lab[coset]
-            if s:
-                out.append(s)
-            coset = step[coset]
-        return coset, out
+    def _closed_walks(self, cosets: Iterable[int], walks: Sequence[Sequence[_Step]], message: str) -> List[Word]:
+        """Follow each of ``walks`` through the table from each of ``cosets``
+        in turn, and return the Schreier generator letters met on each walk
+        as a word.  A walk that ends away from its start raises ValueError,
+        with ``message`` formatted with the start coset."""
+        words: List[Word] = []
+        raw = Word._raw
+        for start in cosets:
+            for steps in walks:
+                coset = start
+                out: List[int] = []
+                for step, lab in steps:
+                    s = lab[coset]
+                    if s:
+                        out.append(s)
+                    coset = step[coset]
+                if coset != start:
+                    raise ValueError(message.format(start))
+                words.append(raw(tuple(out)))
+        return words
 
     def rewrite(self, w: Word) -> Word:
         """The rewriting function: a word in the ambient generators that
         lies in the subgroup becomes a word in the Schreier generators."""
         self.presentation.check_word(w)
-        end, letters = self._walk(0, [self._steps[x] for x in w.letters])
-        if end != 0:
-            raise ValueError("word does not lie in the subgroup (leaves coset 0)")
-        return Word._raw(tuple(letters))
+        steps = [self._steps[x] for x in w.letters]
+        return self._closed_walks((0,), [steps], "word does not lie in the subgroup (leaves coset {})")[0]
 
     def subgroup_presentation(self) -> Presentation:
         """Generators: the nontrivial s_{K,a}; relators: each ambient
@@ -109,14 +118,7 @@ class SchreierRewriter:
         nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
         """
         walks = [[self._steps[x] for x in r.letters] for r in self.presentation.relators]
-        walk = self._walk
-        rels: List[Word] = []
-        for coset in range(self.table.n):
-            for steps in walks:
-                end, letters = walk(coset, steps)
-                if end != coset:
-                    raise ValueError(f"relator does not close at coset {coset}")
-                rels.append(Word._raw(tuple(letters)))
+        rels = self._closed_walks(range(self.table.n), walks, "relator does not close at coset {}")
         return Presentation(self.names, rels)
 
 
@@ -133,11 +135,19 @@ def _dedupe_key(r: Tuple[int, ...]) -> Tuple[int, ...]:
 
     It starts where a cyclic run of ``m``, the least letter of either,
     starts, so only those rotations of the doubled tuples are compared; a
-    word with no such run is a power of one letter.
+    word with no such run is a power of one letter.  When ``m`` occurs
+    once in the two words together, its one rotation is the key.
     """
-    n, d, m = len(r), r + r, min(min(r), -max(r))
-    starts = [w[i : i + n] for w in (d, invert(d)) for i in range(n) if w[i] == m != w[i - 1]]
-    return min(starts or [min(r, invert(r))])
+    inv = invert(r)
+    lo, hi = min(r), min(inv)
+    if lo != hi:
+        w, m = (r, lo) if lo < hi else (inv, hi)
+        if w.count(m) == 1:
+            k = w.index(m)
+            return w[k:] + w[:k]
+    n, m = len(r), min(lo, hi)
+    starts = [w[i : i + n] for w in (r + r, inv + inv) for i in range(n) if w[i] == m != w[i - 1]]
+    return min(starts or [min(r, inv)])
 
 
 def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
@@ -189,7 +199,9 @@ def simplify(p: Presentation) -> Presentation:
     contain it, and a heap holds the elimination candidates.  An
     elimination rewrites only the relators containing its generator, and
     only those are checked for new duplicates.  Generators keep their
-    input numbers until the result is built.
+    input numbers until the result is built.  When g is replaced by at most
+    one letter, ``fold_step`` substitutes once and keeps each relator in
+    which nothing cancels as it is, without reducing it again.
 
     The loop starts with a fold phase: while some relator of length <= 2
     defines a generator, only such relators put candidates on the heap.
@@ -220,23 +232,25 @@ def simplify(p: Presentation) -> Presentation:
             if c == 1:
                 heappush(candidates, (len(r), g, i))
 
-    def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...]) -> None:
+    # ``indexed``: the letters whose generators' index entries change, all
+    # of the relator's unless a fold step says which
+    def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...], indexed: Optional[Tuple[int, ...]] = None) -> None:
         nonlocal total
         rels[i] = r
         key_of[i] = key
         owner[key] = i
         total += len(r)
-        for x in r:
+        for x in r if indexed is None else indexed:
             where[abs(x)].add(i)
         if len(r) <= 2 or not fold:
             offer(i, r)
 
-    def remove(i: int) -> None:
+    def remove(i: int, indexed: Optional[Tuple[int, ...]] = None) -> None:
         nonlocal total
         r = rels.pop(i)
         del owner[key_of.pop(i)]
         total -= len(r)
-        for x in r:
+        for x in r if indexed is None else indexed:
             where[abs(x)].discard(i)
 
     def replace(changed: Dict[int, Tuple[int, ...]]) -> None:
@@ -264,6 +278,28 @@ def simplify(p: Presentation) -> Presentation:
             heappop(candidates)
         return None
 
+    def fold_step(g: int, replacement: Tuple[int, ...]) -> None:
+        """Replace g by a word of at most one letter, h or nothing, in the
+        relators that hold it.  A relator in which no cyclically adjacent
+        pair cancels is still cyclically reduced; unless it now equals
+        another relator it is updated in place, and of its generators only
+        g and h change in the index.  The others go through ``replace``."""
+        h = replacement[0] if replacement else 0
+        sub = {g: h, -g: -h}
+        changed: Dict[int, Tuple[int, ...]] = {}
+        for i in list(where[g]):
+            r = rels[i]
+            out = tuple(map(sub.get, r, r)) if h else tuple(x for x in r if x != g and x != -g)
+            if out and all(map(plus, out, out[1:])) and out[0] != -out[-1]:
+                key = _dedupe_key(out)
+                if key not in owner:
+                    # where[g] goes with g, so only h is new to the index
+                    remove(i, ())
+                    add(i, out, key, replacement)
+                    continue
+            changed[i] = cyclic_reduce(reduce_letters(out))
+        replace(changed)
+
     def eliminate_once() -> bool:
         """One generator elimination; True if performed."""
         best = best_candidate()
@@ -276,6 +312,11 @@ def simplify(p: Presentation) -> Presentation:
         rot = r[pos:] + r[:pos]
         tail = rot[1:]
         replacement = invert(tail) if rot[0] > 0 else tail  # word equal to g
+        if len(replacement) <= 1:
+            remove(ri)
+            fold_step(g, replacement)
+            del where[g]
+            return True
         inverse = invert(replacement)
         changed: Dict[int, Tuple[int, ...]] = {}
         for i in where[g]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from operator import neg
 from typing import Iterable, Iterator, Sequence, Tuple
 
 # the most letters a word can hold: each letter is a pointer in its tuple,
@@ -35,7 +36,7 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        object.__setattr__(self, "letters", reduce_letters(letters))
+        _set_letters(self, reduce_letters(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -43,7 +44,7 @@ class Word:
     @classmethod
     def _raw(cls, reduced: Tuple[int, ...]) -> "Word":
         w = cls.__new__(cls)
-        object.__setattr__(w, "letters", reduced)
+        _set_letters(w, reduced)
         return w
 
     @classmethod
@@ -87,6 +88,9 @@ class Word:
         return f"Word({list(self.letters)})"
 
 
+# the slot's own setter, which __setattr__ does not go through
+_set_letters = Word.letters.__set__
+
 
 def concat(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Concatenate two reduced letter tuples, cancelling at the seam."""
@@ -101,8 +105,9 @@ def concat(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
         i += 1
     return tuple(la) + b[i:]
 
+
 def invert(letters: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(-x for x in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
 
 
 def power(letters: Sequence[int], n: int) -> list[int]:

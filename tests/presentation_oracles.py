@@ -1,10 +1,16 @@
-"""The earlier per-relator checks of the Presentation constructor, kept
-verbatim (but for the function head, the imports, and returning what the
-constructor set) as the oracle for Presentation.__init__."""
+"""Earlier versions of presentation code, kept as oracles.
+
+- The per-relator checks of the Presentation constructor, verbatim (but
+  for the function head, the imports, and returning what the constructor
+  set), as the oracle for Presentation.__init__.
+- The run-by-run writer, ``format_word``, ``_format_run`` and
+  ``format_presentation`` verbatim, as the oracle for the atom-table
+  ``format_presentation``.
+"""
 
 from typing import Iterable, Sequence
 
-from curvepi.presentations import IDENTIFIER, _undeclared
+from curvepi.presentations import IDENTIFIER, Presentation, _undeclared
 from curvepi.words import Word, cyclic_reduce
 
 
@@ -32,3 +38,30 @@ def presentation_parts(generators: Sequence[str], relators: Iterable[Word] = ())
         rels.append(w if len(core) == len(letters) else Word._raw(core))
     return gens, tuple(rels)
 
+
+def format_word(p: Presentation, w: Word) -> str:
+    """Render a word in the DSL grammar (powers collapsed, space separated)."""
+    if not w:
+        raise ValueError("the empty word has no DSL form")
+    atoms = []
+    run_letter, run_len = w.letters[0], 1
+    for x in w.letters[1:]:
+        if x == run_letter:
+            run_len += 1
+        else:
+            atoms.append(_format_run(p, run_letter, run_len))
+            run_letter, run_len = x, 1
+    atoms.append(_format_run(p, run_letter, run_len))
+    return " ".join(atoms)
+
+
+def _format_run(p: Presentation, letter: int, count: int) -> str:
+    name = p.generators[abs(letter) - 1]
+    e = count if letter > 0 else -count
+    return name if e == 1 else f"{name}^{e}"
+
+
+def format_presentation(p: Presentation) -> str:
+    gens = ", ".join(p.generators)
+    rels = ", ".join(format_word(p, w) for w in p.relators)
+    return f"< {gens} | {rels} >"

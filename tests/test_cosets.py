@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -83,6 +84,21 @@ def test_overflow_is_a_result_not_an_exception():
     # limits must be positive
     with pytest.raises(ValueError):
         EnumLimits(max_cosets=0)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the enumerator's state is freed by reference counting when it
+    # returns, whether it finished a table or ran out of cosets; b^3
+    # deduces, so both runs drain deductions
+    p = parse_presentation("<a,b | a^2, b^3, (ab)^7, (a b a b^-1)^4>")
+    gc.collect()
+    gc.disable()
+    try:
+        assert isinstance(todd_coxeter(p), CosetTable)
+        assert isinstance(todd_coxeter(p, [], EnumLimits(max_cosets=20)), Overflow)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_trivial_group_has_index_one():

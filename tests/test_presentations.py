@@ -235,6 +235,41 @@ def test_image_validation():
         SubstitutionMap(src, dst, [])
 
 
+# the atom-table writer against the run-by-run one it replaced
+
+# single letters and multi-character names, such as Schreier generators
+_WRITER_NAMES = ["a", "b", "c", "s12_a", "s0_b", "s431_f", "x'", "Z9"]
+
+
+@st.composite
+def printable_presentations(draw):
+    """Relators as runs of letters and of inverse letters, single letters,
+    free words (mostly without equal neighbours) and words whose first and
+    last letters are equal."""
+    names = draw(st.lists(st.sampled_from(_WRITER_NAMES), min_size=1, max_size=6, unique=True))
+    letter = st.sampled_from([s * g for g in range(1, len(names) + 1) for s in (1, -1)])
+    rels = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["single", "free", "runs", "ends equal"]))
+        if kind == "single":
+            letters = [draw(letter)]
+        elif kind == "free":
+            letters = draw(st.lists(letter, min_size=1, max_size=12))
+        else:
+            runs = draw(st.lists(st.tuples(letter, st.integers(1, 4)), min_size=1, max_size=6))
+            letters = [x for x, k in runs for _ in range(k)]
+            if kind == "ends equal":
+                letters.append(letters[0])
+        rels.append(Word(letters))
+    return Presentation(names, rels)
+
+
+@settings(max_examples=500, deadline=None)
+@given(printable_presentations())
+def test_format_presentation_matches_the_run_by_run_writer(p):
+    assert format_presentation(p) == presentation_oracles.format_presentation(p)
+
+
 def test_format_word_collapses_powers():
     p = parse_presentation("<a,b |>")
     w = parse_word(p, "a a a b^-1 b^-1")

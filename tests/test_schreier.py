@@ -611,6 +611,18 @@ def test_order_sensitive_fold_keeps_its_output():
     assert out.getvalue() == "index: 2\n< s1_c | s1_c^4, s1_c^2 >\n"
 
 
+def test_fold_step_rereduces_a_relator_that_cancels_cyclically():
+    # g = h turns the second relator into h a b^2 a^2 h^-1, whose ends
+    # cancel; the printed result would strip them even if simplify kept them
+    p = parse_presentation("<g,h,a,b | g h^-1, g a b^2 a^2 h^-1>")
+    assert format_presentation(simplify(p)) == "< h, a, b | a b^2 a^2 >"
+    # g = h^-1 turns h h a g into h h a h^-1, that is h a, which defines h
+    # in turn; kept unreduced, it would hold h three times, and a, once,
+    # would be eliminated instead, leaving < h | >
+    p = parse_presentation("<g,h,a | h g, h h a g>")
+    assert format_presentation(simplify(p)) == "< a |  >"
+
+
 @st.composite
 def cyclic_words(draw):
     """Nonempty cyclically reduced letters over up to 3 generators: a power

@@ -152,6 +152,11 @@ def test_word_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         w.letters = ()
     assert len({w, Word([1, 2]), ~w}) == 2
+    raw = Word._raw((1, 2))
+    with pytest.raises(AttributeError):
+        raw.letters = ()
+    assert raw == w and hash(raw) == hash(w) and raw.letters == (1, 2)
+    assert len({raw, w, ~raw}) == 2
 
 
 # ---------------------------------------------------------------------------
