@@ -13,6 +13,19 @@ The search is best-first on (word length, steps taken) over canonical
 cyclic forms, with relator insertions attempted at every position of the
 canonical representative; cyclic permutations are folded into the state
 space by canonicalizing after every insertion.
+
+A state of length n that is a proper power u^k, with q = |u| its least
+period, is tried only at the positions 0..q-1.  Inserting at pos + q gives
+a rotation of the child made at pos (and pos = n one of pos = 0), so the
+two have the same canonical form, which the loop has already recorded or
+found recorded at pos.  That holds only while no child is cut by
+``max_word_length``: the cut reads the linear child, whose length depends
+on where the insertion sits, so the child at pos might be cut and the one
+at pos + q kept.  The positions are therefore pruned only when n plus the
+longest insertion fits the cap, and then the result, every ``states``
+count and every trace are exactly those of trying every position.
+Children whose two seams do not cancel are built by concatenation; only
+the others go through ``splice``.
 """
 
 from __future__ import annotations
@@ -101,26 +114,26 @@ class Inconclusive:
 def replay_trace(p: Presentation, trace: ProofTrace) -> bool:
     """Independent step checker: replays the trace and demands it end at the
     empty word.  Uses only full free reduction of the spliced or rotated
-    letters, not the search's word kernels."""
+    letters, not the search's word kernels.  A step of any other shape, or
+    with a non-integer index, position or rotation, is rejected."""
     current = trace.start.letters
     for step in trace.steps:
-        if step[0] == "insert":
-            _, idx, inv, pos = step
-            if not 0 <= idx < len(p.relators):
+        match step:
+            case ("insert", int(idx), bool(inv), int(pos)):
+                if not 0 <= idx < len(p.relators):
+                    return False
+                rel = p.relators[idx].letters
+                if inv:
+                    rel = invert(rel)
+                if not 0 <= pos <= len(current):
+                    return False
+                current = reduce_letters(current[:pos] + rel + current[pos:])
+            case ("rotate", int(k)):
+                if current:
+                    k %= len(current)
+                    current = reduce_letters(current[k:] + current[:k])
+            case _:
                 return False
-            rel = p.relators[idx].letters
-            if inv:
-                rel = invert(rel)
-            if not 0 <= pos <= len(current):
-                return False
-            current = reduce_letters(current[:pos] + rel + current[pos:])
-        elif step[0] == "rotate":
-            _, k = step
-            if current:
-                k %= len(current)
-                current = reduce_letters(current[k:] + current[:k])
-        else:
-            return False
     return not current
 
 
@@ -134,6 +147,17 @@ def _canonical_steps(letters: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[St
     if k:
         steps.append(("rotate", k))
     return core[k:] + core[:k], steps
+
+
+def _period(state: Tuple[int, ...]) -> int:
+    """The least period of ``state``: the least q dividing its length with
+    ``state[q:] == state[:-q]``, so that ``state`` is a power of its first q
+    letters."""
+    n = len(state)
+    for q in range(1, n // 2 + 1):
+        if not n % q and state[q:] == state[:-q]:
+            return q
+    return n
 
 
 def derive_relator(
@@ -174,14 +198,24 @@ def derive_relator(
     }
     counter = 0
     heap: List[Tuple[int, int, int, Tuple[int, ...]]] = [(len(start), 0, counter, start)]
+    longest = max(len(rel) for _, _, rel in inserts)
     found = False
     while heap:
         _, d, _, state = heapq.heappop(heap)
         if d >= budget.max_insertions:
             continue
+        n = len(state)
+        # while no child can exceed the length cap, one period of positions
+        # reaches every child that is not a rotation of an earlier one
+        positions = range(_period(state) if n + longest <= budget.max_word_length else n + 1)
         for idx, inv, rel in inserts:
-            for pos in range(len(state) + 1):
-                child = splice(state, pos, rel)
+            first, last = -rel[0], -rel[-1]
+            for pos in positions:
+                # at pos 0 this reads state[-1]: at worst a needless splice
+                if state[pos - 1] == first or (pos < n and state[pos] == last):
+                    child = splice(state, pos, rel)
+                else:
+                    child = state[:pos] + rel + state[pos:]
                 if len(child) > budget.max_word_length:
                     continue
                 canon = canonical_cyclic(child)

@@ -11,6 +11,7 @@ from .coset_table import CosetTable
 from .presentations import Presentation
 from .words import (
     Word,
+    canonical_cyclic,
     cyclic_reduce,
     invert,
     reduce_letters,
@@ -133,21 +134,17 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
 def _dedupe_key(r: Tuple[int, ...]) -> Tuple[int, ...]:
     """The least rotation of cyclically reduced ``r`` or of its inverse.
 
-    It starts where a cyclic run of ``m``, the least letter of either,
-    starts, so only those rotations of the doubled tuples are compared; a
-    word with no such run is a power of one letter.  When ``m`` occurs
-    once in the two words together, its one rotation is the key.
+    Each starts with its word's least letter, ``min(r)`` for ``r`` and
+    ``-max(r)`` for the inverse, so the word whose least letter is the
+    lesser gives the key, and the inverse is built only when it may give it.
     """
+    lo, hi = min(r), -max(r)
+    if lo < hi:
+        return canonical_cyclic(r)
     inv = invert(r)
-    lo, hi = min(r), min(inv)
-    if lo != hi:
-        w, m = (r, lo) if lo < hi else (inv, hi)
-        if w.count(m) == 1:
-            k = w.index(m)
-            return w[k:] + w[:k]
-    n, m = len(r), min(lo, hi)
-    starts = [w[i : i + n] for w in (r + r, inv + inv) for i in range(n) if w[i] == m != w[i - 1]]
-    return min(starts or [min(r, inv)])
+    if hi < lo:
+        return canonical_cyclic(inv)
+    return min(canonical_cyclic(r), canonical_cyclic(inv))
 
 
 def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:

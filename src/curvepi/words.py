@@ -142,21 +142,35 @@ def least_rotation_index(core: Tuple[int, ...]) -> int:
     reduced ``core``.
 
     The least rotation starts where a cyclic run of the least letter
-    starts, so only the rotations there are compared; a word with no such
-    run is a power of one letter (or empty), and its index is 0.
+    starts, so only the rotations there are compared: when the least letter
+    occurs once, its index is the answer, and a word that is a power of one
+    letter (or empty) has index 0.  Otherwise the occurrences are found by
+    ``index`` hops and the rotations at run starts compared as slices; on a
+    tie (a proper power) the first start wins.
     """
     n = len(core)
-    least = min(core, default=0)
-    starts = [i for i, x in enumerate(core) if x == least and core[i - 1] != least]
-    if not starts:
+    if n < 2:
+        return 0
+    least = min(core)
+    count = core.count(least)
+    if count == 1:
+        return core.index(least)
+    if count == n:
         return 0
     doubled = core + core
-    return min(starts, key=lambda i: doubled[i : i + n])
+    best, k, i = None, 0, -1
+    for _ in range(count):
+        i = core.index(least, i + 1)
+        if core[i - 1] != least:
+            rot = doubled[i : i + n]
+            if best is None or rot < best:
+                best, k = rot, i
+    return k
 
 
 def canonical_cyclic(letters: Tuple[int, ...]) -> Tuple[int, ...]:
     """Canonical form of reduced ``letters`` under cyclic permutation: the
     least rotation of its cyclic reduction."""
-    core = cyclic_reduce(letters)
+    core = cyclic_reduce(letters) if letters and letters[0] == -letters[-1] else letters
     k = least_rotation_index(core)
-    return core[k:] + core[:k]
+    return core[k:] + core[:k] if k else core

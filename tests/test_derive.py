@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import derive_oracle
 from curvepi import parse_presentation, parse_word
 from curvepi.derive import (
     DerivationBudget,
@@ -14,7 +15,8 @@ from curvepi.derive import (
     derive_relator,
     replay_trace,
 )
-from curvepi.words import Word
+from curvepi.presentations import Presentation
+from curvepi.words import Word, cyclic_reduce, reduce_letters
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -166,3 +168,71 @@ def test_state_cap_only_truncates_the_search(case, k):
     else:
         assert res.reason == f"state budget exhausted ({k} states)"
         assert res.states >= k
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        ("insert", 0, False),
+        ("rotate",),
+        (),
+        ("insert", 0, True, 0, 9),
+        ("rotate", 1.5),
+        ("insert", 0.0, False, 0),
+        ("insert", 0, False, 0.5),
+        None,
+    ],
+)
+def test_replay_rejects_malformed_steps(step):
+    p = parse_presentation("<a | a^3>")
+    assert not replay_trace(p, ProofTrace(parse_word(p, "a^3"), [step]))
+
+
+@st.composite
+def search_cases(draw):
+    """A presentation with 1-3 generators and 1-3 relators of length 1-6, a
+    start word that in half the examples is a proper power u^k (u often a
+    relator, so that a derivation exists), and a budget whose word-length
+    cap may or may not cut children."""
+    n = draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(Word), min_size=1, max_size=3))
+    p = Presentation([f"g{i}" for i in range(n)], rels)
+    if draw(st.booleans()):
+        u = cyclic_reduce(draw(st.lists(letter, min_size=1, max_size=4).map(reduce_letters))) or (1,)
+        if p.relators and draw(st.booleans()):
+            u = draw(st.sampled_from(p.relators)).letters
+        w = Word(u * draw(st.integers(2, 5)))
+    else:
+        w = Word(draw(st.lists(letter, max_size=4)))
+        for rel in draw(st.lists(st.sampled_from(p.relators), max_size=2)) if p.relators else ():
+            conj = Word(draw(st.lists(letter, max_size=2)))
+            w = w * conj * (rel if draw(st.booleans()) else ~rel) * ~conj
+    budget = DerivationBudget(
+        max_insertions=draw(st.sampled_from([3, 64])),
+        max_word_length=draw(st.sampled_from([8, 16, 64])),
+        max_states=draw(st.sampled_from([50, 300, 2000])),
+    )
+    return p, w, budget
+
+
+def _outcome(res):
+    if isinstance(res, ProofTrace):
+        return "trace", res.start, res.steps
+    return "inconclusive", res.reason, res.states
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_search_matches_the_unpruned_search(case):
+    p, w, budget = case
+    assert _outcome(derive_relator(p, w, budget)) == _outcome(derive_oracle.derive_relator(p, w, budget))
+
+
+def test_periodic_state_is_pruned_only_when_no_child_is_cut():
+    # a^-16 is (a^-1)^16; with max_word_length=16 the length cap cuts some
+    # of its children, so every insert position must still be tried
+    p = parse_presentation("<a,b | a a b^-1, b^-1 a^-1 b^-1 b^-1 a^-1 a^-1>")
+    res = derive_relator(p, parse_word(p, "a^-16"), DerivationBudget(max_states=300, max_word_length=16))
+    assert isinstance(res, Inconclusive)
+    assert (res.reason, res.states) == ("state budget exhausted (300 states)", 300)
