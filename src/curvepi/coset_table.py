@@ -4,15 +4,15 @@ deductions) and coset-table certificates.
 Column layout: generator g (0-based) acts through column 2g, its inverse
 through column 2g+1, so ``col ^ 1`` inverts.  The enumerator stores the
 table by column: ``cols[x][c]`` is the image of coset c under column x, one
-list per column, and defining a coset appends one entry to each.  When a
-relator is exactly g^2 or g^-2, columns 2g and 2g+1 are one list, which is
-its own inverse: the shared list enforces that relator, so it is not
-scanned, and every loop over the columns visits that list once.  Words are
-scanned through the column lists themselves, so an inverse letter of an
-involution reads the shared list too.  Coincidences are processed
-immediately with a union-find that always keeps the smaller index, which
-pins coset 0 to the subgroup.  Finished tables are renumbered by BFS from
-coset 0 (positive generator columns first) so transversals are reproducible.
+list per column, grown ``_BLOCK`` entries at a time; only ``parent`` grows
+by one per coset allocated.  When a relator is exactly g^2 or g^-2,
+columns 2g and 2g+1 are one list, its own inverse, which enforces that
+relator: it is not scanned, loops over the columns visit the list once,
+and a word read through the lists reads it for either letter.
+Coincidences are processed immediately with a union-find that always keeps
+the smaller index, which pins coset 0 to the subgroup.  Finished tables are
+renumbered by BFS from coset 0 (positive generator columns first) so
+transversals are reproducible.
 
 Strategy.  One routine, ``scan_at``, scans a list of words at a coset
 until the coset dies, one scan step per pass: a closed word with a
@@ -21,31 +21,31 @@ the word's scan, unless the scan is HLT's, which defines a coset there and
 scans on.  HLT visits the live cosets in order; at each it scans every
 relator that way (coset 0 scans the subgroup words first), then defines the
 row's empty entries.  Every entry that a fill or a definition sets goes on
-a deduction stack, which is drained after each HLT word and after each
-row.  For an entry of column x at coset c, draining calls ``scan_at`` at c,
-without defining cosets, on each distinct cyclic conjugate that starts
-with x of every relator of length at most 3 (other than g^2) and of its
-inverse; a filled gap pushes its entry in turn.
-Such relators are the torsion x^3 and triangle relators abc that HLT would
-otherwise cover with cosets that later die.  Longer relators do not deduce,
-since on the E6 Coxeter group their deductions cost more than the cosets
-they save (``_DEDUCE_MAX_LENGTH`` gives the measurements).
+a deduction stack, drained after each HLT word and after each row: an
+entry of column x at coset c runs ``scan_at`` at c, defining no cosets, on
+each distinct cyclic conjugate starting with x of every relator of length
+at most 3 (other than g^2) and of its inverse; a filled gap pushes its
+entry in turn.  Such relators, such as x^3 and abc, close cycles that HLT
+would cover with cosets that later die (see ``_DEDUCE_MAX_LENGTH``).
 
 Most relator scans only confirm a cycle that is already closed, and a
 relator's symmetry can prove that without reading the word.  Read w, of
-length L, through the column lists (an involution's two columns are one
-list).  If rotating w by one letter gives w or w^-1, coset alpha skips w
-when alpha*w[0] is a live coset below alpha; if rotating it by L-1 letters
-does, alpha skips w when alpha*w[-1]^-1 is.  The offsets are tested
-separately, since one does not imply the other: ``g1 g0^2``, with g0 and g1
-involutions, has the first only.  Each relator carries a bitmask of the
-columns its shortcuts read; at each live coset one pass over those columns
-sets the bits whose image is a live coset below it, and that set keys a
-dict of the relators left to scan, built on first use.
+length L, through the column lists.  If rotating w by one letter gives w
+or w^-1, coset alpha skips w when alpha*w[0] is a live coset below alpha;
+if rotating it by L-1 letters does, alpha skips w when alpha*w[-1]^-1 is.
+The offsets are tested separately, since one does not imply the other:
+``g1 g0^2``, with g0 and g1 involutions, has the first only.  Each relator
+carries a bitmask of the columns its shortcuts read; at each live coset one
+pass over those columns sets the bits whose image is below it, and that
+set keys a dict of the relators left to scan, built on first use.
 
 Soundness.  A deduction sets only an entry that a relator implies, and no
 step ever clears an entry of a live coset except to merge it, so closed
 cycles stay closed and coincidences map closed cycles onto closed cycles.
+Once ``_coincidence`` returns, no live row points at a dead coset: every
+pointer into a killed coset is cleared when its queue entry is processed,
+and entries are only ever set between representatives.  So an image that
+a skip mask reads is live, and ``_renumber`` needs no representatives.
 Every live coset beta below alpha has been processed, so every relator was
 closed at beta.  If beta = alpha*w[0] and rot1(w), being w or w^-1, is
 closed at beta, its path from beta ends with the letter w[0] back at beta;
@@ -54,8 +54,8 @@ alpha*w = alpha.  Offset L-1 is the same argument from the other end.  A
 skipped scan would thus neither define a coset nor merge two.  Subgroup
 words, scanned at coset 0 only, never skip.  The finished table is the
 action on the cosets, renumbered by BFS, so it does not depend on the
-order of definitions, deductions and skips; only the work counts and the
-point where a budget runs out do.
+order of definitions, deductions and skips, unlike the work counts and the
+point where a budget runs out.
 """
 
 from __future__ import annotations
@@ -251,6 +251,7 @@ def _shortcuts(w: Tuple[int, ...], involutions: set) -> Tuple[Optional[int], Opt
 # allocates no coset that dies, but takes 1,265,499 scan steps instead of
 # 236,025 and enumerates about 3x slower.
 _DEDUCE_MAX_LENGTH = 3
+_BLOCK = 1024  # the enumerator's columns grow this many entries at a time
 
 
 def _conjugates(words: Sequence[Tuple[int, ...]], involutions: set) -> dict:
@@ -322,21 +323,12 @@ def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
     return killed
 
 
-def _renumber(
-    cols: List[List[Optional[int]]], parent: List[int], subgroup: Sequence[Word], stats: EnumStats
-) -> CosetTable:
+def _renumber(cols: list, subgroup: Sequence[Word], stats: EnumStats) -> CosetTable:
     """Compact to live cosets, renumbered by BFS from coset 0 over the
-    positive generator columns (which span any complete finite table), so
-    transversals are reproducible.  Resolves ``parent`` in place and
-    consumes ``cols``: each column is cleared once it is mapped, which frees
-    it in the enumerator too, and the finished tuples are kept by
-    ``CosetTable`` without a copy."""
-    # a representative is never larger than its coset, so one ascending
-    # pass resolves every coset to its live representative
-    root = parent
-    for c, r in enumerate(root):
-        root[c] = root[r]
-    number = [-1] * len(root)
+    positive generator columns (which span any complete finite table).
+    Consumes ``cols``: each column is cleared once it is mapped, which frees
+    it in the enumerator too; ``CosetTable`` keeps the tuples uncopied."""
+    number = [-1] * stats.allocated
     number[0] = 0
     order = [0]
     forward_cols = cols[0::2]
@@ -345,21 +337,18 @@ def _renumber(
             d = col[c]
             if d is None:
                 raise RuntimeError("incomplete table after enumeration")
-            d = root[d]
             if number[d] < 0:
                 number[d] = len(order)
                 order.append(d)
     if len(order) != stats.allocated - stats.dead:
         raise RuntimeError("table is not transitive")
-    # the new number of every coset, through its representative
-    number = [number[r] for r in root]
-    forward: List[Tuple[int, ...]] = []
-    backward: List[Tuple[int, ...]] = []
+    num = number.__getitem__
+    forward, backward = [], []
     for col, inv in zip(forward_cols, cols[1::2]):
-        forward.append(tuple([number[col[c]] for c in order]))
+        forward.append(tuple(map(num, map(col.__getitem__, order))))
         col.clear()
         # an involution's backward column is its forward tuple, mapped once
-        backward.append(forward[-1] if inv is col else tuple([number[inv[c]] for c in order]))
+        backward.append(forward[-1] if inv is col else tuple(map(num, map(inv.__getitem__, order))))
         inv.clear()
     return CosetTable(forward, backward, subgroup, stats)
 
@@ -377,14 +366,14 @@ def todd_coxeter(
     words = [_word_to_cols(w) for w in p.relators]
     squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
     involutions = {w[0] >> 1 for w in squares}
+    block = [None] * _BLOCK
     cols: List[List[Optional[int]]] = []
     for g in range(p.n_gens):
-        col: List[Optional[int]] = [None]
-        cols += (col, col) if g in involutions else (col, [None])
+        col: List[Optional[int]] = block[:]
+        cols += (col, col) if g in involutions else (col, block[:])
     # one column of each distinct list, the ones a row fill visits
-    rows = [x for x in range(len(cols)) if x % 2 == 0 or x >> 1 not in involutions]
-    pairs = [(cols[x], cols[x ^ 1]) for x in rows]
-    distinct = [col for col, _ in pairs]
+    row_cols = [(x, cols[x]) for x in range(len(cols)) if x % 2 == 0 or x >> 1 not in involutions]
+    pairs = [(col, cols[x ^ 1]) for x, col in row_cols]
 
     def scan(w):
         # a word as its column lists, the lists of the inverse letters, the
@@ -404,39 +393,40 @@ def todd_coxeter(
 
     parent = [0]
 
-    def fill(x: int, c: int, d: int) -> None:
-        # c*x = d, to be deduced from where a short relator reads it
-        cols[x][c] = d
-        cols[x ^ 1][d] = c
-        if deduce[x]:
-            stack.append((c, x))
-        if deduce[x ^ 1]:
-            stack.append((d, x ^ 1))
-
     def define(x: int, c: int) -> None:
+        # c*x = beta for a new coset beta, deduced from as a filled gap is
         beta = len(parent)
         if beta >= max_cosets:
             raise _Overflowed
-        for d in distinct:
-            d.append(None)
+        if beta == len(cols[0]):
+            for _, col in row_cols:
+                col.extend(block)
         parent.append(beta)
-        fill(x, c, beta)
+        cols[x][c] = beta
+        cols[x ^ 1][beta] = c
+        if deduce[x]:
+            stack.append((c, x))
+        if deduce[x ^ 1]:
+            stack.append((beta, x ^ 1))
 
     def scan_at(c: int, scans, drain) -> None:
         # the one scan loop (module docstring); an HLT scan, given ``drain``,
         # defines cosets at a longer gap and drains the deductions after
         # each word.  ``drain`` comes in as an argument so that the two
         # closures do not hold each other: a reference cycle would keep the
-        # enumerator's lists alive until the cyclic garbage collector ran
+        # enumerator's lists alive until the cyclic garbage collector ran.
+        # ``steps`` gets ``s`` before a drain, whose scans nest, or a raise
         nonlocal steps, dead
+        s = steps
         for fwd, bwd, last, w in scans:
             if parent[c] != c:
-                return
+                break
             f = b = c
             i, j = 0, last
             while True:
-                steps += 1
-                if steps > max_deductions:
+                s += 1
+                if s > max_deductions:
+                    steps = s
                     raise _Overflowed
                 while i <= j:
                     y = fwd[i][f]
@@ -458,13 +448,24 @@ def todd_coxeter(
                     dead += _coincidence(parent, pairs, f, b)
                     break
                 if j == i:
-                    fill(w[i], f, b)
+                    # f*x = b, to be deduced from where a short relator reads it
+                    x = w[i]
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    if deduce[x]:
+                        stack.append((f, x))
+                    if deduce[x ^ 1]:
+                        stack.append((b, x ^ 1))
                     break
                 if drain is None:
                     break
+                steps = s
                 define(w[i], f)
             if drain is not None and stack:
+                steps = s
                 drain()
+                s = steps
+        steps = s
 
     def drain() -> None:
         # deduce from each entry on the stack, without defining cosets
@@ -472,35 +473,24 @@ def todd_coxeter(
             c, x = stack.pop()
             scan_at(c, deduce[x], None)
 
-    def skip_mask(w):
-        # one bit per shortcut column
-        mask = 0
-        for x in _shortcuts(w, involutions):
-            if x is not None:
-                mask |= 1 << x
-        return mask
-
     relator_scans = [scan(w) for w in relators]
-    masks = [skip_mask(w) for w in relators]
-    read = 0
-    for mask in masks:
-        read |= mask
+    # one bit per shortcut column of each relator
+    masks = [sum({1 << x for x in _shortcuts(w, involutions) if x is not None}) for w in relators]
     # the columns that some relator's shortcut reads, each with its bit
-    shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if read >> x & 1]
+    shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if any(m >> x & 1 for m in masks)]
     # the relators to scan at a coset, by the set of shortcut columns that
-    # take it to a live coset below it
+    # take it to a coset below it
     scan_lists = {}
     # coset 0, which has no coset below it, scans the subgroup words first
     todo = [scan(_word_to_cols(p.check_word(w))) for w in subgroup if w] + relator_scans
-    dead = steps = skipped = 0
-    alpha = 0
+    dead = steps = skipped = alpha = 0
     try:
         while alpha < len(parent):
             if parent[alpha] == alpha:
                 below = 0
                 for bit, col in shortcuts:
                     beta = col[alpha]
-                    if beta is not None and beta < alpha and parent[beta] == beta:
+                    if beta is not None and beta < alpha:
                         below |= bit
                 if alpha:
                     todo = scan_lists.get(below)
@@ -512,15 +502,15 @@ def todd_coxeter(
                     skipped += len(relator_scans) - len(todo)
                 scan_at(alpha, todo, drain)
                 if parent[alpha] == alpha:
-                    for x in rows:
-                        if cols[x][alpha] is None:
+                    for x, col in row_cols:
+                        if col[alpha] is None:
                             define(x, alpha)
                     if stack:
                         drain()
             alpha += 1
     except _Overflowed:
         return Overflow(EnumStats(len(parent), dead, steps, skipped), limits)
-    return _renumber(cols, parent, subgroup, EnumStats(len(parent), dead, steps, skipped))
+    return _renumber(cols, subgroup, EnumStats(len(parent), dead, steps, skipped))
 
 
 def table_from_action(
@@ -530,14 +520,11 @@ def table_from_action(
 ) -> CosetTable:
     """Build a coset table directly from a known transitive permutation
     action of the generators (one total map per generator).  The table is
-    validated before being returned."""
-    n = len(forward_maps[0]) if forward_maps else 0
-    backward = []
-    for fmap in forward_maps:
-        inv = [0] * n
-        for i, img in enumerate(fmap):
-            inv[img] = i
-        backward.append(inv)
+    validated before being returned; ValueError if it fails."""
+    # a permutation's inverse sorts the points by image; validate_table reports a bad map
+    backward = [
+        sorted(range(len(f)), key=f.__getitem__) if _is_map(f, len(f)) else f for f in forward_maps
+    ]
     t = CosetTable(forward_maps, backward, subgroup)
     report = validate_table(p, list(subgroup), t)
     if not report.passed:
@@ -545,41 +532,53 @@ def table_from_action(
     return t
 
 
+def _is_map(col: Sequence[int], n: int) -> bool:
+    """Whether every entry of col is an int in range(n)."""
+    return set(map(type, col)) <= {int} and (not col or (min(col) >= 0 and max(col) < n))
+
+
 def validate_table(p: Presentation, subgroup: Sequence[Word], t: CosetTable) -> ValidationReport:
     """Certificate check, independent of the enumeration strategy: mutually
     inverse bijections, subgroup-generator closure, relator closure at every
-    coset, and transitivity from coset 0."""
-    failures: List[Tuple[str, object]] = []
+    coset, and transitivity from coset 0.  A map with an entry that is not a
+    coset is ``not a bijection``, and then nothing is traced.  The checks
+    compose whole columns; a failure names the first coset that fails."""
     n = t.n
     if t.n_gens != p.n_gens:
-        failures.append(("generator count mismatch", (t.n_gens, p.n_gens)))
+        return ValidationReport([("generator count mismatch", (t.n_gens, p.n_gens))])
+    if not n:
+        return ValidationReport([("no cosets", 0)])
+    maps = list(zip(p.generators, t.forward, t.backward))
+    failures = [("not a bijection", g) for g, f, b in maps if not (_is_map(f, n) and _is_map(b, n))]
+    if failures:
         return ValidationReport(failures)
-    for g in range(t.n_gens):
-        fwd, bwd = t.forward[g], t.backward[g]
-        if sorted(fwd) != list(range(n)) or sorted(bwd) != list(range(n)):
-            failures.append(("not a bijection", p.generators[g]))
+    identity = list(range(n))
+    # the forward maps reach coset 0's orbit when each inverse checks out
+    walk = list(t.forward)
+    for name, fwd, bwd in maps:
+        back = list(map(bwd.__getitem__, fwd))
+        if back == identity:  # so both maps are bijections
             continue
-        for c in range(n):
-            if bwd[fwd[c]] != c:
-                failures.append(("inverse mismatch", (p.generators[g], c)))
-                break
+        if len(set(fwd)) < n or len(set(bwd)) < n:
+            failures.append(("not a bijection", name))
+        else:
+            failures.append(("inverse mismatch", (name, next(c for c in identity if back[c] != c))))
+        walk.append(bwd)
     for w in subgroup:
         if t.trace(0, w) != 0:
             failures.append(("subgroup word leaves coset 0", w))
     for i, r in enumerate(p.relators):
-        for c in range(n):
-            if t.trace(c, r) != c:
-                failures.append(("relator does not fix coset", (i, c)))
-                break
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        for g in range(t.n_gens):
-            for d in (t.forward[g][c], t.backward[g][c]):
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
+        image = identity
+        for x in r.letters:
+            col = t.forward[x - 1] if x > 0 else t.backward[-x - 1]
+            image = list(map(col.__getitem__, image))
+        if image != identity:
+            c = next(c for c in identity if image[c] != c)
+            failures.append(("relator does not fix coset", (i, c)))
+    seen = frontier = {0}
+    while frontier:
+        frontier = set().union(*[map(col.__getitem__, frontier) for col in walk]) - seen
+        seen |= frontier
     if len(seen) != n:
         failures.append(("not transitive", n - len(seen)))
     return ValidationReport(failures)

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from curvepi import parse_presentation, parse_word
 from curvepi.cli import main as cli_main
 from curvepi.coset_table import (
+    _BLOCK,
     CosetTable,
     EnumLimits,
     EnumStats,
     Overflow,
+    _coincidence,
     _shortcuts,
     _word_to_cols,
     perm_group_order,
@@ -23,6 +25,7 @@ from curvepi.presentations import Presentation
 from curvepi.words import Word
 from reference_enumerator import Overflow as ScanEveryOverflow
 from reference_enumerator import reference_todd_coxeter, scan_every_todd_coxeter
+from validate_oracle import validate_table as oracle_validate_table
 
 G2378 = "<a,b | a^2, b^3, (ab)^7, (a b a^-1 b^-1)^8>"
 E6 = (
@@ -504,3 +507,181 @@ def test_tc_stats_go_to_stderr(capsys):
         "stats: 50 cosets allocated, 0 dead, 0 scan steps, 0 scans skipped",
         "overflow: 50 cosets allocated (budget 50); index may be infinite",
     ]
+
+
+@pytest.mark.parametrize("max_cosets", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_coset_budget_is_exact_across_column_blocks(max_cosets):
+    # the columns grow a block at a time, but the budget counts definitions
+    res = todd_coxeter(parse_presentation("<a,b |>"), [], EnumLimits(max_cosets=max_cosets))
+    assert isinstance(res, Overflow) and not res.out_of_deductions
+    assert res.allocated == res.stats.allocated == max_cosets
+    # a finished table counts definitions too, not the columns' length
+    t = todd_coxeter(parse_presentation(f"<a | a^{max_cosets}>"))
+    assert t.n == max_cosets and t.stats.allocated == max_cosets and t.stats.dead == 0
+
+
+# The enumerator takes the entries of live rows as live cosets (module
+# docstring): once _coincidence returns, no live row points at a dead coset.
+
+
+def _partial_table(rng, n, n_gens):
+    """Random partial injective column lists over n cosets, laid out as the
+    enumerator lays them out, and their (column, inverse column) pairs: an
+    involution's two columns are one list, holding a partial involution."""
+    pairs = []
+    for _ in range(n_gens):
+        points = list(range(n))
+        rng.shuffle(points)
+        k = rng.randint(0, n)
+        if rng.random() < 0.5:
+            col = [None] * n
+            for c, d in zip(points[0:k:2], points[1:k:2]):
+                col[c], col[d] = d, c
+            for c in points[k:]:
+                if rng.random() < 0.2:
+                    col[c] = c
+            pairs.append((col, col))
+        else:
+            col, inv = [None] * n, [None] * n
+            images = rng.sample(range(n), k)
+            for c, d in zip(points[:k], images):
+                col[c], inv[d] = d, c
+            pairs += [(col, inv), (inv, col)]
+    return pairs
+
+
+def test_coincidence_leaves_no_pointer_into_a_dead_coset():
+    rng = random.Random(29)
+    merged = cascades = 0
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        pairs = _partial_table(rng, n, rng.randint(1, 3))
+        parent = list(range(n))
+        dead = 0
+        for _ in range(rng.randint(1, 4)):
+            live = [c for c in range(n) if parent[c] == c]
+            killed = _coincidence(parent, pairs, rng.choice(live), rng.choice(live))
+            dead += killed
+            cascades += killed > 1
+            live = [c for c in range(n) if parent[c] == c]
+            assert len(live) == n - dead
+            for col, inv in pairs:
+                for c in live:
+                    d = col[c]
+                    if d is not None:
+                        # d is live, and the inverse column maps it back to c
+                        assert parent[d] == d and inv[d] == c, (c, d)
+        merged += dead
+    assert merged > 1000 and cascades > 100, (merged, cascades)
+
+
+# The column-wise certificate check against the one that traced every coset
+# one letter at a time (tests/validate_oracle.py).  The corruptions keep every
+# entry a coset, so the oracle does not raise on them.
+
+FAILURE_KINDS = (
+    "not a bijection",
+    "inverse mismatch",
+    "subgroup word leaves coset 0",
+    "relator does not fix coset",
+    "not transitive",
+)
+
+
+def _corrupted(t, randrange):
+    """t and tables near it whose entries are all cosets: two entries of a
+    forward map swapped, one forward entry moved, a backward map replaced by
+    another permutation, a generator replaced by another permutation with its
+    inverse, and two disjoint copies of t."""
+    n = t.n
+    fwd = [list(f) for f in t.forward]
+    bwd = [list(b) for b in t.backward]
+    yield t
+    if not fwd:
+        return
+    g, c, d = randrange(len(fwd)), randrange(n), randrange(n)
+    swapped = [list(f) for f in fwd]
+    swapped[g][c], swapped[g][d] = swapped[g][d], swapped[g][c]
+    yield CosetTable(swapped, bwd)
+    moved = [list(f) for f in fwd]
+    moved[g][c] = d
+    yield CosetTable(moved, bwd)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    yield CosetTable(fwd, bwd[:g] + [perm] + bwd[g + 1 :])
+    inverse = [0] * n
+    for i, image in enumerate(perm):
+        inverse[image] = i
+    yield CosetTable(fwd[:g] + [perm] + fwd[g + 1 :], bwd[:g] + [inverse] + bwd[g + 1 :])
+    yield CosetTable([f + [x + n for x in f] for f in fwd], [b + [x + n for x in b] for b in bwd])
+
+
+def _validators_agree(p, sub, t, randrange, kinds):
+    """Both certificate checks on t and the tables near it, with the
+    subgroup words and with one more word appended; counts each failure
+    kind seen in ``kinds``."""
+    extra = Word([(randrange(p.n_gens) + 1) * (-1) ** randrange(2) for _ in range(3)])
+    for table in _corrupted(t, randrange):
+        for words in (sub, sub + [extra]):
+            got = validate_table(p, words, table).failures
+            assert got == oracle_validate_table(p, words, table).failures, (p, words, table.forward)
+            kinds.update(name for name, _ in got)
+
+
+def test_validator_matches_oracle_on_seeded_corpus():
+    rng = random.Random(2929)
+    kinds = Counter()
+    finished = 0
+    for _ in range(150):
+        p, sub = _involutive_case(rng.randint, lambda q: rng.random() < q)
+        t = todd_coxeter(p, sub, EnumLimits(max_cosets=500))
+        if isinstance(t, CosetTable):
+            finished += 1
+            _validators_agree(p, sub, t, rng.randrange, kinds)
+    assert finished > 50
+    assert all(kinds[kind] > 10 for kind in FAILURE_KINDS), kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validator_matches_oracle_on_hypothesis_corpus(data):
+    p, sub = _involutive_case(
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda q: data.draw(st.floats(0, 1)) < q,
+    )
+    t = todd_coxeter(p, sub, EnumLimits(max_cosets=300))
+    if isinstance(t, CosetTable):
+        _validators_agree(p, sub, t, lambda k: data.draw(st.integers(0, k - 1)), Counter())
+
+
+def test_validate_reports_malformed_tables():
+    # an entry that is not a coset is reported, not raised on, and nothing
+    # is traced: the relator a^2 is not checked
+    z2 = parse_presentation("<a | a^2>")
+    for forward, backward in [
+        ([[0, 5]], [[0, 1]]),
+        ([[1, None]], [[1, 0]]),
+        ([[1, 0]], [[-1, 0]]),
+        ([[1.0, 0]], [[1, 0]]),
+        ([[True, False]], [[1, 0]]),
+    ]:
+        report = validate_table(z2, [], CosetTable(forward, backward))
+        assert report.failures == (("not a bijection", "a"),), (forward, backward)
+    # only the malformed generator is named, and no relator is traced
+    f2 = parse_presentation("<a,b | a^2, b>")
+    report = validate_table(f2, [], CosetTable([[1, 0], [0, 2]], [[1, 0], [1, 0]]))
+    assert report.failures == (("not a bijection", "b"),)
+    assert validate_table(z2, [], CosetTable([[]], [[]])).failures == (("no cosets", 0),)
+
+
+def test_table_from_action_rejects_malformed_maps():
+    z2 = parse_presentation("<a | a^2>")
+    for maps in ([[0, 5]], [[1, None]], [[-1, 0]], [[1.0, 0]], [[None]]):
+        with pytest.raises(ValueError, match="not a bijection"):
+            table_from_action(z2, maps)
+    with pytest.raises(ValueError, match="no cosets"):
+        table_from_action(z2, [[]])
+    with pytest.raises(ValueError, match="ragged"):
+        table_from_action(parse_presentation("<a,b | a^2, b^2>"), [[1, 0], [0]])
