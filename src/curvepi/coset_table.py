@@ -61,6 +61,7 @@ point where a budget runs out.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentations import Presentation
@@ -342,13 +343,20 @@ def _renumber(cols: list, subgroup: Sequence[Word], stats: EnumStats) -> CosetTa
                 order.append(d)
     if len(order) != stats.allocated - stats.dead:
         raise RuntimeError("table is not transitive")
-    num = number.__getitem__
+    pick = itemgetter(*order)
+    single = len(order) == 1
+    order.clear()  # pick holds the order; the room goes to the mapped columns
+
+    def renumbered(col: list) -> Tuple[int, ...]:
+        # itemgetter of a single index returns the bare entry, not a tuple
+        return (number[col[0]],) if single else itemgetter(*pick(col))(number)
+
     forward, backward = [], []
     for col, inv in zip(forward_cols, cols[1::2]):
-        forward.append(tuple(map(num, map(col.__getitem__, order))))
+        forward.append(renumbered(col))
         col.clear()
         # an involution's backward column is its forward tuple, mapped once
-        backward.append(forward[-1] if inv is col else tuple(map(num, map(inv.__getitem__, order))))
+        backward.append(forward[-1] if inv is col else renumbered(inv))
         inv.clear()
     return CosetTable(forward, backward, subgroup, stats)
 
@@ -510,7 +518,9 @@ def todd_coxeter(
             alpha += 1
     except _Overflowed:
         return Overflow(EnumStats(len(parent), dead, steps, skipped), limits)
-    return _renumber(cols, subgroup, EnumStats(len(parent), dead, steps, skipped))
+    stats = EnumStats(len(parent), dead, steps, skipped)
+    parent.clear()  # freed for the renumbering's temporaries
+    return _renumber(cols, subgroup, stats)
 
 
 def table_from_action(

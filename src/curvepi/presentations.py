@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from operator import eq
-from typing import Iterable, Sequence, Tuple
+from itertools import chain, compress
+from operator import attrgetter, eq, itemgetter, ne, neg
+from typing import Iterable, List, Sequence, Tuple
 
 from .words import Word, cyclic_reduce, invert, power
 
@@ -15,6 +16,38 @@ IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 def _undeclared(letters: Tuple[int, ...], n: int) -> bool:
     """Whether nonempty ``letters`` use a generator beyond the first ``n``."""
     return max(letters) > n or -min(letters) > n
+
+
+def _checked_relators(given: List[Word], n: int) -> Tuple[Word, ...]:
+    """The relators a presentation on ``n`` generators stores: the given
+    words, empty ones dropped and those of the form x ... x^-1 cyclically
+    reduced.
+
+    All are checked at once first: exact ``Word`` values, letters in range
+    and no x ... x^-1 ends, and then each is kept as it was given.  When any
+    check fails, they are checked one by one, so that the first bad one
+    raises."""
+    if set(map(type, given)) <= {Word}:
+        letters = list(map(attrgetter("letters"), given))
+        kept = list(filter(None, letters))
+        flat = list(chain.from_iterable(kept))
+        if (not flat or (max(flat) <= n and -min(flat) <= n)) and all(
+            map(ne, map(itemgetter(0), kept), map(neg, map(itemgetter(-1), kept)))
+        ):
+            return tuple(compress(given, letters))
+    rels = []
+    for w in given:
+        if not isinstance(w, Word):
+            raise TypeError("relators must be Word values")
+        letters = w.letters
+        if not letters:
+            continue
+        if _undeclared(letters, n):
+            raise ValueError(f"relator {w!r} uses an undeclared generator")
+        # a reduced word has something to strip only if it is x ... x^-1,
+        # and then keeps at least one letter
+        rels.append(w if letters[0] != -letters[-1] else Word._raw(cyclic_reduce(letters)))
+    return tuple(rels)
 
 
 class Presentation:
@@ -35,21 +68,8 @@ class Presentation:
                 raise ValueError(f"generator name {g!r} is not an identifier")
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
-        n = len(gens)
-        rels = []
-        for w in relators:
-            if not isinstance(w, Word):
-                raise TypeError("relators must be Word values")
-            letters = w.letters
-            if not letters:
-                continue
-            if _undeclared(letters, n):
-                raise ValueError(f"relator {w!r} uses an undeclared generator")
-            # a reduced word has something to strip only if it is x ... x^-1,
-            # and then keeps at least one letter
-            rels.append(w if letters[0] != -letters[-1] else Word._raw(cyclic_reduce(letters)))
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", tuple(rels))
+        object.__setattr__(self, "relators", _checked_relators(list(relators), len(gens)))
         object.__setattr__(self, "_index", None)  # name -> index, on first lookup
 
     def __setattr__(self, name, value):

@@ -137,7 +137,15 @@ def _dedupe_key(r: Tuple[int, ...]) -> Tuple[int, ...]:
     Each starts with its word's least letter, ``min(r)`` for ``r`` and
     ``-max(r)`` for the inverse, so the word whose least letter is the
     lesser gives the key, and the inverse is built only when it may give it.
+    Words of one or two letters are answered directly: (x) gives (-|x|),
+    and (x, y) with x <= y gives (x, y) or (-y, -x), whichever starts
+    lower (x + y is not 0, as the word is cyclically reduced).
     """
+    if len(r) <= 2:
+        if len(r) == 1:
+            return (-abs(r[0]),)
+        x, y = r if r[0] <= r[1] else (r[1], r[0])
+        return (x, y) if x + y < 0 else (-y, -x)
     lo, hi = min(r), -max(r)
     if lo < hi:
         return canonical_cyclic(r)
@@ -155,16 +163,24 @@ def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Option
     if n < 2 or m < 2 or n < m // 2 + 1:
         return None
     doubled = rel + rel
+    splits = range(m // 2 + 1, min(m, n + 1))
     for unit in (shorter, invert(shorter)):
-        for k in range(m):
+        for k, first in enumerate(unit):
+            # s can start only where its first letter occurs in rel
+            count = rel.count(first)
+            if not count:
+                continue
+            starts = [rel.index(first)]
+            for _ in range(count - 1):
+                starts.append(rel.index(first, starts[-1] + 1))
             rot = unit[k:] + unit[:k]
-            for split in range(m // 2 + 1, min(m, n + 1)):
-                s, rest = rot[:split], rot[split:]
+            for split in splits:
+                s = rot[:split]
                 # find s as a substring of the cyclic word
-                for start in range(n):
+                for start in starts:
                     if doubled[start : start + split] == s:
                         tail = doubled[start + split : start + n]
-                        candidate = reduce_letters(tail + invert(rest))
+                        candidate = reduce_letters(tail + invert(rot[split:]))
                         if len(candidate) < n:
                             return candidate
     return None
@@ -222,6 +238,14 @@ def simplify(p: Presentation) -> Presentation:
     fold = True  # only relators of length <= 2 offer candidates yet
 
     def offer(i: int, r: Tuple[int, ...]) -> None:
+        if len(r) <= 2:
+            g, h = abs(r[0]), abs(r[-1])
+            if len(r) == 1:
+                heappush(candidates, (1, g, i))
+            elif g != h:
+                heappush(candidates, (2, g, i))
+                heappush(candidates, (2, h, i))
+            return
         counts: Dict[int, int] = {}
         for x in r:
             counts[abs(x)] = counts.get(abs(x), 0) + 1
@@ -229,25 +253,23 @@ def simplify(p: Presentation) -> Presentation:
             if c == 1:
                 heappush(candidates, (len(r), g, i))
 
-    # ``indexed``: the letters whose generators' index entries change, all
-    # of the relator's unless a fold step says which
-    def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...], indexed: Optional[Tuple[int, ...]] = None) -> None:
+    def add(i: int, r: Tuple[int, ...], key: Tuple[int, ...]) -> None:
         nonlocal total
         rels[i] = r
         key_of[i] = key
         owner[key] = i
         total += len(r)
-        for x in r if indexed is None else indexed:
+        for x in r:
             where[abs(x)].add(i)
         if len(r) <= 2 or not fold:
             offer(i, r)
 
-    def remove(i: int, indexed: Optional[Tuple[int, ...]] = None) -> None:
+    def remove(i: int) -> None:
         nonlocal total
         r = rels.pop(i)
         del owner[key_of.pop(i)]
         total -= len(r)
-        for x in r if indexed is None else indexed:
+        for x in r:
             where[abs(x)].discard(i)
 
     def replace(changed: Dict[int, Tuple[int, ...]]) -> None:
@@ -270,7 +292,7 @@ def simplify(p: Presentation) -> Presentation:
         while candidates:
             n, g, i = candidates[0]
             r = rels.get(i)
-            if r is not None and len(r) == n and sum(1 for x in r if x == g or x == -g) == 1:
+            if r is not None and len(r) == n and r.count(g) + r.count(-g) == 1:
                 return candidates[0]
             heappop(candidates)
         return None
@@ -281,6 +303,7 @@ def simplify(p: Presentation) -> Presentation:
         pair cancels is still cyclically reduced; unless it now equals
         another relator it is updated in place, and of its generators only
         g and h change in the index.  The others go through ``replace``."""
+        nonlocal total
         h = replacement[0] if replacement else 0
         sub = {g: h, -g: -h}
         changed: Dict[int, Tuple[int, ...]] = {}
@@ -290,9 +313,17 @@ def simplify(p: Presentation) -> Presentation:
             if out and all(map(plus, out, out[1:])) and out[0] != -out[-1]:
                 key = _dedupe_key(out)
                 if key not in owner:
-                    # where[g] goes with g, so only h is new to the index
-                    remove(i, ())
-                    add(i, out, key, replacement)
+                    # ``remove`` then ``add``, but where[g] goes with g, so
+                    # only h is new to the index
+                    del owner[key_of[i]]
+                    rels[i] = out
+                    key_of[i] = key
+                    owner[key] = i
+                    total += len(out) - len(r)
+                    if h:
+                        where[abs(h)].add(i)
+                    if len(out) <= 2 or not fold:
+                        offer(i, out)
                     continue
             changed[i] = cyclic_reduce(reduce_letters(out))
         replace(changed)
@@ -352,12 +383,12 @@ def simplify(p: Presentation) -> Presentation:
                     return True
         return False
 
+    # a Presentation's relators are already cyclically reduced and nonempty
     for i, w in enumerate(p.relators):
-        r = cyclic_reduce(w.letters)
-        if r:
-            key = _dedupe_key(r)
-            if key not in owner:
-                add(i, r, key)
+        r = w.letters
+        key = _dedupe_key(r)
+        if key not in owner:
+            add(i, r, key)
     while eliminate_once():  # the fold phase
         pass
     fold = False

@@ -1,10 +1,14 @@
-"""The Reidemeister-Schreier rewriter's earlier tuple-keyed form, kept
-verbatim (but for its imports and its class name) as the oracle for the
-label-list walk in curvepi.schreier.
+"""Earlier forms of curvepi.schreier code, kept as oracles.
 
-It shares only the BFS tree (``_tree_edges``) with the new walk: it keys
-every (coset, generator) pair in a dict and re-reduces every rewritten
-word, so it does not rely on rewritten words coming out reduced.
+- The Reidemeister-Schreier rewriter's tuple-keyed form, verbatim (but for
+  its imports and its class name), as the oracle for the label-list walk.
+  It shares only the BFS tree (``_tree_edges``) with the new walk: it keys
+  every (coset, generator) pair in a dict and re-reduces every rewritten
+  word, so it does not rely on rewritten words coming out reduced.
+- The shortening kernel ``_substring_shorten`` that slices at every start,
+  verbatim, as the oracle for the kernel that hops to the starts with
+  ``tuple.index``, and as the kernel of the rescanning Tietze loop in
+  test_schreier.py.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from curvepi.coset_table import CosetTable
 from curvepi.presentations import Presentation
 from curvepi.schreier import _tree_edges
-from curvepi.words import Word
+from curvepi.words import Word, invert, reduce_letters
 
 
 class OracleRewriter:
@@ -85,3 +89,26 @@ class OracleRewriter:
                     raise ValueError(f"relator does not close at coset {coset}")
                 rels.append(Word(letters))
         return Presentation(self.names, rels)
+
+
+def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """Replace a cyclic substring of ``rel`` that covers more than half of a
+    rotation of ``shorter`` (or its inverse) with the inverse of the rest.
+    Returns the strictly shorter replacement, or None."""
+    n, m = len(rel), len(shorter)
+    if n < 2 or m < 2 or n < m // 2 + 1:
+        return None
+    doubled = rel + rel
+    for unit in (shorter, invert(shorter)):
+        for k in range(m):
+            rot = unit[k:] + unit[:k]
+            for split in range(m // 2 + 1, min(m, n + 1)):
+                s, rest = rot[:split], rot[split:]
+                # find s as a substring of the cyclic word
+                for start in range(n):
+                    if doubled[start : start + split] == s:
+                        tail = doubled[start + split : start + n]
+                        candidate = reduce_letters(tail + invert(rest))
+                        if len(candidate) < n:
+                            return candidate
+    return None

@@ -53,6 +53,8 @@ def test_known_orders(dsl, order):
     t = todd_coxeter(p)
     assert isinstance(t, CosetTable)
     assert t.n == order
+    # tuples even with one coset, where itemgetter returns a bare entry
+    assert all(type(m) is tuple for m in (*t.forward, *t.backward))
     assert validate_table(p, [], t).passed
     # independent oracle: the permutation image of a trivial-subgroup table
     # is the regular representation, so its order equals the coset count

@@ -19,6 +19,7 @@ from curvepi.schreier import simplify, subgroup_presentation
 from curvepi.words import Word
 import presentation_oracles
 from map_helpers import identity_map
+from schreier_oracle import OracleRewriter
 from word_oracles import substitute_by_products
 
 
@@ -70,14 +71,21 @@ _VALID_NAMES = ["a", "b", "c", "g10", "x_1", "y'"]
 _INVALID_NAMES = ["1", "x y", "", 7]
 
 
+class _SubWord(Word):
+    """A Word subclass, which the constructor accepts as ``isinstance`` does."""
+
+    __slots__ = ()
+
+
 @st.composite
 def relator_items(draw, n):
     """A Word over the first ``n`` generators, perhaps conjugated, empty,
-    holding a letter ±(n+1) at some position, or not a Word at all."""
+    holding a letter ±(n+1) at some position, of a Word subclass, or not a
+    Word at all."""
     letters = st.builds(lambda g, sign: g * sign, st.integers(1, max(n, 1)), st.sampled_from([1, -1]))
     size = 8 if n else 0
     core = draw(st.lists(letters, max_size=size))
-    kind = draw(st.sampled_from(["word"] * 6 + ["conjugated", "undeclared", "empty", "other"]))
+    kind = draw(st.sampled_from(["word"] * 6 + ["conjugated", "undeclared", "empty", "subclass", "other"]))
     if kind == "conjugated":
         by = draw(st.lists(letters, max_size=min(size, 3)))
         core = by + core + [-x for x in reversed(by)]
@@ -85,6 +93,8 @@ def relator_items(draw, n):
         core.insert(draw(st.integers(0, len(core))), draw(st.sampled_from([n + 1, -n - 1])))
     elif kind == "empty":
         core = []
+    elif kind == "subclass":
+        return _SubWord(core)
     elif kind == "other":
         return draw(st.sampled_from([(1,), None, "a", [1, 2]]))
     return Word(core)
@@ -121,6 +131,28 @@ def test_constructor_matches_the_per_relator_oracle(data):
         given_ids = {id(w) for w in rels}
         kept = [id(b) in given_ids for b in expected[1]]
         assert [a is b for a, b in zip(got[1], expected[1])] == kept
+
+
+def test_constructor_matches_the_oracle_on_a_large_schreier_presentation():
+    # E6 over <a,b,c,d>: index 432, 2161 generators and 9072 relators, so
+    # the checks of all relators at once run at scale
+    p = parse_presentation(
+        "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+        "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+    )
+    t = todd_coxeter(p, [parse_word(p, x) for x in "abcd"])
+    rw = OracleRewriter(p, t)
+    words = [Word(rw._walk(c, r.letters)[1]) for c in range(t.n) for r in p.relators]
+    got = Presentation(rw.names, words)
+    assert (got.generators, got.relators) == presentation_oracles.presentation_parts(rw.names, words)
+    assert len(got.relators) == len(words) == 9072
+    assert all(a is b for a, b in zip(got.relators, words))
+    assert subgroup_presentation(p, t) == got
+    # one undeclared letter in the last relator: the same error as the oracle
+    words[-1] = Word(words[-1].letters + (len(rw.names) + 1,))
+    expected = _parts_or_error(presentation_oracles.presentation_parts, rw.names, words)
+    assert expected[0] is ValueError
+    assert _parts_or_error(_parts, rw.names, words) == expected
 
 
 def test_duplicate_names_rejected():

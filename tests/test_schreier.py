@@ -3,7 +3,7 @@ import random
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
@@ -376,15 +376,12 @@ def test_simplify_shortens_against_shorter_relators():
 def _reference_simplify(p, events):
     """The rescanning Tietze loop that ``simplify`` replaced, kept as a
     test oracle: verbatim but for the pass cap, which is gone, the dedupe
-    key, written out as the library computed it then, and the ``events``
+    key, written out as the library computed it then, the shortening
+    kernel, the slicing one kept in ``schreier_oracle``, and the ``events``
     counts of the branches taken."""
-    from curvepi.schreier import (
-        _GROWTH_LIMIT,
-        _SUBSTRING_MAX_LENGTH,
-        _SUBSTRING_MAX_RELATORS,
-        _substring_shorten,
-    )
+    from curvepi.schreier import _GROWTH_LIMIT, _SUBSTRING_MAX_LENGTH, _SUBSTRING_MAX_RELATORS
     from curvepi.words import cyclic_reduce, invert, reduce_letters
+    from schreier_oracle import _substring_shorten
 
     names = list(p.generators)
     rels = [w.letters for w in p.relators]
@@ -641,7 +638,56 @@ def cyclic_words(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(cyclic_words())
+# words of one and two letters, which the key answers directly
+@example((1,))
+@example((-2,))
+@example((2, 2))
+@example((-1, -1))
+@example((1, 2))
+@example((2, -1))
+@example((-1, 2))
+@example((-2, -1))
 def test_dedupe_key_is_the_least_rotation_of_the_word_or_its_inverse(letters):
     from curvepi.schreier import _dedupe_key
 
     assert _dedupe_key(letters) == min(canonical_cyclic(letters), canonical_cyclic(invert(letters)))
+
+
+@st.composite
+def shortening_pairs(draw):
+    """(rel, shorter): cyclically reduced words of 1-12 letters over up to 3
+    generators.  ``rel`` is random or made of runs of repeated letters, so
+    that a first letter occurs at many starts; ``shorter`` is random, or a cyclic
+    piece of ``rel``, as it is or inverted (matched through the inverse of
+    ``shorter``), followed by random letters."""
+    n = draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
+
+    def cyclic(letters):
+        return cyclic_reduce(reduce_letters(letters[:12])) or (draw(letter),)
+
+    if draw(st.booleans()):
+        rel = cyclic(draw(st.lists(letter, min_size=1, max_size=12)))
+    else:
+        runs = draw(st.lists(st.tuples(letter, st.integers(1, 4)), min_size=1, max_size=4))
+        rel = cyclic([x for x, k in runs for _ in range(k)])
+    kind = draw(st.sampled_from(["random", "piece", "inverted piece"]))
+    if kind == "random":
+        return rel, cyclic(draw(st.lists(letter, min_size=1, max_size=12)))
+    start = draw(st.integers(0, len(rel) - 1))
+    piece = (rel + rel)[start : start + draw(st.integers(1, len(rel)))]
+    if kind == "inverted piece":
+        piece = invert(piece)
+    return rel, cyclic(list(piece) + draw(st.lists(letter, max_size=6)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(shortening_pairs())
+@example(((1, 1, 2, 1, 1, 2, 1, 2), (1, 2, 1)))  # a first letter at six starts
+@example(((1, 2, 1, 2, 3), (-2, -1, -2)))  # a match through the inverse only
+def test_shortening_matches_the_slicing_kernel(pair):
+    from curvepi.schreier import _substring_shorten
+    from schreier_oracle import _substring_shorten as oracle_shorten
+
+    rel, shorter = pair
+    assert _substring_shorten(rel, shorter) == oracle_shorten(rel, shorter)
