@@ -1,21 +1,17 @@
-"""Reidemeister-Schreier rewriting over the BFS tree of a coset table,
-subgroup presentations, and Tietze simplification."""
+"""Subgroup presentations by one Reidemeister-Schreier walk over the BFS
+tree of a coset table, and Tietze simplification with one substitution
+step per generator elimination."""
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
 from operator import add as plus
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .coset_table import CosetTable
 from .presentations import Presentation
-from .words import (
-    Word,
-    canonical_cyclic,
-    cyclic_reduce,
-    invert,
-    reduce_letters,
-)
+from .words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
 
 
 def _tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
@@ -37,18 +33,16 @@ def _tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
     return edges
 
 
-# a column of the coset table and the Schreier letter read at each coset
-_Step = Tuple[Sequence[int], List[int]]
+def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
+    """The presentation of the subgroup at coset 0 of ``t``.  Generators:
+    the nontrivial s_{K,a} = rep(K) a rep(Ka)^-1; relators: each relator of
+    ``p`` conjugated by each representative and rewritten.
 
-
-class SchreierRewriter:
-    """Rewriting machinery for the subgroup at coset 0 of a coset table.
-
-    The Schreier generator s_{K,a} = rep(K) a rep(Ka)^-1 is dropped up front
-    when it is freely trivial, so rewritten words use only the essential
-    generators.  Representatives are positive words, so rep(K) a rep(Ka)^-1
-    reduces to nothing exactly when rep(Ka) = rep(K) a, that is when (K, a)
-    is the BFS tree edge that reached Ka.
+    The representative's letters are BFS tree edges, which rewrite to
+    nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
+    Representatives are positive words, so s_{K,a} reduces to nothing
+    exactly when rep(Ka) = rep(K) a, that is when (K, a) is the tree edge
+    that reached Ka; such a generator is dropped up front.
 
     The walk reads only lists.  ``label[g][K]`` is s_{K,g} as a 1-based
     letter, or 0 when (K, g) is a tree edge; generators are numbered coset
@@ -57,74 +51,44 @@ class SchreierRewriter:
     for g, and for g^-1 ``backward[g]`` with ``-label[g][Kg^-1]`` at K, as
     g^-1 at K crosses the edge (Kg^-1, g) backwards.
 
-    A rewritten word comes out freely reduced, and a rewritten relator
-    cyclically reduced, so neither is reduced again.  Letters s and s^-1
-    next to each other (cyclically, for a relator) mean that one non-tree
-    edge was crossed one way and then the other, with only tree edges
-    walked in between.  That walk is closed, and a closed walk in a tree is
-    empty or backtracks, so the reduced word (cyclically reduced relator)
+    A rewritten relator comes out cyclically reduced, so it is not reduced
+    again.  Letters s and s^-1 next to each other (cyclically) mean that
+    one non-tree edge was crossed one way and then the other, with only
+    tree edges walked in between.  That walk is closed, and a closed walk
+    in a tree is empty or backtracks, so the cyclically reduced relator
     would hold adjacent inverse letters.
     """
-
-    def __init__(self, p: Presentation, t: CosetTable):
-        self.presentation = p
-        self.table = t
-        tree = set(_tree_edges(t).values())
-        self.names: List[str] = []
-        self.label: List[List[int]] = [[0] * t.n for _ in range(t.n_gens)]
-        for coset in range(t.n):
-            for g in range(t.n_gens):
-                if (coset, g) not in tree:
-                    self.names.append(f"s{coset}_{p.generators[g]}")
-                    self.label[g][coset] = len(self.names)
-        # signed ambient letter -> its step pair
-        self._steps: Dict[int, _Step] = {}
-        for g, (forward, backward, label) in enumerate(zip(t.forward, t.backward, self.label)):
-            self._steps[g + 1] = (forward, label)
-            self._steps[-g - 1] = (backward, [-label[c] for c in backward])
-
-    def _closed_walks(self, cosets: Iterable[int], walks: Sequence[Sequence[_Step]], message: str) -> List[Word]:
-        """Follow each of ``walks`` through the table from each of ``cosets``
-        in turn, and return the Schreier generator letters met on each walk
-        as a word.  A walk that ends away from its start raises ValueError,
-        with ``message`` formatted with the start coset."""
-        words: List[Word] = []
-        raw = Word._raw
-        for start in cosets:
-            for steps in walks:
-                coset = start
-                out: List[int] = []
-                for step, lab in steps:
-                    s = lab[coset]
-                    if s:
-                        out.append(s)
-                    coset = step[coset]
-                if coset != start:
-                    raise ValueError(message.format(start))
-                words.append(raw(tuple(out)))
-        return words
-
-    def rewrite(self, w: Word) -> Word:
-        """The rewriting function: a word in the ambient generators that
-        lies in the subgroup becomes a word in the Schreier generators."""
-        self.presentation.check_word(w)
-        steps = [self._steps[x] for x in w.letters]
-        return self._closed_walks((0,), [steps], "word does not lie in the subgroup (leaves coset {})")[0]
-
-    def subgroup_presentation(self) -> Presentation:
-        """Generators: the nontrivial s_{K,a}; relators: each ambient
-        relator conjugated by each representative and rewritten.
-
-        The representative's letters are BFS tree edges, which rewrite to
-        nothing, so rewriting rep(K) r rep(K)^-1 is walking r from K.
-        """
-        walks = [[self._steps[x] for x in r.letters] for r in self.presentation.relators]
-        rels = self._closed_walks(range(self.table.n), walks, "relator does not close at coset {}")
-        return Presentation(self.names, rels)
-
-
-def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
-    return SchreierRewriter(p, t).subgroup_presentation()
+    if t.n_gens != p.n_gens:
+        raise ValueError(f"generator count mismatch: the table has {t.n_gens}, the presentation {p.n_gens}")
+    tree = set(_tree_edges(t).values())
+    names: List[str] = []
+    label = [[0] * t.n for _ in range(t.n_gens)]
+    for coset in range(t.n):
+        for g in range(t.n_gens):
+            if (coset, g) not in tree:
+                names.append(f"s{coset}_{p.generators[g]}")
+                label[g][coset] = len(names)
+    # signed ambient letter -> its step pair
+    steps: Dict[int, Tuple[Sequence[int], List[int]]] = {}
+    for g, (forward, backward, lab) in enumerate(zip(t.forward, t.backward, label)):
+        steps[g + 1] = (forward, lab)
+        steps[-g - 1] = (backward, [-lab[c] for c in backward])
+    walks = [[steps[x] for x in r.letters] for r in p.relators]
+    raw = Word._raw
+    rels: List[Word] = []
+    for start in range(t.n):
+        for walk in walks:
+            coset = start
+            out: List[int] = []
+            for step, lab in walk:
+                s = lab[coset]
+                if s:
+                    out.append(s)
+                coset = step[coset]
+            if coset != start:
+                raise ValueError(f"relator does not close at coset {start}")
+            rels.append(raw(tuple(out)))
+    return Presentation(names, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +176,9 @@ def simplify(p: Presentation) -> Presentation:
     contain it, and a heap holds the elimination candidates.  An
     elimination rewrites only the relators containing its generator, and
     only those are checked for new duplicates.  Generators keep their
-    input numbers until the result is built.  When g is replaced by at most
-    one letter, ``fold_step`` substitutes once and keeps each relator in
-    which nothing cancels as it is, without reducing it again.
+    input numbers until the result is built.  ``eliminate_once``
+    substitutes once per relator and keeps each result in which nothing
+    cancels as it is, without reducing it again.
 
     The loop starts with a fold phase: while some relator of length <= 2
     defines a generator, only such relators put candidates on the heap.
@@ -238,6 +202,8 @@ def simplify(p: Presentation) -> Presentation:
     fold = True  # only relators of length <= 2 offer candidates yet
 
     def offer(i: int, r: Tuple[int, ...]) -> None:
+        """Push the candidates of relator ``i``; in the fold phase only a
+        relator of length <= 2 has any."""
         if len(r) <= 2:
             g, h = abs(r[0]), abs(r[-1])
             if len(r) == 1:
@@ -245,6 +211,8 @@ def simplify(p: Presentation) -> Presentation:
             elif g != h:
                 heappush(candidates, (2, g, i))
                 heappush(candidates, (2, h, i))
+            return
+        if fold:
             return
         counts: Dict[int, int] = {}
         for x in r:
@@ -261,8 +229,7 @@ def simplify(p: Presentation) -> Presentation:
         total += len(r)
         for x in r:
             where[abs(x)].add(i)
-        if len(r) <= 2 or not fold:
-            offer(i, r)
+        offer(i, r)
 
     def remove(i: int) -> None:
         nonlocal total
@@ -297,39 +264,18 @@ def simplify(p: Presentation) -> Presentation:
             heappop(candidates)
         return None
 
-    def fold_step(g: int, replacement: Tuple[int, ...]) -> None:
-        """Replace g by a word of at most one letter, h or nothing, in the
-        relators that hold it.  A relator in which no cyclically adjacent
-        pair cancels is still cyclically reduced; unless it now equals
-        another relator it is updated in place, and of its generators only
-        g and h change in the index.  The others go through ``replace``."""
-        nonlocal total
-        h = replacement[0] if replacement else 0
-        sub = {g: h, -g: -h}
-        changed: Dict[int, Tuple[int, ...]] = {}
-        for i in list(where[g]):
-            r = rels[i]
-            out = tuple(map(sub.get, r, r)) if h else tuple(x for x in r if x != g and x != -g)
-            if out and all(map(plus, out, out[1:])) and out[0] != -out[-1]:
-                key = _dedupe_key(out)
-                if key not in owner:
-                    # ``remove`` then ``add``, but where[g] goes with g, so
-                    # only h is new to the index
-                    del owner[key_of[i]]
-                    rels[i] = out
-                    key_of[i] = key
-                    owner[key] = i
-                    total += len(out) - len(r)
-                    if h:
-                        where[abs(h)].add(i)
-                    if len(out) <= 2 or not fold:
-                        offer(i, out)
-                    continue
-            changed[i] = cyclic_reduce(reduce_letters(out))
-        replace(changed)
-
     def eliminate_once() -> bool:
-        """One generator elimination; True if performed."""
+        """One generator elimination; True if performed.
+
+        Each relator that holds g is substituted once: by ``map`` when g
+        is replaced by one letter, by a filter when by nothing, by a
+        chained splice otherwise.  A step that would push the total length
+        past the budget is refused before anything changes (one of at most
+        one letter never is).  A result in which no cyclically adjacent
+        pair cancels is still cyclically reduced; unless it now equals
+        another relator it is updated in place.  The others are reduced
+        and go through ``replace``."""
+        nonlocal total
         best = best_candidate()
         if best is None:
             return False
@@ -340,29 +286,49 @@ def simplify(p: Presentation) -> Presentation:
         rot = r[pos:] + r[:pos]
         tail = rot[1:]
         replacement = invert(tail) if rot[0] > 0 else tail  # word equal to g
-        if len(replacement) <= 1:
-            remove(ri)
-            fold_step(g, replacement)
-            del where[g]
-            return True
-        inverse = invert(replacement)
-        changed: Dict[int, Tuple[int, ...]] = {}
+        size = len(replacement)
+        if size == 1:
+            one = {g: replacement[0], -g: -replacement[0]}
+        elif size:
+            pieces = {g: replacement, -g: invert(replacement)}
+        results = []  # (id, letters, true when nothing cancels)
+        grown = 0
         for i in where[g]:
             if i == ri:
                 continue
-            out: List[int] = []
-            for x in rels[i]:
-                if x == g:
-                    out.extend(replacement)
-                elif x == -g:
-                    out.extend(inverse)
-                else:
-                    out.append(x)
-            changed[i] = cyclic_reduce(reduce_letters(out))
-        grown = sum(len(w) - len(rels[i]) for i, w in changed.items())
+            w = rels[i]
+            if size == 1:
+                out = tuple(map(one.get, w, w))
+            elif size:
+                out = tuple(chain.from_iterable(map(pieces.get, w, zip(w))))
+            else:
+                out = tuple(x for x in w if x != g and x != -g)
+            reduced = out and all(map(plus, out, out[1:])) and out[0] != -out[-1]
+            if not reduced:
+                out = cyclic_reduce(reduce_letters(out))
+            grown += len(out) - len(w)
+            results.append((i, out, reduced))
         if total - len(r) + grown > budget_total:
             return False
         remove(ri)
+        gens = set(map(abs, replacement))
+        changed: Dict[int, Tuple[int, ...]] = {}
+        for i, out, reduced in results:
+            if reduced:
+                key = _dedupe_key(out)
+                if key not in owner:
+                    # ``remove`` then ``add``, but where[g] goes with g, so
+                    # only the replacement's generators are new to the index
+                    del owner[key_of[i]]
+                    total += len(out) - len(rels[i])
+                    rels[i] = out
+                    key_of[i] = key
+                    owner[key] = i
+                    for x in gens:
+                        where[x].add(i)
+                    offer(i, out)
+                    continue
+            changed[i] = out
         replace(changed)
         del where[g]
         return True
@@ -393,8 +359,7 @@ def simplify(p: Presentation) -> Presentation:
         pass
     fold = False
     for i, r in rels.items():
-        if len(r) > 2:
-            offer(i, r)
+        offer(i, r)
     while eliminate_once() or shorten_once():
         pass
 

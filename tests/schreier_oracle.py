@@ -1,10 +1,12 @@
 """Earlier forms of curvepi.schreier code, kept as oracles.
 
 - The Reidemeister-Schreier rewriter's tuple-keyed form, verbatim (but for
-  its imports and its class name), as the oracle for the label-list walk.
-  It shares only the BFS tree (``_tree_edges``) with the new walk: it keys
-  every (coset, generator) pair in a dict and re-reduces every rewritten
-  word, so it does not rely on rewritten words coming out reduced.
+  its imports and its class name), as the oracle for the label-list walk
+  of ``subgroup_presentation``.  It shares only the BFS tree
+  (``_tree_edges``) with that walk: it keys every (coset, generator) pair
+  in a dict and re-reduces every rewritten word, so it does not rely on
+  rewritten words coming out reduced.  Its ``rewrite``, which the library
+  no longer has, is the reference rewriting function of the tests.
 - The shortening kernel ``_substring_shorten`` that slices at every start,
   verbatim, as the oracle for the kernel that hops to the starts with
   ``tuple.index``, and as the kernel of the rescanning Tietze loop in

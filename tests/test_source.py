@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+from collections import Counter
 
 import curvepi
 from curvepi.geometry import _POINT_KINDS
@@ -78,6 +79,42 @@ def test_every_library_definition_is_used_by_the_library():
             name in names and not (ref_module == module and name in owners)
             for ref_module, owners, names in refs
         )
+    ]
+    assert unused == []
+
+
+def _reads(node):
+    """How often each name or attribute name is read under ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_library_method_is_used_by_the_library():
+    # a method or property of a class that curvepi does not export is read
+    # somewhere in the library outside its own body; dunder methods are
+    # exempt, as Python calls them
+    reads = Counter()
+    methods = []  # (module, class, definition)
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        reads += _reads(tree)
+        methods += [
+            (name, stmt.name, member)
+            for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef) and stmt.name not in curvepi.__all__
+            for member in stmt.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (member.name.startswith("__") and member.name.endswith("__"))
+        ]
+    assert methods
+    unused = [
+        f"{module}:{cls}.{member.name}"
+        for module, cls, member in methods
+        if reads[member.name] == _reads(member)[member.name]
     ]
     assert unused == []
 
