@@ -64,7 +64,8 @@ def _cmd_tc(args) -> int:
         s = result.stats
         print(
             f"stats: {s.allocated} cosets allocated, {s.dead} dead, "
-            f"{s.scan_steps} scan steps, {s.skipped} scans skipped",
+            f"{s.scan_steps} scan steps, {s.skipped} scans skipped, "
+            f"{s.peak_live} peak live, {s.compactions} compactions",
             file=sys.stderr,
         )
     if isinstance(result, Overflow):
@@ -186,7 +187,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_max_cosets(p):
         p.add_argument("--max-cosets", type=int, default=EnumLimits().max_cosets, metavar="N",
-                       help="coset budget of each enumeration (default %(default)s)")
+                       help="coset budget of each enumeration; dead cosets are compacted "
+                       "away when it fills (default %(default)s)")
 
     p_ab = sub.add_parser("ab", help="abelian invariants of a presentation")
     p_ab.add_argument("presentation", help="inline DSL, file path, or - for stdin")

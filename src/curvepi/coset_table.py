@@ -56,12 +56,29 @@ words, scanned at coset 0 only, never skip.  The finished table is the
 action on the cosets, renumbered by BFS, so it does not depend on the
 order of definitions, deductions and skips, unlike the work counts and the
 point where a budget runs out.
+
+Memory.  A new coset's number is one int object, shared by ``parent`` and
+the entries that point at the coset, and the BFS renumbering reuses
+``parent[k]`` as new number k wherever old coset k is live, so it makes new
+ints only for the numbers of dead old cosets.  The coset budget bounds the
+cosets in the table.  When a definition would pass it and enough of the
+table is dead (``_COMPACT_SHARE``), ``_compact`` drops the dead cosets in
+place.  It keeps every list object, since the scans and the deduction lists
+hold them, and numbers the live cosets 0, 1, ... in their order, reusing
+ints the same way.  Relative order is all that HLT's order and the skip
+masks rely on, so the coset in progress starts over under its new number,
+coset 0 with its subgroup words.  Compaction reads only live rows and maps
+their entries, which is sound by the invariant above: no live row points at
+a dead coset once ``_coincidence`` returns, and compaction runs between
+definitions, never inside a coincidence.  The finished table is the same;
+only the work counts differ.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
+from itertools import compress, islice
+from operator import eq, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentations import Presentation
@@ -82,16 +99,25 @@ class EnumLimits:
 
 class EnumStats(NamedTuple):
     """Work counts of one enumeration: cosets allocated, cosets that died in
-    coincidences, scan steps taken, and relator scans skipped because a
-    relator symmetry proved them closed.  ``scan_steps`` counts each pass of
-    an HLT scan and each deduction scan.  ``skipped`` counts, at each live
-    coset the enumerator reaches, the relators its skip mask rules out, all
-    at once when the coset's scans start."""
+    coincidences, scan steps taken, relator scans skipped because a relator
+    symmetry proved them closed, the most cosets live at once, and the
+    compactions that dropped dead cosets at the coset budget.  ``allocated``
+    and ``dead`` count every coset defined and every one that died,
+    compacted or not, so ``allocated - dead`` is the live count.
+    ``scan_steps`` counts each pass of an HLT scan and each deduction scan.
+    ``skipped`` counts, at each live coset the enumerator reaches, the
+    relators its skip mask rules out, all at once when the coset's scans
+    start; after a compaction the coset in progress starts over, and its
+    steps and skips count again.  ``peak_live`` is taken before each
+    coincidence, the only step that lowers the live count, and at the
+    end."""
 
     allocated: int
     dead: int
     scan_steps: int
     skipped: int
+    peak_live: int
+    compactions: int
 
 
 class Overflow:
@@ -100,7 +126,11 @@ class Overflow:
     ``deductions`` counts the scan steps taken, deduction scans among them
     and the refused one included, so it exceeds ``limits.max_deductions``
     exactly when that budget ran out; otherwise the coset budget did.  A
-    scan that a relator symmetry skips takes no step."""
+    scan that a relator symmetry skips takes no step.  The coset budget
+    bounds the cosets in the table, live and dead: when it is full, the
+    enumerator compacts the dead ones away if that frees at least
+    1/``_COMPACT_SHARE`` of it, so it runs out when the live cosets fill all
+    but less than that share."""
 
     __slots__ = ("stats", "limits")
 
@@ -130,6 +160,11 @@ class Overflow:
             return (
                 f"deduction budget exhausted ({self.limits.max_deductions} scan steps, "
                 f"{self.allocated} cosets allocated)"
+            )
+        if self.stats.compactions:
+            return (
+                f"{self.live_cosets} cosets live, {self.allocated} allocated "
+                f"(budget {self.limits.max_cosets}, compactions: {self.stats.compactions})"
             )
         return f"{self.allocated} cosets allocated (budget {self.limits.max_cosets})"
 
@@ -253,6 +288,15 @@ def _shortcuts(w: Tuple[int, ...], involutions: set) -> Tuple[Optional[int], Opt
 # 236,025 and enumerates about 3x slower.
 _DEDUCE_MAX_LENGTH = 3
 _BLOCK = 1024  # the enumerator's columns grow this many entries at a time
+# When the coset budget is full, compact the dead cosets away only if that
+# frees at least 1/_COMPACT_SHARE of it.  A compaction costs one pass over
+# the budget's rows and is followed by at least budget/_COMPACT_SHARE
+# definitions, so all compactions together cost at most _COMPACT_SHARE
+# row passes per coset defined: linear in the enumeration.  A share this
+# small lets a budget close to the index suffice: at a budget of 52,000 E6
+# (index 51,840) compacts three times, and the last compaction frees 217
+# cosets, 1/240 of the budget.
+_COMPACT_SHARE = 256
 
 
 def _conjugates(words: Sequence[Tuple[int, ...]], involutions: set) -> dict:
@@ -324,25 +368,31 @@ def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
     return killed
 
 
-def _renumber(cols: list, subgroup: Sequence[Word], stats: EnumStats) -> CosetTable:
+def _renumber(cols: list, parent: List[int], subgroup: Sequence[Word], stats: EnumStats) -> CosetTable:
     """Compact to live cosets, renumbered by BFS from coset 0 over the
-    positive generator columns (which span any complete finite table).
-    Consumes ``cols``: each column is cleared once it is mapped, which frees
-    it in the enumerator too; ``CosetTable`` keeps the tuples uncopied."""
-    number = [-1] * stats.allocated
+    positive generator columns (which span any complete finite table).  New
+    number k is ``parent[k]`` where old coset k is live, the int the columns
+    already hold, so only the numbers of dead old cosets are new ints.
+    Consumes ``cols`` and ``parent``: each column is cleared once it is
+    mapped, which frees it in the enumerator too; ``CosetTable`` keeps the
+    tuples uncopied."""
+    number = [-1] * len(parent)
     number[0] = 0
     order = [0]
     forward_cols = cols[0::2]
-    for c in order:  # grows as the BFS numbers new cosets
-        for col in forward_cols:
-            d = col[c]
-            if d is None:
-                raise RuntimeError("incomplete table after enumeration")
-            if number[d] < 0:
-                number[d] = len(order)
-                order.append(d)
+    try:
+        for c in order:  # grows as the BFS numbers new cosets
+            for col in forward_cols:
+                d = col[c]
+                if number[d] < 0:
+                    k = len(order)
+                    number[d] = parent[k] if parent[k] == k else k
+                    order.append(d)
+    except TypeError:  # number[None]: an empty entry
+        raise RuntimeError("incomplete table after enumeration") from None
     if len(order) != stats.allocated - stats.dead:
         raise RuntimeError("table is not transitive")
+    parent.clear()  # number holds the ints it reuses
     pick = itemgetter(*order)
     single = len(order) == 1
     order.clear()  # pick holds the order; the room goes to the mapped columns
@@ -359,6 +409,27 @@ def _renumber(cols: list, subgroup: Sequence[Word], stats: EnumStats) -> CosetTa
         backward.append(forward[-1] if inv is col else renumbered(inv))
         inv.clear()
     return CosetTable(forward, backward, subgroup, stats)
+
+
+def _compact(parent: List[int], lists: Sequence[list], stack: list, alpha: int) -> int:
+    """Drop the dead cosets from the enumerator's state in place, keeping
+    every list object: the live cosets are renumbered 0, 1, ... in their
+    order, and ``parent`` and each distinct column list in ``lists`` shrink
+    to the live rows.  As in ``_renumber``, new number k is ``parent[k]``
+    where old coset k is live.  The deduction stack keeps the entries of
+    live cosets, renumbered.  Returns the new number of the first live coset
+    at or after ``alpha``.  Only live rows are read, and they point at live
+    cosets only (module docstring)."""
+    n = len(parent)
+    live = list(map(eq, parent, range(n)))
+    number = [None] * n
+    for k, c in enumerate(compress(range(n), live)):
+        number[c] = parent[k] if parent[k] == k else k
+    for col in lists:
+        col[:] = [None if d is None else number[d] for d in compress(col, live)]
+    stack[:] = [(number[c], x) for c, x in stack if live[c]]
+    parent[:] = compress(number, live)
+    return sum(islice(live, alpha))
 
 
 def todd_coxeter(
@@ -423,8 +494,10 @@ def todd_coxeter(
         # each word.  ``drain`` comes in as an argument so that the two
         # closures do not hold each other: a reference cycle would keep the
         # enumerator's lists alive until the cyclic garbage collector ran.
-        # ``steps`` gets ``s`` before a drain, whose scans nest, or a raise
-        nonlocal steps, dead
+        # ``steps`` gets ``s`` before a drain, whose scans nest, or a raise.
+        # Only a coincidence lowers the live count, so ``peak`` takes it
+        # before each one
+        nonlocal steps, dead, peak
         s = steps
         for fwd, bwd, last, w in scans:
             if parent[c] != c:
@@ -444,6 +517,7 @@ def todd_coxeter(
                     i += 1
                 if i > j:
                     if f != b:
+                        peak = max(peak, len(parent) - dead)
                         dead += _coincidence(parent, pairs, f, b)
                     break
                 while j >= i:
@@ -453,6 +527,7 @@ def todd_coxeter(
                     b = y
                     j -= 1
                 if j < i:
+                    peak = max(peak, len(parent) - dead)
                     dead += _coincidence(parent, pairs, f, b)
                     break
                 if j == i:
@@ -489,38 +564,54 @@ def todd_coxeter(
     # the relators to scan at a coset, by the set of shortcut columns that
     # take it to a coset below it
     scan_lists = {}
-    # coset 0, which has no coset below it, scans the subgroup words first
+    # coset 0, which has no coset below it, scans the subgroup words first;
+    # a compaction keeps coset 0 and every coset below alpha, so alpha is 0
+    # after one only if it was 0 before, and todo still holds those words
     todo = [scan(_word_to_cols(p.check_word(w))) for w in subgroup if w] + relator_scans
-    dead = steps = skipped = alpha = 0
-    try:
-        while alpha < len(parent):
-            if parent[alpha] == alpha:
-                below = 0
-                for bit, col in shortcuts:
-                    beta = col[alpha]
-                    if beta is not None and beta < alpha:
-                        below |= bit
-                if alpha:
-                    todo = scan_lists.get(below)
-                    if todo is None:
-                        todo = scan_lists[below] = [
-                            s for s, mask in zip(relator_scans, masks) if not mask & below
-                        ]
-                    # a relator symmetry proves the others closed at alpha
-                    skipped += len(relator_scans) - len(todo)
-                scan_at(alpha, todo, drain)
+    # ``dead`` counts the dead cosets still in the table, ``freed`` the ones
+    # that compactions dropped
+    dead = steps = skipped = alpha = peak = freed = compactions = 0
+    while alpha < len(parent):
+        try:
+            while alpha < len(parent):
                 if parent[alpha] == alpha:
-                    for x, col in row_cols:
-                        if col[alpha] is None:
-                            define(x, alpha)
-                    if stack:
-                        drain()
-            alpha += 1
-    except _Overflowed:
-        return Overflow(EnumStats(len(parent), dead, steps, skipped), limits)
-    stats = EnumStats(len(parent), dead, steps, skipped)
-    parent.clear()  # freed for the renumbering's temporaries
-    return _renumber(cols, subgroup, stats)
+                    below = 0
+                    for bit, col in shortcuts:
+                        beta = col[alpha]
+                        if beta is not None and beta < alpha:
+                            below |= bit
+                    if alpha:
+                        todo = scan_lists.get(below)
+                        if todo is None:
+                            todo = scan_lists[below] = [
+                                s for s, mask in zip(relator_scans, masks) if not mask & below
+                            ]
+                        # a relator symmetry proves the others closed at alpha
+                        skipped += len(relator_scans) - len(todo)
+                    scan_at(alpha, todo, drain)
+                    if parent[alpha] == alpha:
+                        for x, col in row_cols:
+                            if col[alpha] is None:
+                                define(x, alpha)
+                        if stack:
+                            drain()
+                alpha += 1
+        except _Overflowed:
+            # the deduction budget ran out, or the coset budget is full; a
+            # compaction that frees enough of it makes room, and the coset in
+            # progress, whose scans are idempotent, starts over
+            if steps > max_deductions or dead * _COMPACT_SHARE < max_cosets:
+                break
+            alpha = _compact(parent, [col for _, col in row_cols], stack, alpha)
+            freed += dead
+            dead = 0
+            compactions += 1
+    stats = EnumStats(
+        len(parent) + freed, dead + freed, steps, skipped, max(peak, len(parent) - dead), compactions
+    )
+    if alpha < len(parent):  # a budget ran out
+        return Overflow(stats, limits)
+    return _renumber(cols, parent, subgroup, stats)
 
 
 def table_from_action(
@@ -593,25 +684,3 @@ def validate_table(p: Presentation, subgroup: Sequence[Word], t: CosetTable) -> 
         failures.append(("not transitive", n - len(seen)))
     return ValidationReport(failures)
 
-
-def perm_group_order(perms: Sequence[Tuple[int, ...]], limit: int = 10**6) -> int | None:
-    """Order of the permutation group generated by ``perms`` via closure;
-    None if it exceeds ``limit``.  Fine at desk scale, which is all the
-    suite needs."""
-    if not perms:
-        return 1
-    n = len(perms[0])
-    identity = tuple(range(n))
-    gens = [tuple(p) for p in perms]
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        q = queue.popleft()
-        for g in gens:
-            prod = tuple(g[q[i]] for i in range(n))
-            if prod not in seen:
-                if len(seen) >= limit:
-                    return None
-                seen.add(prod)
-                queue.append(prod)
-    return len(seen)

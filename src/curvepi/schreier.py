@@ -9,7 +9,7 @@ from itertools import chain
 from operator import add as plus
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .coset_table import CosetTable
+from .coset_table import CosetTable, _is_map
 from .presentations import Presentation
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
 
@@ -60,6 +60,14 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
     """
     if t.n_gens != p.n_gens:
         raise ValueError(f"generator count mismatch: the table has {t.n_gens}, the presentation {p.n_gens}")
+    if not t.n:
+        raise ValueError("table has no cosets")
+    identity = list(range(t.n))
+    for name, forward, backward in zip(p.generators, t.forward, t.backward):
+        # backward after forward is the identity exactly when the two maps
+        # are mutually inverse permutations of the cosets
+        if not _is_map(forward, t.n) or list(map(backward.__getitem__, forward)) != identity:
+            raise ValueError(f"the maps of {name} are not mutually inverse permutations")
     tree = set(_tree_edges(t).values())
     names: List[str] = []
     label = [[0] * t.n for _ in range(t.n_gens)]

@@ -20,7 +20,6 @@ from .classify import CASES, ClassificationEntry, classify, lookup_case
 from .coset_table import (
     EnumLimits,
     Overflow,
-    perm_group_order,
     table_from_action,
     todd_coxeter,
     validate_table,
@@ -162,16 +161,16 @@ def check_v1(cfg: SuiteConfig) -> Tuple[str, dict]:
 
 
 def check_v2(cfg: SuiteConfig) -> Tuple[str, dict]:
-    """The (2,3,5) quotient has order 60 and trivial abelianization."""
+    """The (2,3,5) quotient has order 60 and trivial abelianization.  The
+    table of the trivial subgroup, checked by ``_enumerated``, is the regular
+    action, so its permutation image has order ``t.n``."""
     q = parse_presentation("<a,b,c | a^2, b^3, c^5, abc>")
     t = _enumerated(q, [], cfg, "Gr<2,3,5>/a^2 enumeration", 60)
     inv = _abelianization(q, "0", "Gr<2,3,5>/a^2")
-    order = perm_group_order(t.forward)
-    _require(order == 60, f"permutation image order {order} != 60")
     return "order 60, trivial abelianization", {
         "cosets": t.n,
         "abelianization": inv,
-        "permutation_order": order,
+        "permutation_order": t.n,
     }
 
 
@@ -489,8 +488,6 @@ def check_v12(cfg: SuiteConfig) -> Tuple[str, dict]:
     has order 12."""
     p = build(parse_tag("spherebraid3"))
     t = _enumerated(p, [], cfg, "sphere braid group order", 12)
-    order = perm_group_order(t.forward)
-    _require(order == 12, f"permutation image order {order} != 12")
     return "sphere braid group on three strands has order 12", {"cosets": t.n}
 
 

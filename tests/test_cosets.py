@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,20 +10,23 @@ from curvepi import parse_presentation, parse_word
 from curvepi.cli import main as cli_main
 from curvepi.coset_table import (
     _BLOCK,
+    _COMPACT_SHARE,
     CosetTable,
     EnumLimits,
     EnumStats,
     Overflow,
     _coincidence,
+    _compact,
+    _renumber,
     _shortcuts,
     _word_to_cols,
-    perm_group_order,
     table_from_action,
     todd_coxeter,
     validate_table,
 )
 from curvepi.presentations import Presentation
 from curvepi.words import Word
+from perm_oracle import perm_group_order
 from reference_enumerator import Overflow as ScanEveryOverflow
 from reference_enumerator import reference_todd_coxeter, scan_every_todd_coxeter
 from validate_oracle import validate_table as oracle_validate_table
@@ -418,14 +422,17 @@ def test_matches_scan_every_enumerator_on_seeded_corpus():
     # offset-1-only, offset-(L-1)-only and both-offset relators all occur
     assert min(offsets.values()) > 10, offsets
     assert deducing > 10 and work["skipped"] > 0
-    # any change to the order of scans or deductions moves these
+    # any change to the order of scans or deductions moves these; the cases
+    # that run out of cosets compact first, so they overflow later
     assert work == {
         "CosetTable": 233,
         "Overflow": 167,
-        "allocated": 258472,
-        "dead": 26636,
-        "scan_steps": 299930,
-        "skipped": 30453,
+        "allocated": 305609,
+        "dead": 55413,
+        "scan_steps": 376802,
+        "skipped": 32740,
+        "peak_live": 250580,
+        "compactions": 170,
     }
 
 
@@ -458,7 +465,9 @@ def test_e6_finishes_within_a_reduced_deduction_budget():
     assert isinstance(t, CosetTable) and t.n == 51840
     # E6 has no relator of length 3 or less but its g^2, so nothing deduces,
     # and choosing the scans by skip mask changes no scan step
-    assert t.stats == EnumStats(allocated=59166, dead=7326, scan_steps=236025, skipped=600740)
+    assert t.stats == EnumStats(
+        allocated=59166, dead=7326, scan_steps=236025, skipped=600740, peak_live=51840, compactions=0
+    )
 
 
 def test_involution_maps_share_one_tuple():
@@ -480,7 +489,9 @@ def test_enumeration_stats():
     assert isinstance(s, EnumStats) and s.allocated - s.dead == t.n == 10752
     # the work as written: deducing with b^3 allocates 38,168 cosets, where
     # HLT without deductions allocates 128,562 and 117,810 of them die
-    assert s == EnumStats(allocated=38168, dead=27416, scan_steps=122886, skipped=14208)
+    assert s == EnumStats(
+        allocated=38168, dead=27416, scan_steps=122886, skipped=14208, peak_live=37108, compactions=0
+    )
     assert CosetTable([[0]], [[0]]).stats is None
     res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
     assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000
@@ -497,7 +508,8 @@ def test_tc_stats_go_to_stderr(capsys):
     s = todd_coxeter(parse_presentation(G2378)).stats
     assert stats.err == (
         f"stats: {s.allocated} cosets allocated, {s.dead} dead, "
-        f"{s.scan_steps} scan steps, {s.skipped} scans skipped\n"
+        f"{s.scan_steps} scan steps, {s.skipped} scans skipped, "
+        f"{s.peak_live} peak live, {s.compactions} compactions\n"
     )
     assert cli_main(["tc", G2378, "--json"]) == 0
     doc = capsys.readouterr().out
@@ -506,7 +518,8 @@ def test_tc_stats_go_to_stderr(capsys):
     assert cli_main(["tc", "<a,b |>", "--stats", "--max-cosets", "50"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "stats: 50 cosets allocated, 0 dead, 0 scan steps, 0 scans skipped",
+        "stats: 50 cosets allocated, 0 dead, 0 scan steps, 0 scans skipped, "
+        "50 peak live, 0 compactions",
         "overflow: 50 cosets allocated (budget 50); index may be infinite",
     ]
 
@@ -575,6 +588,152 @@ def test_coincidence_leaves_no_pointer_into_a_dead_coset():
                         assert parent[d] == d and inv[d] == c, (c, d)
         merged += dead
     assert merged > 1000 and cascades > 100, (merged, cascades)
+
+
+# Compaction: at the coset budget the enumerator drops the dead cosets from
+# its lists in place, so the budget bounds the cosets in the table, live or
+# dead, and only the live ones once a compaction frees enough of it.
+
+
+def test_compact_renumbers_live_cosets_in_place():
+    rng = random.Random(32)
+    compacted = 0
+    for i in range(300):
+        # past 256, ints are distinct objects, which shows that they are reused
+        n = rng.randint(1, 40) + (300 if i % 10 == 0 else 0)
+        pairs = _partial_table(rng, n, rng.randint(1, 3))
+        parent = list(range(n))
+        for _ in range(rng.randint(0, 4)):
+            live = [c for c in range(n) if parent[c] == c]
+            _coincidence(parent, pairs, rng.choice(live), rng.choice(live))
+        live = [c for c in range(n) if parent[c] == c]
+        new = {c: k for k, c in enumerate(live)}
+        lists = list({id(col): col for pair in pairs for col in pair}.values())
+        before = [list(col) for col in lists]
+        ints = list(parent)
+        stack = [(rng.randrange(n), rng.randrange(4)) for _ in range(rng.randint(0, 6))]
+        alpha = rng.randrange(n)
+        kept = [(new[c], x) for c, x in stack if c in new]
+        ids = list(map(id, lists))
+        assert _compact(parent, lists, stack, alpha) == sum(c < alpha for c in live)
+        compacted += len(live) < n
+        # the same list objects, shrunk to the live rows, renumbered in order
+        assert list(map(id, lists)) == ids and parent == list(range(len(live)))
+        for col, old in zip(lists, before):
+            assert col == [None if old[c] is None else new[old[c]] for c in live]
+        assert stack == kept
+        # new number k is old coset k's own int where that coset is live,
+        # and every entry holds its coset's int
+        assert all(parent[k] is ints[k] for k in range(len(live)) if k in new)
+        assert all(d is None or d is parent[d] for col in lists for d in col)
+    assert compacted > 100, compacted
+
+
+def _agree_under_compaction(p, sub, budget, ref):
+    """The enumerator at a coset budget that may force compactions: a
+    finished table is ``ref`` (the reference enumerator's, or None if that
+    ran out) and passes validate_table, and running out of cosets leaves
+    less than a compaction's share of the budget dead.  Returns the result."""
+    res = todd_coxeter(p, sub, EnumLimits(max_cosets=budget))
+    if isinstance(res, Overflow):
+        assert not res.out_of_deductions
+        assert (budget - res.live_cosets) * _COMPACT_SHARE < budget, (p, sub, budget)
+        return res
+    assert validate_table(p, sub, res).passed, (p, sub, budget)
+    if ref is not None:
+        assert res.forward == ref.forward and res.backward == ref.backward, (p, sub, budget)
+    assert res.stats.peak_live <= budget
+    return res
+
+
+def test_compaction_keeps_the_table_on_seeded_corpus():
+    rng = random.Random(32)
+    ends = Counter()
+    for i in range(600):
+        case = _symmetric_case if i % 2 else _involutive_case
+        p, sub = case(rng.randint, lambda q: rng.random() < q)
+        ref = reference_todd_coxeter(p, sub, EnumLimits(max_cosets=2000))
+        full = todd_coxeter(p, sub, EnumLimits(max_cosets=2000))
+        if ref is None or isinstance(full, Overflow):
+            continue
+        s = full.stats
+        budgets = [rng.randint(1, s.allocated)]
+        if s.dead:
+            # from just above the peak, where compactions must make room, to
+            # the cosets allocated
+            budgets += [s.peak_live + rng.randint(0, 3), rng.randint(s.peak_live, s.allocated)]
+        for budget in budgets:
+            res = _agree_under_compaction(p, sub, budget, ref)
+            ends[type(res).__name__, res.stats.compactions > 0] += 1
+    assert ends["CosetTable", True] > 50 and ends["Overflow", True] > 5, ends
+    assert ends["CosetTable", False] > 100 and ends["Overflow", False] > 50, ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compaction_keeps_the_table_on_hypothesis_corpus(data):
+    p, sub = data.draw(st.sampled_from([_involutive_case, _symmetric_case]))(
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda q: data.draw(st.floats(0, 1)) < q,
+    )
+    ref = reference_todd_coxeter(p, sub, EnumLimits(max_cosets=500))
+    _agree_under_compaction(p, sub, data.draw(st.integers(1, 300)), ref)
+
+
+def test_e6_finishes_within_a_budget_just_above_its_index():
+    # 51,840 cosets live at the end, 59,166 allocated: three compactions make
+    # room within 52,000, and the table is the one a larger budget gives
+    p = parse_presentation(E6)
+    t = todd_coxeter(p, [], EnumLimits(max_cosets=52000))
+    assert isinstance(t, CosetTable) and t.stats.compactions == 3
+    assert t.stats[:2] == (59166, 7326) and t.stats.peak_live == 51840
+    full = todd_coxeter(p)
+    assert t.forward == full.forward and t.backward == full.backward
+
+
+def test_compacted_overflow_names_the_live_cosets(capsys):
+    res = todd_coxeter(parse_presentation(G2378), [], EnumLimits(max_cosets=5000))
+    assert isinstance(res, Overflow) and not res.out_of_deductions
+    assert res.stats == EnumStats(5026, 26, 14545, 1002, peak_live=5000, compactions=1)
+    assert str(res) == "5000 cosets live, 5026 allocated (budget 5000, compactions: 1)"
+    assert cli_main(["tc", G2378, "--max-cosets", "5000", "--stats"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "stats: 5026 cosets allocated, 26 dead, 14545 scan steps, 1002 scans skipped, "
+        "5000 peak live, 1 compactions",
+        "overflow: 5000 cosets live, 5026 allocated (budget 5000, compactions: 1); "
+        "index may be infinite",
+    ]
+
+
+def test_renumber_rejects_an_incomplete_or_intransitive_table():
+    # cols holds forward and backward column lists, one pair per generator
+    def renumber(cols, n, dead=0):
+        stats = EnumStats(n, dead, 0, 0, n - dead, 0)
+        return _renumber(cols, list(range(n)), [], stats)
+
+    with pytest.raises(RuntimeError, match="incomplete table after enumeration"):
+        renumber([[1, None], [None, 0]], 2)
+    with pytest.raises(RuntimeError, match="table is not transitive"):
+        renumber([[0, 1], [0, 1]], 2)
+    # an itemgetter of one index returns the bare entry; the table has tuples
+    t = renumber([[0], [0]], 1)
+    assert t.forward == t.backward == ((0,),) and t.stats.allocated == 1
+
+
+def test_enumeration_memory_follows_the_table():
+    # the traced peak of an enumeration, its renumbering included, is a small
+    # multiple of the finished table's own size: before the renumbering
+    # reused the enumerator's ints, E6 peaked at 1.97 times its table
+    p = parse_presentation(E6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(p)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == 51840
+    assert peak < 1.8 * size, (peak, size)
 
 
 # The column-wise certificate check against the one that traced every coset

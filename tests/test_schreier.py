@@ -98,6 +98,25 @@ def test_table_of_another_generator_count_is_rejected():
             subgroup_presentation(parse_presentation(text), t)
 
 
+def test_malformed_table_is_rejected():
+    # the walk reads the backward maps as the inverses of the forward ones,
+    # so a table whose maps are not mutually inverse permutations, or that
+    # has no cosets, gets a ValueError instead of a presentation or an
+    # IndexError
+    p = parse_presentation("<a | a^-2>")
+    valid = subgroup_presentation(p, CosetTable([[1, 0]], [[1, 0]]))
+    assert format_presentation(valid) == "< s1_a | s1_a^-1, s1_a^-1 >"
+    for forward, backward in (
+        ([[1, 0]], [[0, 1]]),  # a backward map that is not the inverse
+        ([[1, 1]], [[1, 0]]),  # a forward map that is not a bijection
+        ([[-1, 0]], [[1, 0]]),  # an entry that is not a coset
+    ):
+        with pytest.raises(ValueError, match="not mutually inverse permutations"):
+            subgroup_presentation(p, CosetTable(forward, backward))
+    with pytest.raises(ValueError, match="no cosets"):
+        subgroup_presentation(p, CosetTable([[]], [[]]))
+
+
 def assert_relators_are_rewritten_conjugates(p, t):
     oracle = OracleRewriter(p, t)
     sp = subgroup_presentation(p, t)
