@@ -643,7 +643,11 @@ def validate_table(p: Presentation, subgroup: Sequence[Word], t: CosetTable) -> 
     inverse bijections, subgroup-generator closure, relator closure at every
     coset, and transitivity from coset 0.  A map with an entry that is not a
     coset is ``not a bijection``, and then nothing is traced.  The checks
-    compose whole columns; a failure names the first coset that fails."""
+    compose whole columns; a failure names the first coset that fails.
+    A subgroup word over an undeclared generator raises ``ValueError``, as
+    it does in ``todd_coxeter``."""
+    for w in subgroup:
+        p.check_word(w)
     n = t.n
     if t.n_gens != p.n_gens:
         return ValidationReport([("generator count mismatch", (t.n_gens, p.n_gens))])

@@ -72,6 +72,24 @@ class Presentation:
         object.__setattr__(self, "relators", _checked_relators(list(relators), len(gens)))
         object.__setattr__(self, "_index", None)  # name -> index, on first lookup
 
+    @classmethod
+    def _raw(cls, generators: Tuple[str, ...], relators: Tuple[Word, ...]) -> "Presentation":
+        """A presentation that stores the given tuples as they are and
+        checks nothing, as ``Word._raw`` does for words.  The caller
+        guarantees what the constructor would otherwise check:
+
+        - the names are distinct identifiers;
+        - the relators are nonempty ``Word`` values over the declared
+          generators;
+        - each relator is freely and cyclically reduced.
+
+        Then ``Presentation(generators, relators)`` equals the result."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "generators", generators)
+        object.__setattr__(p, "relators", relators)
+        object.__setattr__(p, "_index", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
 

@@ -51,12 +51,27 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
     for g, and for g^-1 ``backward[g]`` with ``-label[g][Kg^-1]`` at K, as
     g^-1 at K crosses the edge (Kg^-1, g) backwards.
 
-    A rewritten relator comes out cyclically reduced, so it is not reduced
-    again.  Letters s and s^-1 next to each other (cyclically) mean that
-    one non-tree edge was crossed one way and then the other, with only
-    tree edges walked in between.  That walk is closed, and a closed walk
-    in a tree is empty or backtracks, so the cyclically reduced relator
-    would hold adjacent inverse letters.
+    The result is built by ``Presentation._raw``, without the checks of
+    the constructor, because the walk proves each of them once the table
+    checks below have passed:
+
+    - The names are distinct identifiers.  ``s{coset}_{gen}`` starts with
+      a letter and goes on with digits, an underscore and an identifier.
+      The coset number holds no underscore, so the first one ends it, and
+      the name gives back its (coset, generator) pair; the generator
+      names of ``p`` are distinct.
+    - The letters are Schreier letters ``±label``, and the labels number
+      the names from 1, so every letter names a declared generator.
+    - Each relator is freely and cyclically reduced.  Letters s and s^-1
+      next to each other (cyclically) mean that one non-tree edge was
+      crossed one way and then the other, with only tree edges walked in
+      between.  That walk is closed, and a closed walk in a tree is empty
+      or backtracks, so the cyclically reduced relator would hold adjacent
+      inverse letters.
+    - No relator is empty.  An empty one would be a walk of a nonempty,
+      cyclically reduced relator over tree edges alone, closed, and so it
+      would backtrack in the same way.  (A loop K a = K is never a tree
+      edge, so a relator a^n gives the letter s_{K,a} n times.)
     """
     if t.n_gens != p.n_gens:
         raise ValueError(f"generator count mismatch: the table has {t.n_gens}, the presentation {p.n_gens}")
@@ -96,7 +111,7 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
             if coset != start:
                 raise ValueError(f"relator does not close at coset {start}")
             rels.append(raw(tuple(out)))
-    return Presentation(names, rels)
+    return Presentation._raw(tuple(names), tuple(rels))
 
 
 # ---------------------------------------------------------------------------

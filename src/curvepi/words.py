@@ -51,6 +51,8 @@ class Word:
     def gen(cls, index: int, sign: int = 1) -> "Word":
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if index < 0:
+            raise ValueError(f"generator index {index} is negative")
         return cls._raw((sign * (index + 1),))
 
     def pairs(self) -> Tuple[Tuple[int, int], ...]:

@@ -150,6 +150,17 @@ def test_validate_catches_subgroup_escape():
     assert any("subgroup" in name for name, _ in report.failures)
 
 
+def test_validate_rejects_a_subgroup_word_over_an_undeclared_generator():
+    # the same ValueError as todd_coxeter's, not an IndexError from trace
+    p = parse_presentation("<a | a^2>")
+    t = todd_coxeter(p)
+    for w in (Word.gen(3), Word.gen(1, -1)):
+        with pytest.raises(ValueError, match="undeclared generator"):
+            todd_coxeter(p, [w])
+        with pytest.raises(ValueError, match="undeclared generator"):
+            validate_table(p, [w], t)
+
+
 def random_presentation(rng):
     n_gens = rng.randint(1, 4)
     gens = [f"g{i}" for i in range(n_gens)]

@@ -206,12 +206,23 @@ def test_trivial_schreier_generators_are_the_tree_edges():
             assert_relators_are_rewritten_conjugates(p, t)
 
 
+def assert_checks_would_pass(sp):
+    """The walk builds its result unchecked; the constructor, checking
+    everything, gives the same presentation, and the relators are stored
+    as a tuple of nonempty words."""
+    assert Presentation(sp.generators, list(sp.relators)) == sp
+    assert type(sp.generators) is tuple and type(sp.relators) is tuple
+    for r in sp.relators:
+        assert type(r) is Word and r
+
+
 def assert_same_as_the_oracle(p, t):
     """Names and relators agree with the tuple-keyed rewriter kept in
     tests/schreier_oracle.py."""
     got, want = subgroup_presentation(p, t), OracleRewriter(p, t).subgroup_presentation()
     assert got.generators == want.generators
     assert [w.letters for w in got.relators] == [w.letters for w in want.relators]
+    assert_checks_would_pass(got)
 
 
 def test_label_walk_matches_the_tuple_keyed_rewriter():
@@ -231,6 +242,13 @@ def test_label_walk_matches_the_tuple_keyed_rewriter():
     t = todd_coxeter(d4, [Word.gen(0)])
     assert t.n == 96
     corpus.append((d4, t))
+    # S3 on three points: a = (0 1) fixes coset 2, so a^2 at coset 2 walks
+    # the loop twice and gives s2_a^2
+    s3 = parse_presentation("<a,b | a^2, b^3, (ab)^2>")
+    t = table_from_action(s3, [[1, 0, 2], [1, 2, 0]])
+    sp = subgroup_presentation(s3, t)
+    assert sp.word([("s2_a", 2)]) in sp.relators
+    corpus.append((s3, t))
     for p, t in corpus:
         assert_same_as_the_oracle(p, t)
 
@@ -275,6 +293,7 @@ def test_rewritten_relators_need_no_reduction(action):
     for r in sp.relators:
         assert r == Word(r.letters)
         assert cyclic_reduce(r.letters) == r.letters
+    assert_checks_would_pass(sp)
 
 
 def test_relator_that_does_not_close_is_rejected():
