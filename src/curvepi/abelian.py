@@ -6,9 +6,10 @@ fixed-width arithmetic unusable even on small inputs.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import Counter
+from itertools import chain
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .presentations import Presentation
 from .words import Word
@@ -40,7 +41,9 @@ def smith_normal_form(M: IntMatrix) -> List[int]:
     units first and the zeros last.  No unimodular transforms are built.
 
     The dense entry to the sparse elimination of ``invariants_of_rows``:
-    each row becomes a ``{col: value}`` dict of its nonzeros.
+    each row becomes a ``{col: value}`` dict of its nonzeros.  No command
+    calls it; it stays for the tests and the benchmark's tracing span
+    until both move to ``invariants_of_rows`` (ROADMAP item 1).
     """
     divisors = _pivots([{j: x for j, x in enumerate(line) if x} for line in M.entries], M.cols)
     return divisors + [0] * (min(M.rows, M.cols) - len(divisors))
@@ -146,61 +149,33 @@ def _pivots(entries: Iterable[Mapping[int, int]], ncols: int) -> List[int]:
     such rows: at E6 index 2160 the fold leaves 2760 of 45,360 rows over
     3 of 10,801 columns.
 
-    The rows that are left are ``{col: value}`` dicts, with a column ->
-    rows index.  The pivot is the +-1 entry of least Markowitz cost (row
-    nonzeros - 1) * (column nonzeros - 1) while there is one, and
-    otherwise the least (|x|, cost, row, col) of all nonzeros.  A step on
-    pivot x at (i, j) subtracts (row_k[j] // x) * row i from every other
-    row k with an entry in column j.  If remainders are left in column j,
-    the step ends there.  Otherwise column operations reduce row i's other
-    entries modulo x; they change no other row, since column j is clear.
-    If row i is then {j: x}, it and column j are dropped and |x| is
-    recorded.  A +-1 pivot always drops its row; any other pivot is the
-    least nonzero, so a step on it drops a row or leaves a smaller
-    nonzero.  So the loop ends.  A gcd/lcm pass over the pivots other than
-    1 gives the divisor chain.
+    The rows that are left are ``{col: value}`` dicts.  Each step scans
+    them all and pivots on the least (|x|, cost, row, col) of all
+    nonzeros x, where cost is the Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1).  A step on pivot x at (i, j) subtracts
+    (row_k[j] // x) * row i from every other row k with an entry in
+    column j.  If remainders are left in column j, the step ends there.
+    Otherwise column operations reduce row i's other entries modulo x;
+    they change no other row, since column j is clear.  If row i is then
+    {j: x}, it and column j are dropped and |x| is recorded.  A +-1 pivot
+    always drops its row; any other pivot is the least nonzero, so a step
+    on it drops a row or leaves a smaller nonzero.  So the loop ends.  A
+    gcd/lcm pass over the pivots other than 1 gives the divisor chain.
     """
     folds, kept = _fold(entries, ncols)
     rows: Dict[int, Dict[int, int]] = dict(enumerate(kept))
-    col_rows: Dict[int, Set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-
-    # (cost, row, col) for every +-1 entry.  A cost changes only when its
-    # row or column count does, and each step pushes every +-1 entry of the
-    # rows and columns it changed, so an entry popped with an out-of-date
-    # cost is skipped: its current cost is in the heap too.
-    heap: List[Tuple[int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        x = rows[i][j]
-        if x == 1 or x == -1:
-            heappush(heap, (cost(i, j), i, j))
-
-    for i, row in rows.items():
-        for j in row:
-            push(i, j)
-
     pivots: List[int] = []
     while rows:
-        while heap:
-            c, i, j = heappop(heap)
-            x = rows[i].get(j) if i in rows else None
-            if (x == 1 or x == -1) and cost(i, j) == c:
-                break
-        else:
-            _, _, i, j = min(
-                (abs(x), cost(i, j), i, j) for i, row in rows.items() for j, x in row.items()
-            )
+        col_count = Counter(chain.from_iterable(rows.values()))
+        _, _, i, j = min(
+            (abs(x), (len(row) - 1) * (col_count[j] - 1), i, j)
+            for i, row in rows.items()
+            for j, x in row.items()
+        )
         row = rows[i]
         x = row[j]
-        touched = list(row)
-        others = col_rows[j] - {i}
-        for k in others:
+        clear = True
+        for k in [k for k, rk in rows.items() if j in rk and k != i]:
             # row k -= q * row i leaves row_k[j] the remainder mod x
             rk = rows[k]
             q = rk[j] // x
@@ -208,32 +183,23 @@ def _pivots(entries: Iterable[Mapping[int, int]], ncols: int) -> List[int]:
                 v = rk.get(jj, 0) - q * y
                 if v:
                     rk[jj] = v
-                    col_rows[jj].add(k)
                 else:
                     del rk[jj]
-                    col_rows[jj].discard(k)
             if not rk:
                 del rows[k]
-        if len(col_rows[j]) == 1:
-            for jj in touched:
+            elif j in rk:
+                clear = False
+        if clear:
+            for jj in list(row):
                 if jj != j:
                     v = row[jj] % x
                     if v:
                         row[jj] = v
                     else:
                         del row[jj]
-                        col_rows[jj].discard(i)
             if len(row) == 1:
                 del rows[i]
-                del col_rows[j]
                 pivots.append(abs(x))
-        others.add(i)
-        for k in others:
-            for jj in rows.get(k, ()):
-                push(k, jj)
-        for jj in touched:
-            for k in col_rows.get(jj, set()) - others:
-                push(k, jj)
     rest = [d for d in pivots if d != 1]
     # Z/di + Z/dj is Z/gcd + Z/lcm, so (di, dj) <- (gcd, lcm) gives the
     # chain; the pivots 1 divide everything and need no pass

@@ -216,14 +216,10 @@ class CosetTable:
     def n_gens(self) -> int:
         return len(self.forward)
 
-    def step(self, coset: int, letter: int) -> int:
-        """Image of a coset under one signed letter."""
-        g = abs(letter) - 1
-        return self.forward[g][coset] if letter > 0 else self.backward[g][coset]
-
     def trace(self, coset: int, w: Word) -> int:
+        """Image of a coset under a word, one signed letter at a time."""
         for x in w.letters:
-            coset = self.step(coset, x)
+            coset = self.forward[x - 1][coset] if x > 0 else self.backward[-x - 1][coset]
         return coset
 
     def to_json(self, p: Presentation) -> dict:

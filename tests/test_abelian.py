@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from curvepi import parse_presentation
+from curvepi import parse_presentation, parse_word
 from curvepi.abelian import (
     IntMatrix,
     InvariantFactors,
@@ -18,9 +18,17 @@ from curvepi.abelian import (
     invariants_of_rows,
     smith_normal_form,
 )
+from curvepi.coset_table import todd_coxeter
 from curvepi.presentations import Presentation
+from curvepi.schreier import subgroup_presentation
 from curvepi.words import Word
 from matrix_oracles import determinant, minors_gcd
+
+
+E6 = (
+    "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+    "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+)
 
 
 def snf_checked(A):
@@ -470,6 +478,18 @@ def test_sparse_elimination_matches_the_dense_reference():
         entries = [[entry() for _ in range(cols)] for _ in range(rows)]
         A = IntMatrix(entries, cols=cols)
         assert snf_checked(A) == _reference_diagonal(entries)
+    # a fourth kind from its own generator: rows of exactly three +-1
+    # entries, which the fold cannot take, so the elimination's own unit
+    # pivots and their fill-in are checked
+    rng = random.Random(34)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 40), rng.randint(3, 40)
+        entries = [[0] * cols for _ in range(rows)]
+        for row in entries:
+            for j in rng.sample(range(cols), 3):
+                row[j] = rng.choice((1, -1))
+        A = IntMatrix(entries, cols=cols)
+        assert snf_checked(A) == _reference_diagonal(entries)
 
 
 def test_elimination_branches():
@@ -669,6 +689,21 @@ def test_fold_of_a_chain_takes_linear_time():
     assert _fold(rows, n) == (n, [])
     assert time.perf_counter() - start < 5.0
     assert invariants_of_rows(rows, n).is_trivial
+
+
+def test_fold_leaves_few_rows_and_no_unit_on_a_schreier_presentation():
+    # the traffic the elimination after the fold is sized for: the raw
+    # Schreier rows of E6 over <a,b,c,d,e> (index 72, 1512 x 361) fold to
+    # 360 rows over 5 columns with no +-1 entry left.  Each elimination
+    # step scans every nonzero, so a change to the fold or the walk that
+    # leaves a large matrix full of units should fail here
+    p = parse_presentation(E6)
+    t = todd_coxeter(p, [parse_word(p, g) for g in "abcde"])
+    raw = subgroup_presentation(p, t)
+    assert (t.n, raw.n_gens, len(raw.relators)) == (72, 361, 1512)
+    folds, kept = _fold([exponent_row(w) for w in raw.relators], raw.n_gens)
+    assert (folds, len(kept), len(set().union(*kept))) == (356, 360, 5)
+    assert all(abs(x) > 1 for row in kept for x in row.values())
 
 
 def test_fold_degenerate_inputs():
