@@ -19,14 +19,13 @@ from .abelian import (
 )
 from .coset_table import (
     CosetTable,
-    EnumLimits,
     EnumStats,
     Overflow,
     todd_coxeter,
     validate_table,
 )
 from .schreier import subgroup_presentation, simplify
-from .derive import DerivationBudget, ProofTrace, Inconclusive, derive_relator, replay_trace
+from .derive import ProofTrace, Inconclusive, derive_relator, replay_trace
 from .homomorphisms import Verified, Refuted, check_homomorphism, verify_isomorphism
 from .catalog import GroupTag, build, parse_tag
 from .geometry import (
@@ -58,14 +57,12 @@ __all__ = [
     "curve_abelianization",
     "smith_normal_form",
     "CosetTable",
-    "EnumLimits",
     "EnumStats",
     "Overflow",
     "todd_coxeter",
     "validate_table",
     "subgroup_presentation",
     "simplify",
-    "DerivationBudget",
     "ProofTrace",
     "Inconclusive",
     "derive_relator",

@@ -241,10 +241,6 @@ class InvariantFactors:
     def __hash__(self) -> int:
         return hash((self.free_rank, self.torsion))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def display(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -193,6 +193,8 @@ _QUINTIC_DSL: Dict[str, str] = {
     "C2_3C1_B": "<a,b,c | (ac)^2 = (ca)^2, (ab)^2 = (ba)^2, b c b^-1 c^-1>",
 }
 
+# other names of two cases; the ``quintic`` tag reader turns them into the
+# canonical name, so each group has one tag
 _QUINTIC_ALIASES = {
     "C4_3A2_x2x2": "C4_3A2",
     "C3_A2": "C3_A2_x3_x2x1",
@@ -204,7 +206,6 @@ def quintic_cases() -> List[str]:
 
 
 def quintic_presentation(case: str) -> Presentation:
-    case = _QUINTIC_ALIASES.get(case, case)
     try:
         return parse_presentation(_QUINTIC_DSL[case])
     except KeyError:
@@ -251,7 +252,7 @@ _VARIANTS = {
                 _surfext, _commas),
     "product": (_no_text, lambda left, right: all(isinstance(t, GroupTag) for t in (left, right)),
                 lambda left, right: direct_product(build(left), build(right)), None),
-    "quintic": (lambda text: (text,), lambda case: _QUINTIC_ALIASES.get(case, case) in _QUINTIC_DSL,
+    "quintic": (lambda text: (_QUINTIC_ALIASES.get(text, text),), lambda case: case in _QUINTIC_DSL,
                 quintic_presentation, _commas),
 }
 

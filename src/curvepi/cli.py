@@ -16,13 +16,13 @@ import sys
 from .abelian import abelian_invariants
 from .catalog import build, parse_tag
 from .classify import NotCovered, classify
-from .coset_table import EnumLimits, Overflow, todd_coxeter
+from .coset_table import MAX_COSETS, Overflow, todd_coxeter
 from .dsl import ParseError, parse_presentation, parse_word
 from .geometry import CombinatorialType, load_script, run_script, validate_combinatorial_type
 from .presentations import Presentation, format_presentation
 from .schreier import simplify, subgroup_presentation
 from .verify import ALL_CHECKS, SuiteConfig, run_suite, suite_json
-from .derive import DerivationBudget
+from .derive import MAX_STATES
 
 
 def _read_presentation(source: str) -> Presentation:
@@ -59,7 +59,7 @@ def _cmd_tc(args) -> int:
     if extra:
         p = Presentation(p.generators, list(p.relators) + extra)
     subgroup = [parse_word(p, w) for w in args.subgroup or []]
-    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
+    result = todd_coxeter(p, subgroup, args.max_cosets)
     if args.stats:
         s = result.stats
         print(
@@ -80,7 +80,7 @@ def _cmd_tc(args) -> int:
 def _cmd_rs(args) -> int:
     p = _read_presentation(args.presentation)
     subgroup = [parse_word(p, w) for w in args.subgroup]
-    result = todd_coxeter(p, subgroup, EnumLimits(max_cosets=args.max_cosets))
+    result = todd_coxeter(p, subgroup, args.max_cosets)
     if isinstance(result, Overflow):
         return _overflow(result)
     sp = subgroup_presentation(p, result)
@@ -156,9 +156,7 @@ def _cmd_verify(args) -> int:
     selection = None
     if args.only is not None:
         selection = [s.strip() for s in args.only.split(",") if s.strip()]
-    budget = DerivationBudget(max_states=args.budget) if args.budget is not None else None
-    cfg = SuiteConfig(max_cosets=args.max_cosets, budget=budget)
-    reports = run_suite(selection, cfg)
+    reports = run_suite(selection, SuiteConfig(args.max_cosets, args.budget))
     if args.json:
         sys.stdout.write(suite_json(reports))
     else:
@@ -186,7 +184,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     def add_max_cosets(p):
-        p.add_argument("--max-cosets", type=int, default=EnumLimits().max_cosets, metavar="N",
+        p.add_argument("--max-cosets", type=int, default=MAX_COSETS, metavar="N",
                        help="coset budget of each enumeration; dead cosets are compacted "
                        "away when it fills (default %(default)s)")
 
@@ -232,8 +230,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--only", metavar="IDS", help=f"comma-separated from {','.join(ALL_CHECKS)}")
-    p_ver.add_argument("--budget", type=int, metavar="N",
-                       help="derivation state budget override")
+    p_ver.add_argument("--budget", type=int, default=MAX_STATES, metavar="N",
+                       help="state budget of each derivation search (default %(default)s)")
     add_max_cosets(p_ver)
     add_json(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)

@@ -85,16 +85,11 @@ from .presentations import Presentation
 from .words import Word
 
 
-class EnumLimits:
-    """Budgets for an enumeration: max allocated cosets and total work."""
-
-    __slots__ = ("max_cosets", "max_deductions")
-
-    def __init__(self, max_cosets: int = 10**6, max_deductions: int = 10**8):
-        if max_cosets < 1 or max_deductions < 1:
-            raise ValueError("limits must be positive")
-        self.max_cosets = max_cosets
-        self.max_deductions = max_deductions
+# the default coset budget of an enumeration
+MAX_COSETS = 10**6
+# the scan steps an enumeration may take: what ends one that compaction
+# would otherwise keep going
+_MAX_SCAN_STEPS = 10**8
 
 
 class EnumStats(NamedTuple):
@@ -121,22 +116,22 @@ class EnumStats(NamedTuple):
 
 
 class Overflow:
-    """Budget exhausted: possibly infinite index or limits too small.
+    """Budget exhausted: possibly infinite index or a budget too small.
 
     ``deductions`` counts the scan steps taken, deduction scans among them
-    and the refused one included, so it exceeds ``limits.max_deductions``
-    exactly when that budget ran out; otherwise the coset budget did.  A
+    and the refused one included, so it exceeds ``_MAX_SCAN_STEPS`` exactly
+    when that cap ran out; otherwise the coset budget ``max_cosets`` did.  A
     scan that a relator symmetry skips takes no step.  The coset budget
     bounds the cosets in the table, live and dead: when it is full, the
     enumerator compacts the dead ones away if that frees at least
     1/``_COMPACT_SHARE`` of it, so it runs out when the live cosets fill all
     but less than that share."""
 
-    __slots__ = ("stats", "limits")
+    __slots__ = ("stats", "max_cosets")
 
-    def __init__(self, stats: EnumStats, limits: EnumLimits):
+    def __init__(self, stats: EnumStats, max_cosets: int):
         self.stats = stats
-        self.limits = limits
+        self.max_cosets = max_cosets
 
     @property
     def allocated(self) -> int:
@@ -152,21 +147,21 @@ class Overflow:
 
     @property
     def out_of_deductions(self) -> bool:
-        return self.deductions > self.limits.max_deductions
+        return self.deductions > _MAX_SCAN_STEPS
 
     def __str__(self) -> str:
         """Which budget ran out, and how much of it was used."""
         if self.out_of_deductions:
             return (
-                f"deduction budget exhausted ({self.limits.max_deductions} scan steps, "
+                f"deduction budget exhausted ({_MAX_SCAN_STEPS} scan steps, "
                 f"{self.allocated} cosets allocated)"
             )
         if self.stats.compactions:
             return (
                 f"{self.live_cosets} cosets live, {self.allocated} allocated "
-                f"(budget {self.limits.max_cosets}, compactions: {self.stats.compactions})"
+                f"(budget {self.max_cosets}, compactions: {self.stats.compactions})"
             )
-        return f"{self.allocated} cosets allocated (budget {self.limits.max_cosets})"
+        return f"{self.allocated} cosets allocated (budget {self.max_cosets})"
 
     def __repr__(self) -> str:
         return (
@@ -431,13 +426,15 @@ def _compact(parent: List[int], lists: Sequence[list], stack: list, alpha: int) 
 def todd_coxeter(
     p: Presentation,
     subgroup: Sequence[Word] = (),
-    limits: EnumLimits | None = None,
+    max_cosets: int = MAX_COSETS,
 ) -> CosetTable | Overflow:
     """Enumerate the right cosets of the subgroup generated by the given
-    words.  Deterministic; returns Overflow (never a wrong answer) when the
-    budget runs out.  Either result carries the enumeration's EnumStats."""
-    limits = limits or EnumLimits()
-    max_cosets, max_deductions = limits.max_cosets, limits.max_deductions
+    words, with at most ``max_cosets`` cosets in the table at once.
+    Deterministic; returns Overflow (never a wrong answer) when a budget
+    runs out.  Either result carries the enumeration's EnumStats."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    max_steps = _MAX_SCAN_STEPS  # read once: the scan loop tests it at every step
     words = [_word_to_cols(w) for w in p.relators]
     squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
     involutions = {w[0] >> 1 for w in squares}
@@ -502,7 +499,7 @@ def todd_coxeter(
             i, j = 0, last
             while True:
                 s += 1
-                if s > max_deductions:
+                if s > max_steps:
                     steps = s
                     raise _Overflowed
                 while i <= j:
@@ -593,10 +590,10 @@ def todd_coxeter(
                             drain()
                 alpha += 1
         except _Overflowed:
-            # the deduction budget ran out, or the coset budget is full; a
+            # the scan-step cap ran out, or the coset budget is full; a
             # compaction that frees enough of it makes room, and the coset in
             # progress, whose scans are idempotent, starts over
-            if steps > max_deductions or dead * _COMPACT_SHARE < max_cosets:
+            if steps > max_steps or dead * _COMPACT_SHARE < max_cosets:
                 break
             alpha = _compact(parent, [col for _, col in row_cols], stack, alpha)
             freed += dead
@@ -606,7 +603,7 @@ def todd_coxeter(
         len(parent) + freed, dead + freed, steps, skipped, max(peak, len(parent) - dead), compactions
     )
     if alpha < len(parent):  # a budget ran out
-        return Overflow(stats, limits)
+        return Overflow(stats, max_cosets)
     return _renumber(cols, parent, subgroup, stats)
 
 

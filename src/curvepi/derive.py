@@ -19,7 +19,7 @@ period, is tried only at the positions 0..q-1.  Inserting at pos + q gives
 a rotation of the child made at pos (and pos = n one of pos = 0), so the
 two have the same canonical form, which the loop has already recorded or
 found recorded at pos.  That holds only while no child is cut by
-``max_word_length``: the cut reads the linear child, whose length depends
+``_MAX_WORD_LENGTH``: the cut reads the linear child, whose length depends
 on where the insertion sits, so the child at pos might be cut and the one
 at pos + q kept.  The positions are therefore pruned only when n plus the
 longest insertion fits the cap, and then the result, every ``states``
@@ -47,28 +47,11 @@ from .words import (
 Step = Tuple
 
 
-class DerivationBudget:
-    """Limits for derivation searches; all positive."""
-
-    __slots__ = ("max_insertions", "max_word_length", "max_states")
-
-    def __init__(
-        self,
-        max_insertions: int = 64,
-        max_word_length: int = 64,
-        max_states: int = 100_000,
-    ):
-        if min(max_insertions, max_word_length, max_states) < 1:
-            raise ValueError("budget fields must be positive")
-        self.max_insertions = max_insertions
-        self.max_word_length = max_word_length
-        self.max_states = max_states
-
-    def __repr__(self) -> str:
-        return (
-            f"DerivationBudget(max_insertions={self.max_insertions}, "
-            f"max_word_length={self.max_word_length}, max_states={self.max_states})"
-        )
+# the default state budget of a derivation search
+MAX_STATES = 100_000
+# the insertions on one path of the search, and the longest word it keeps
+_MAX_INSERTIONS = 64
+_MAX_WORD_LENGTH = 64
 
 
 class ProofTrace:
@@ -79,10 +62,6 @@ class ProofTrace:
     def __init__(self, start: Word, steps: Sequence[Step]):
         self.start = start
         self.steps = tuple(steps)
-
-    @property
-    def insertions(self) -> int:
-        return sum(1 for s in self.steps if s[0] == "insert")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -161,11 +140,12 @@ def _period(state: Tuple[int, ...]) -> int:
 
 
 def derive_relator(
-    p: Presentation, w: Word, budget: DerivationBudget | None = None
+    p: Presentation, w: Word, max_states: int = MAX_STATES
 ) -> ProofTrace | Inconclusive:
-    """Search for a derivation of ``w == 1`` in the presented group.
+    """Search for a derivation of ``w == 1`` in the presented group, holding
+    at most ``max_states`` states.
 
-    Returns a ProofTrace that replay_trace accepts, or Inconclusive when the
+    Returns a ProofTrace that replay_trace accepts, or Inconclusive when a
     budget is exhausted (never a refutation: use abelianization or finite
     quotients to refute).
 
@@ -177,7 +157,10 @@ def derive_relator(
     ``states >= k``, or an Inconclusive with ``states < k`` that every
     larger cap returns too (the search space ran out first).
     """
-    budget = budget or DerivationBudget()
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
+    # read once: the loop tests them for every state and child
+    max_insertions, max_word_length = _MAX_INSERTIONS, _MAX_WORD_LENGTH
     p.check_word(w)
     start, pre = _canonical_steps(w.letters)
     if not start:
@@ -202,12 +185,12 @@ def derive_relator(
     found = False
     while heap:
         _, d, _, state = heapq.heappop(heap)
-        if d >= budget.max_insertions:
+        if d >= max_insertions:
             continue
         n = len(state)
         # while no child can exceed the length cap, one period of positions
         # reaches every child that is not a rotation of an earlier one
-        positions = range(_period(state) if n + longest <= budget.max_word_length else n + 1)
+        positions = range(_period(state) if n + longest <= max_word_length else n + 1)
         for idx, inv, rel in inserts:
             first, last = -rel[0], -rel[-1]
             for pos in positions:
@@ -216,7 +199,7 @@ def derive_relator(
                     child = splice(state, pos, rel)
                 else:
                     child = state[:pos] + rel + state[pos:]
-                if len(child) > budget.max_word_length:
+                if len(child) > max_word_length:
                     continue
                 canon = canonical_cyclic(child)
                 if canon in parents:
@@ -225,9 +208,9 @@ def derive_relator(
                 if not canon:
                     found = True
                     break
-                if len(parents) >= budget.max_states:
+                if len(parents) >= max_states:
                     return Inconclusive(
-                        f"state budget exhausted ({budget.max_states} states)", len(parents)
+                        f"state budget exhausted ({max_states} states)", len(parents)
                     )
                 counter += 1
                 heapq.heappush(heap, (len(canon), d + 1, counter, canon))

@@ -9,11 +9,11 @@ coset enumeration.  Anything else is Inconclusive, which is not a judgment.
 (milliseconds), then a derivation of every image with at most
 ``_QUICK_STATES`` states, then the finite-quotient refuter (an enumeration of
 up to ``_REFUTE_COSET_LIMIT`` cosets, which never finishes on an infinite
-target), and last the derivations with the caller's full budget.  Verified
+target), and last the derivations with the caller's ``max_states``.  Verified
 and Refuted are both sound, so they exclude each other, and the order cannot
 change which of them is returned.  Nor can it change a trace: the state cap
 only truncates the derivation search (see ``derive_relator``), so an image
-derived under the small cap gets the trace the full budget would give.
+derived under the small cap gets the trace the caller's cap would give.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .abelian import exponent_row, invariants_of_rows
-from .coset_table import CosetTable, EnumLimits, todd_coxeter
-from .derive import DerivationBudget, Inconclusive, ProofTrace, derive_relator
+from .coset_table import CosetTable, todd_coxeter
+from .derive import MAX_STATES, Inconclusive, ProofTrace, derive_relator
 from .presentations import Presentation, SubstitutionMap, compose, substitute
 from .words import Word
 
@@ -80,7 +80,7 @@ def _abelian_refuter(target: Presentation, *images: Word) -> Refuted | None:
 
 
 def check_homomorphism(
-    m: SubstitutionMap, budget: DerivationBudget | None = None
+    m: SubstitutionMap, max_states: int = MAX_STATES
 ) -> Verified | Refuted | Inconclusive:
     """Decide, when possible, whether the substitution defines a homomorphism.
 
@@ -92,14 +92,15 @@ def check_homomorphism(
        ``_QUICK_STATES``, stopping at the first image that fails; Verified
        when none fails;
     3. the finite-quotient refuter;
-    4. the images not yet settled, derived with the full budget.
+    4. the images not yet settled, derived with ``max_states`` states.
 
     A bounded attempt that failed without reaching its cap (the search space
-    ran out, or the cap is the caller's own) is already the full-budget
-    result, so step 4 does not repeat it.  The result equals that of running
-    the refuters before every derivation, trace for trace.
+    ran out, or the cap is the caller's own) is already the result under
+    ``max_states``, so step 4 does not repeat it.  The result equals that of
+    running the refuters before every derivation, trace for trace.
     """
-    budget = budget or DerivationBudget()
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
     images = [substitute(m, r) for r in m.source.relators]
     if not images:
         return Verified(())
@@ -108,14 +109,12 @@ def check_homomorphism(
     if refuted is not None:
         return refuted
 
-    quick = DerivationBudget(
-        budget.max_insertions, budget.max_word_length, min(budget.max_states, _QUICK_STATES)
-    )
+    quick = min(max_states, _QUICK_STATES)
     settled: List[ProofTrace | Inconclusive] = []
     for img in images:
         res = derive_relator(m.target, img, quick)
         if isinstance(res, Inconclusive):
-            if res.states < quick.max_states or quick.max_states == budget.max_states:
+            if res.states < quick or quick == max_states:
                 settled.append(res)
             break
         settled.append(res)
@@ -124,7 +123,7 @@ def check_homomorphism(
 
     # a finite quotient (the regular action) refutes exactly the nontrivial
     # images; only worth attempting when the target might be finite
-    table = todd_coxeter(m.target, [], EnumLimits(max_cosets=_REFUTE_COSET_LIMIT))
+    table = todd_coxeter(m.target, [], _REFUTE_COSET_LIMIT)
     if isinstance(table, CosetTable):
         for i, img in enumerate(images):
             if table.trace(0, img) != 0:
@@ -132,7 +131,7 @@ def check_homomorphism(
 
     traces: List[ProofTrace] = []
     for i, img in enumerate(images):
-        res = settled[i] if i < len(settled) else derive_relator(m.target, img, budget)
+        res = settled[i] if i < len(settled) else derive_relator(m.target, img, max_states)
         if isinstance(res, Inconclusive):
             return Inconclusive(f"relator image not derived: {res.reason}", res.states)
         traces.append(res)
@@ -185,18 +184,18 @@ class IsomorphismReport:
 def verify_isomorphism(
     fwd: SubstitutionMap,
     bwd: SubstitutionMap,
-    budget: DerivationBudget | None = None,
+    max_states: int = MAX_STATES,
 ) -> IsomorphismReport:
     """Two-sided check: both maps Verified as homomorphisms and both
-    compositions fix every generator modulo the relators."""
-    budget = budget or DerivationBudget()
-    f_res = check_homomorphism(fwd, budget)
-    b_res = check_homomorphism(bwd, budget)
+    compositions fix every generator modulo the relators, every derivation
+    holding at most ``max_states`` states."""
+    f_res = check_homomorphism(fwd, max_states)
+    b_res = check_homomorphism(bwd, max_states)
     compositions = []
     for name, outer, inner in (("backward o forward", bwd, fwd), ("forward o backward", fwd, bwd)):
         comp = compose(outer, inner)
         for g in range(comp.source.n_gens):
             test = comp.images[g] * ~Word.gen(g)
-            res = derive_relator(comp.source, test, budget)
+            res = derive_relator(comp.source, test, max_states)
             compositions.append((name, comp.source.generators[g], res))
     return IsomorphismReport(f_res, b_res, compositions)

@@ -18,13 +18,13 @@ from .abelian import abelian_invariants, curve_abelianization
 from .catalog import build, parse_tag, quintic_presentation
 from .classify import CASES, ClassificationEntry, classify, lookup_case
 from .coset_table import (
-    EnumLimits,
+    MAX_COSETS,
     Overflow,
     table_from_action,
     todd_coxeter,
     validate_table,
 )
-from .derive import DerivationBudget, Inconclusive, derive_relator
+from .derive import MAX_STATES, Inconclusive, derive_relator
 from .dsl import parse_presentation, parse_word
 from .geometry import load_script, run_script
 from .homomorphisms import (
@@ -42,13 +42,15 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 class SuiteConfig:
-    def __init__(
-        self,
-        max_cosets: Optional[int] = None,
-        budget: Optional[DerivationBudget] = None,
-    ):
-        self.limits = EnumLimits() if max_cosets is None else EnumLimits(max_cosets=max_cosets)
-        self.budget = budget or DerivationBudget()
+    """The two budgets of the checks: the cosets of each enumeration and the
+    states of each derivation search.  Both are checked here, before any
+    check runs."""
+
+    def __init__(self, max_cosets: int = MAX_COSETS, max_states: int = MAX_STATES):
+        if min(max_cosets, max_states) < 1:
+            raise ValueError("budget fields must be positive")
+        self.max_cosets = max_cosets
+        self.max_states = max_states
 
 
 class LemmaReport:
@@ -110,7 +112,7 @@ def _enumerated(p: Presentation, subgroup: Sequence[Word], cfg: SuiteConfig, wha
     """The coset table of ``subgroup`` in ``p``, enumerated within the budget,
     of index ``n`` and accepted by ``validate_table``: the index rests on a
     checked table, not on the enumerator's word."""
-    t = _settle(todd_coxeter(p, subgroup, cfg.limits), what)
+    t = _settle(todd_coxeter(p, subgroup, cfg.max_cosets), what)
     _require(t.n == n, f"{what}: expected {n} cosets, got {t.n}", {"cosets": t.n})
     report = validate_table(p, subgroup, t)
     _require(report.passed, f"{what}: table certificate failed: {report.failures}")
@@ -140,7 +142,7 @@ def _isomorphic(src, dst, forward, backward, cfg: SuiteConfig, what: str):
     returns both maps as written, for the report."""
     fwd, fwd_text = _map(src, dst, forward)
     bwd, bwd_text = _map(dst, src, backward)
-    _settle(verify_isomorphism(fwd, bwd, cfg.budget), what)
+    _settle(verify_isomorphism(fwd, bwd, cfg.max_states), what)
     return fwd_text, bwd_text
 
 
@@ -296,7 +298,7 @@ def check_v7(cfg: SuiteConfig) -> Tuple[str, dict]:
     an index-2 subgroup of the order-24 triangle reflection group."""
     pi = quintic_presentation("C3_C2")
     central = _settle(
-        derive_relator(pi, parse_word(pi, "a b^3 a^-1 b^-3"), cfg.budget),
+        derive_relator(pi, parse_word(pi, "a b^3 a^-1 b^-3"), cfg.max_states),
         "b^3 centrality derivation",
     )
     q = Presentation(
@@ -304,7 +306,7 @@ def check_v7(cfg: SuiteConfig) -> Tuple[str, dict]:
     )
     s = parse_presentation("<x,y | x^3, y^3, (xy)^2>")
     hom, _ = _map(s, q, ("a", "b^-1"))
-    _settle(check_homomorphism(hom, cfg.budget), "surjection check")
+    _settle(check_homomorphism(hom, cfg.max_states), "surjection check")
     onto = _enumerated(q, list(hom.images), cfg, "image subgroup index", 1)
     ts = _enumerated(s, [], cfg, "source order", 12)
     tc = _enumerated(build(parse_tag("coxeter:2,3,3")), [], cfg, "reflection group order", 24)

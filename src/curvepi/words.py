@@ -82,10 +82,6 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         return Word(power(self.letters, n))
 
-    def conjugate(self, by: "Word") -> "Word":
-        """by * self * by^-1"""
-        return by * self * ~by
-
     def __repr__(self) -> str:
         return f"Word({list(self.letters)})"
 

@@ -1,7 +1,8 @@
 """The derivation search as it was before it pruned the insert positions of
 periodic states and built non-cancelling children by concatenation, kept
-verbatim (but for its imports) as the oracle for curvepi.derive: the word
-kernels it calls, its replay checker, _canonical_steps and derive_relator.
+verbatim (but for its imports, and its three caps taken as ints) as the
+oracle for curvepi.derive: the word kernels it calls, its replay checker,
+_canonical_steps and derive_relator.
 
 It tries every insert position of every state and splices every child, so
 it does not rely on the rotation argument the pruned search rests on.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from curvepi.derive import DerivationBudget, Inconclusive, ProofTrace, Step
+from curvepi.derive import Inconclusive, ProofTrace, Step
 from curvepi.presentations import Presentation
 from curvepi.words import Word, invert, reduce_letters
 
@@ -114,7 +115,7 @@ def _canonical_steps(letters: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[St
 
 
 def derive_relator(
-    p: Presentation, w: Word, budget: DerivationBudget | None = None
+    p: Presentation, w: Word, max_insertions: int, max_word_length: int, max_states: int
 ) -> ProofTrace | Inconclusive:
     """Search for a derivation of ``w == 1`` in the presented group.
 
@@ -130,7 +131,6 @@ def derive_relator(
     ``states >= k``, or an Inconclusive with ``states < k`` that every
     larger cap returns too (the search space ran out first).
     """
-    budget = budget or DerivationBudget()
     p.check_word(w)
     start, pre = _canonical_steps(w.letters)
     if not start:
@@ -154,12 +154,12 @@ def derive_relator(
     found = False
     while heap:
         _, d, _, state = heapq.heappop(heap)
-        if d >= budget.max_insertions:
+        if d >= max_insertions:
             continue
         for idx, inv, rel in inserts:
             for pos in range(len(state) + 1):
                 child = splice(state, pos, rel)
-                if len(child) > budget.max_word_length:
+                if len(child) > max_word_length:
                     continue
                 canon = canonical_cyclic(child)
                 if canon in parents:
@@ -168,9 +168,9 @@ def derive_relator(
                 if not canon:
                     found = True
                     break
-                if len(parents) >= budget.max_states:
+                if len(parents) >= max_states:
                     return Inconclusive(
-                        f"state budget exhausted ({budget.max_states} states)", len(parents)
+                        f"state budget exhausted ({max_states} states)", len(parents)
                     )
                 counter += 1
                 heapq.heappush(heap, (len(canon), d + 1, counter, canon))

@@ -6,12 +6,14 @@ were stored by column: both must give the same table whenever both finish.
 ``scan_every_todd_coxeter`` is the column-major enumerator as it was before
 relator symmetries let it skip scans and short relators deduced.  The
 tables agree whenever both finish; the work counts and the point where a
-budget runs out may differ, and it reports its own in its own ``Overflow``."""
+budget runs out may differ, and it reports its own in its own ``Overflow``.
+Both take their two budgets as ints: the most cosets allocated, and the
+most scan steps taken."""
 
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from curvepi.coset_table import CosetTable, EnumLimits
+from curvepi.coset_table import CosetTable
 from curvepi.presentations import Presentation
 from curvepi.words import Word
 
@@ -25,11 +27,14 @@ class _Overflowed(Exception):
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup: Sequence[Word], limits: EnumLimits):
+    def __init__(
+        self, p: Presentation, subgroup: Sequence[Word], max_cosets: int, max_deductions: int
+    ):
         self.ncols = 2 * p.n_gens
         self.relators = [_word_to_cols(w) for w in p.relators]
         self.subgroup_words = [_word_to_cols(p.check_word(w)) for w in subgroup]
-        self.limits = limits
+        self.max_cosets = max_cosets
+        self.max_deductions = max_deductions
         self.table: List[List[Optional[int]]] = [[None] * self.ncols]
         self.p: List[int] = [0]
         self.n_live = 1
@@ -50,7 +55,7 @@ class _Enumerator:
         return self.p[c] == c
 
     def define(self, alpha: int, col: int) -> int:
-        if len(self.table) >= self.limits.max_cosets:
+        if len(self.table) >= self.max_cosets:
             raise _Overflowed
         beta = len(self.table)
         self.table.append([None] * self.ncols)
@@ -100,7 +105,7 @@ class _Enumerator:
         i, j = 0, len(word) - 1
         while True:
             self.work += 1
-            if self.work > self.limits.max_deductions:
+            if self.work > self.max_deductions:
                 raise _Overflowed
             while i <= j and table[f][word[i]] is not None:
                 f = table[f][word[i]]
@@ -173,10 +178,10 @@ class _Enumerator:
 
 
 def reference_todd_coxeter(
-    p: Presentation, subgroup: Sequence[Word], limits: EnumLimits
+    p: Presentation, subgroup: Sequence[Word], max_cosets: int, max_deductions: int = 10**8
 ) -> Optional[CosetTable]:
     """The reference enumeration; None when a budget runs out."""
-    enum = _Enumerator(p, subgroup, limits)
+    enum = _Enumerator(p, subgroup, max_cosets, max_deductions)
     try:
         enum.run()
     except _Overflowed:
@@ -185,13 +190,14 @@ def reference_todd_coxeter(
 
 
 # The column-major enumerator before scans were skipped, verbatim but for
-# the name of its entry point; ``Overflow`` has the fields it returned.
+# the name of its entry point and its budgets; ``Overflow`` has the fields
+# it returned.
 
 
 class Overflow(NamedTuple):
     live_cosets: int
     allocated: int
-    limits: EnumLimits
+    max_cosets: int
     deductions: int
 
 
@@ -280,13 +286,12 @@ def _renumber(
 def scan_every_todd_coxeter(
     p: Presentation,
     subgroup: Sequence[Word] = (),
-    limits: EnumLimits | None = None,
+    max_cosets: int = 10**6,
+    max_deductions: int = 10**8,
 ) -> CosetTable | Overflow:
     """Enumerate the right cosets of the subgroup generated by the given
     words.  Deterministic; returns Overflow (never a wrong answer) when the
     budget runs out."""
-    limits = limits or EnumLimits()
-    max_cosets, max_deductions = limits.max_cosets, limits.max_deductions
     words = [_word_to_cols(w) for w in p.relators]
     squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
     involutions = {w[0] >> 1 for w in squares}
@@ -367,5 +372,5 @@ def scan_every_todd_coxeter(
             todo = relator_scans
             alpha += 1
     except _Overflowed:
-        return Overflow(len(parent) - dead, len(parent), limits, steps)
+        return Overflow(len(parent) - dead, len(parent), max_cosets, steps)
     return _renumber(cols, parent, len(parent) - dead, subgroup)

@@ -12,6 +12,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from curvepi import cli
 from curvepi.cli import main, make_parser
 from curvepi.geometry import CombinatorialType
 from curvepi.words import MAX_LETTERS
@@ -109,6 +110,19 @@ def test_verify_rejects_a_nonpositive_budget(budget):
     assert code == 2
     assert out == ""
     assert err == "error: budget fields must be positive\n"
+
+
+@pytest.mark.parametrize("max_cosets", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["tc", "<a | a^3>"], ["rs", "<a | a^3>", "--subgroup", "a"], ["verify"]]
+)
+def test_commands_reject_a_nonpositive_coset_budget(argv, max_cosets, monkeypatch):
+    # verify checks its budgets before it runs any check
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    code, out, err = run(argv + ["--max-cosets", max_cosets])
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_rs_subgroup():

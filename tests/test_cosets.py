@@ -2,17 +2,18 @@ import gc
 import random
 import tracemalloc
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvepi import parse_presentation, parse_word
+from curvepi import coset_table, parse_presentation, parse_word
 from curvepi.cli import main as cli_main
 from curvepi.coset_table import (
     _BLOCK,
     _COMPACT_SHARE,
+    MAX_COSETS,
     CosetTable,
-    EnumLimits,
     EnumStats,
     Overflow,
     _coincidence,
@@ -87,12 +88,13 @@ def test_subgroup_index():
 
 def test_overflow_is_a_result_not_an_exception():
     free = parse_presentation("<a,b |>")
-    res = todd_coxeter(free, [], EnumLimits(max_cosets=64))
+    res = todd_coxeter(free, [], 64)
     assert isinstance(res, Overflow)
     assert res.allocated <= 64
-    # limits must be positive
-    with pytest.raises(ValueError):
-        EnumLimits(max_cosets=0)
+    # the budget must be positive
+    for max_cosets in (0, -1):
+        with pytest.raises(ValueError):
+            todd_coxeter(free, [], max_cosets)
 
 
 def test_enumeration_leaves_no_reference_cycle():
@@ -104,7 +106,7 @@ def test_enumeration_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert isinstance(todd_coxeter(p), CosetTable)
-        assert isinstance(todd_coxeter(p, [], EnumLimits(max_cosets=20)), Overflow)
+        assert isinstance(todd_coxeter(p, [], 20), Overflow)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -183,7 +185,7 @@ def test_fuzz_certificates():
                 Word([rng.choice([1, -1]) * rng.randint(1, p.n_gens) for _ in range(rng.randint(1, 5))])
                 for _ in range(rng.randint(1, 2))
             ]
-        res = todd_coxeter(p, sub, EnumLimits(max_cosets=2000))
+        res = todd_coxeter(p, sub, 2000)
         if isinstance(res, Overflow):
             continue
         successes += 1
@@ -213,12 +215,14 @@ def test_perm_group_order_limit():
 
 def test_overflow_names_the_deduction_budget():
     p = parse_presentation(G2378)
-    res = todd_coxeter(p, [], EnumLimits(max_deductions=1000))
-    assert isinstance(res, Overflow) and res.out_of_deductions
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", 1000):
+        res = todd_coxeter(p)
+        assert isinstance(res, Overflow) and res.out_of_deductions
     assert res.deductions == 1001 and res.allocated < 1000
-    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
-    assert res.allocated == 1000 and res.deductions <= res.limits.max_deductions
+    assert res.allocated == res.max_cosets == 1000
+    assert res.deductions <= coset_table._MAX_SCAN_STEPS
 
 
 def test_deduction_scans_are_budgeted():
@@ -227,21 +231,22 @@ def test_deduction_scans_are_budgeted():
     # exactly one step past its limit, whatever that limit is
     p = parse_presentation("<a,b,c | a^3, b^3, c^3, a b c>")
     for budget in [200] + list(range(1, 120)):
-        res = todd_coxeter(p, [], EnumLimits(max_deductions=budget))
-        assert isinstance(res, Overflow) and res.out_of_deductions
+        with patch.object(coset_table, "_MAX_SCAN_STEPS", budget):
+            res = todd_coxeter(p)
+            assert isinstance(res, Overflow) and res.out_of_deductions
         assert res.deductions == budget + 1
-    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
     assert res.allocated == 1000
 
 
 def test_tc_names_the_budget_that_ran_out(capsys):
-    # tc, rs and verify all print str(Overflow); no option sets the
-    # deduction budget, so its wording is checked on the value
-    res = todd_coxeter(parse_presentation(G2378), [], EnumLimits(max_deductions=1000))
-    assert str(res) == (
-        f"deduction budget exhausted (1000 scan steps, {res.allocated} cosets allocated)"
-    )
+    # tc, rs and verify all print str(Overflow); no option sets the scan
+    # step cap, so its wording is checked on the value
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", 1000):
+        res = todd_coxeter(parse_presentation(G2378))
+        assert str(res) == "deduction budget exhausted (1000 scan steps, 398 cosets allocated)"
+    assert res.deductions == 1001
     assert cli_main(["tc", G2378, "--max-cosets", "1000"]) == 1
     err = capsys.readouterr().err
     assert err == "overflow: 1000 cosets allocated (budget 1000); index may be infinite\n"
@@ -278,10 +283,10 @@ def _involutive_case(draw_int, draw_bool):
     return Presentation([f"g{i}" for i in range(n_gens)], rels), sub
 
 
-def _agree_with_reference(p, sub, limits):
+def _agree_with_reference(p, sub, max_cosets):
     """Both enumerators on one case; returns whether both finished."""
-    res = todd_coxeter(p, sub, limits)
-    ref = reference_todd_coxeter(p, sub, limits)
+    res = todd_coxeter(p, sub, max_cosets)
+    ref = reference_todd_coxeter(p, sub, max_cosets)
     if not isinstance(res, Overflow):
         report = validate_table(p, sub, res)
         assert report.passed, (p, sub, report.failures)
@@ -296,7 +301,7 @@ def test_matches_reference_enumerator_on_seeded_corpus():
     both = 0
     for _ in range(300):
         p, sub = _involutive_case(rng.randint, lambda q: rng.random() < q)
-        both += _agree_with_reference(p, sub, EnumLimits(max_cosets=2000))
+        both += _agree_with_reference(p, sub, 2000)
     assert both > 100
 
 
@@ -312,7 +317,7 @@ def test_matches_reference_enumerator_on_seeded_corpus():
 def test_matches_reference_enumerator_on_named_groups(dsl, sub, index):
     p = parse_presentation(dsl)
     words = [parse_word(p, w) for w in sub]
-    assert _agree_with_reference(p, words, EnumLimits())
+    assert _agree_with_reference(p, words, MAX_COSETS)
     assert todd_coxeter(p, words).n == index
 
 
@@ -323,7 +328,7 @@ def test_matches_reference_enumerator_on_hypothesis_corpus(data):
         lambda lo, hi: data.draw(st.integers(lo, hi)),
         lambda q: data.draw(st.floats(0, 1)) < q,
     )
-    _agree_with_reference(p, sub, EnumLimits(max_cosets=500))
+    _agree_with_reference(p, sub, 500)
 
 
 # Skipped scans and deductions.  A relator symmetry lets the enumerator
@@ -382,19 +387,20 @@ def _relator_offsets(p):
     return [tuple(x is not None for x in _shortcuts(w, involutions)) for w in words if w]
 
 
-def _agree_with_scan_every(p, sub, limits):
+def _agree_with_scan_every(p, sub, max_cosets, max_deductions):
     """Both column-major enumerators on one case: the tables agree whenever
     both finish, and every finished table passes ``validate_table``.
     Returns which way the one that scans everything ended, and the other's
     result."""
-    res = todd_coxeter(p, sub, limits)
-    ref = scan_every_todd_coxeter(p, sub, limits)
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", max_deductions):
+        res = todd_coxeter(p, sub, max_cosets)
+    ref = scan_every_todd_coxeter(p, sub, max_cosets, max_deductions)
     finished = isinstance(res, CosetTable)
     if finished:
         report = validate_table(p, sub, res)
         assert report.passed, (p, sub, report.failures)
     if isinstance(ref, ScanEveryOverflow):
-        end = "deductions" if ref.deductions > limits.max_deductions else "cosets"
+        end = "deductions" if ref.deductions > max_deductions else "cosets"
     else:
         end = "finished"
         if finished:
@@ -421,7 +427,7 @@ def test_matches_scan_every_enumerator_on_seeded_corpus():
             offsets[pair] += 1
         deducing += _deduces(p)
         max_deductions = rng.choice([10**8, rng.randint(20, 2000)])
-        end, res = _agree_with_scan_every(p, sub, EnumLimits(2000, max_deductions))
+        end, res = _agree_with_scan_every(p, sub, 2000, max_deductions)
         ends[end] += 1
         # deductions may change where a budget runs out, but no case that
         # the enumerator scanning everything finishes runs out here
@@ -455,7 +461,7 @@ def test_matches_scan_every_enumerator_on_hypothesis_corpus(data):
         lambda q: data.draw(st.floats(0, 1)) < q,
     )
     max_deductions = data.draw(st.sampled_from([10**8, 50, 500]))
-    _agree_with_scan_every(p, sub, EnumLimits(500, max_deductions))
+    _agree_with_scan_every(p, sub, 500, max_deductions)
 
 
 def test_offset_one_symmetry_does_not_imply_offset_last():
@@ -472,7 +478,8 @@ def test_offset_one_symmetry_does_not_imply_offset_last():
 def test_e6_finishes_within_a_reduced_deduction_budget():
     # the enumerator that scans everything needs 836,765 scan steps here
     p = parse_presentation(E6)
-    t = todd_coxeter(p, [], EnumLimits(max_deductions=400_000))
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", 400_000):
+        t = todd_coxeter(p)
     assert isinstance(t, CosetTable) and t.n == 51840
     # E6 has no relator of length 3 or less but its g^2, so nothing deduces,
     # and choosing the scans by skip mask changes no scan step
@@ -504,7 +511,7 @@ def test_enumeration_stats():
         allocated=38168, dead=27416, scan_steps=122886, skipped=14208, peak_live=37108, compactions=0
     )
     assert CosetTable([[0]], [[0]]).stats is None
-    res = todd_coxeter(p, [], EnumLimits(max_cosets=1000))
+    res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000
     assert res.live_cosets == res.stats.allocated - res.stats.dead
     assert res.deductions == res.stats.scan_steps
@@ -538,7 +545,7 @@ def test_tc_stats_go_to_stderr(capsys):
 @pytest.mark.parametrize("max_cosets", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_coset_budget_is_exact_across_column_blocks(max_cosets):
     # the columns grow a block at a time, but the budget counts definitions
-    res = todd_coxeter(parse_presentation("<a,b |>"), [], EnumLimits(max_cosets=max_cosets))
+    res = todd_coxeter(parse_presentation("<a,b |>"), [], max_cosets)
     assert isinstance(res, Overflow) and not res.out_of_deductions
     assert res.allocated == res.stats.allocated == max_cosets
     # a finished table counts definitions too, not the columns' length
@@ -645,7 +652,7 @@ def _agree_under_compaction(p, sub, budget, ref):
     finished table is ``ref`` (the reference enumerator's, or None if that
     ran out) and passes validate_table, and running out of cosets leaves
     less than a compaction's share of the budget dead.  Returns the result."""
-    res = todd_coxeter(p, sub, EnumLimits(max_cosets=budget))
+    res = todd_coxeter(p, sub, budget)
     if isinstance(res, Overflow):
         assert not res.out_of_deductions
         assert (budget - res.live_cosets) * _COMPACT_SHARE < budget, (p, sub, budget)
@@ -663,8 +670,8 @@ def test_compaction_keeps_the_table_on_seeded_corpus():
     for i in range(600):
         case = _symmetric_case if i % 2 else _involutive_case
         p, sub = case(rng.randint, lambda q: rng.random() < q)
-        ref = reference_todd_coxeter(p, sub, EnumLimits(max_cosets=2000))
-        full = todd_coxeter(p, sub, EnumLimits(max_cosets=2000))
+        ref = reference_todd_coxeter(p, sub, 2000)
+        full = todd_coxeter(p, sub, 2000)
         if ref is None or isinstance(full, Overflow):
             continue
         s = full.stats
@@ -687,7 +694,7 @@ def test_compaction_keeps_the_table_on_hypothesis_corpus(data):
         lambda lo, hi: data.draw(st.integers(lo, hi)),
         lambda q: data.draw(st.floats(0, 1)) < q,
     )
-    ref = reference_todd_coxeter(p, sub, EnumLimits(max_cosets=500))
+    ref = reference_todd_coxeter(p, sub, 500)
     _agree_under_compaction(p, sub, data.draw(st.integers(1, 300)), ref)
 
 
@@ -695,7 +702,7 @@ def test_e6_finishes_within_a_budget_just_above_its_index():
     # 51,840 cosets live at the end, 59,166 allocated: three compactions make
     # room within 52,000, and the table is the one a larger budget gives
     p = parse_presentation(E6)
-    t = todd_coxeter(p, [], EnumLimits(max_cosets=52000))
+    t = todd_coxeter(p, [], 52000)
     assert isinstance(t, CosetTable) and t.stats.compactions == 3
     assert t.stats[:2] == (59166, 7326) and t.stats.peak_live == 51840
     full = todd_coxeter(p)
@@ -703,7 +710,7 @@ def test_e6_finishes_within_a_budget_just_above_its_index():
 
 
 def test_compacted_overflow_names_the_live_cosets(capsys):
-    res = todd_coxeter(parse_presentation(G2378), [], EnumLimits(max_cosets=5000))
+    res = todd_coxeter(parse_presentation(G2378), [], 5000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
     assert res.stats == EnumStats(5026, 26, 14545, 1002, peak_live=5000, compactions=1)
     assert str(res) == "5000 cosets live, 5026 allocated (budget 5000, compactions: 1)"
@@ -808,7 +815,7 @@ def test_validator_matches_oracle_on_seeded_corpus():
     finished = 0
     for _ in range(150):
         p, sub = _involutive_case(rng.randint, lambda q: rng.random() < q)
-        t = todd_coxeter(p, sub, EnumLimits(max_cosets=500))
+        t = todd_coxeter(p, sub, 500)
         if isinstance(t, CosetTable):
             finished += 1
             _validators_agree(p, sub, t, rng.randrange, kinds)
@@ -823,7 +830,7 @@ def test_validator_matches_oracle_on_hypothesis_corpus(data):
         lambda lo, hi: data.draw(st.integers(lo, hi)),
         lambda q: data.draw(st.floats(0, 1)) < q,
     )
-    t = todd_coxeter(p, sub, EnumLimits(max_cosets=300))
+    t = todd_coxeter(p, sub, 300)
     if isinstance(t, CosetTable):
         _validators_agree(p, sub, t, lambda k: data.draw(st.integers(0, k - 1)), Counter())
 

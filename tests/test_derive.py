@@ -2,14 +2,14 @@ import os
 import random
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import derive_oracle
-from curvepi import parse_presentation, parse_word
+from curvepi import derive, parse_presentation, parse_word
 from curvepi.derive import (
-    DerivationBudget,
     Inconclusive,
     ProofTrace,
     derive_relator,
@@ -26,7 +26,7 @@ def test_relator_itself_is_one_insertion():
     w = parse_word(p, "a b a b^-1 a^-1 b^-1")
     trace = derive_relator(p, w)
     assert isinstance(trace, ProofTrace)
-    assert trace.insertions == 1
+    assert [s[0] for s in trace.steps].count("insert") == 1
     assert replay_trace(p, trace)
 
 
@@ -34,7 +34,7 @@ def test_already_trivial_word():
     p = parse_presentation("<a | a^2>")
     trace = derive_relator(p, parse_word(p, "a a^-1"))
     assert isinstance(trace, ProofTrace)
-    assert trace.insertions == 0
+    assert [s[0] for s in trace.steps].count("insert") == 0
     assert replay_trace(p, trace)
 
 
@@ -47,7 +47,7 @@ def test_free_group_is_inconclusive_quickly():
 def test_budget_exhaustion_is_inconclusive():
     p = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
     w = parse_word(p, "(ab)^21")
-    res = derive_relator(p, w, DerivationBudget(max_states=5, max_word_length=64))
+    res = derive_relator(p, w, 5)
     assert isinstance(res, Inconclusive)
     # and a sane budget succeeds on the same input
     ok = derive_relator(p, w)
@@ -67,9 +67,8 @@ def test_rewriting_chain_via_substitution():
 
 def test_word_length_budget_respected():
     p = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
-    res = derive_relator(
-        p, parse_word(p, "(ab)^21"), DerivationBudget(max_word_length=10)
-    )
+    with patch.object(derive, "_MAX_WORD_LENGTH", 10):
+        res = derive_relator(p, parse_word(p, "(ab)^21"))
     assert isinstance(res, Inconclusive)
 
 
@@ -107,8 +106,10 @@ def test_traces_replay_on_random_consequences():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        DerivationBudget(max_states=0)
+    p = parse_presentation("<a | a^2>")
+    for max_states in (0, -1):
+        with pytest.raises(ValueError):
+            derive_relator(p, parse_word(p, "a^2"), max_states)
 
 
 def test_failed_replay_raises_under_python_O():
@@ -160,9 +161,10 @@ def derivable(draw):
 @given(derivable(), st.integers(1, 400))
 def test_state_cap_only_truncates_the_search(case, k):
     p, w = case
-    full = derive_relator(p, w, DerivationBudget(max_word_length=32))
+    with patch.object(derive, "_MAX_WORD_LENGTH", 32):
+        full = derive_relator(p, w)
+        res = derive_relator(p, w, k)
     assert isinstance(full, ProofTrace)
-    res = derive_relator(p, w, DerivationBudget(max_word_length=32, max_states=k))
     if isinstance(res, ProofTrace):
         assert (res.start, res.steps) == (full.start, full.steps)
     else:
@@ -192,8 +194,9 @@ def test_replay_rejects_malformed_steps(step):
 def search_cases(draw):
     """A presentation with 1-3 generators and 1-3 relators of length 1-6, a
     start word that in half the examples is a proper power u^k (u often a
-    relator, so that a derivation exists), and a budget whose word-length
-    cap may or may not cut children."""
+    relator, so that a derivation exists), and the caps on insertions, word
+    length and states, the word-length cap one that may or may not cut
+    children."""
     n = draw(st.integers(1, 3))
     letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
     rels = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(Word), min_size=1, max_size=3))
@@ -208,12 +211,12 @@ def search_cases(draw):
         for rel in draw(st.lists(st.sampled_from(p.relators), max_size=2)) if p.relators else ():
             conj = Word(draw(st.lists(letter, max_size=2)))
             w = w * conj * (rel if draw(st.booleans()) else ~rel) * ~conj
-    budget = DerivationBudget(
-        max_insertions=draw(st.sampled_from([3, 64])),
-        max_word_length=draw(st.sampled_from([8, 16, 64])),
-        max_states=draw(st.sampled_from([50, 300, 2000])),
+    caps = (
+        draw(st.sampled_from([3, 64])),
+        draw(st.sampled_from([8, 16, 64])),
+        draw(st.sampled_from([50, 300, 2000])),
     )
-    return p, w, budget
+    return p, w, caps
 
 
 def _outcome(res):
@@ -225,14 +228,19 @@ def _outcome(res):
 @settings(max_examples=300, deadline=None)
 @given(search_cases())
 def test_search_matches_the_unpruned_search(case):
-    p, w, budget = case
-    assert _outcome(derive_relator(p, w, budget)) == _outcome(derive_oracle.derive_relator(p, w, budget))
+    p, w, (insertions, length, states) = case
+    with patch.object(derive, "_MAX_INSERTIONS", insertions), patch.object(
+        derive, "_MAX_WORD_LENGTH", length
+    ):
+        res = derive_relator(p, w, states)
+    assert _outcome(res) == _outcome(derive_oracle.derive_relator(p, w, insertions, length, states))
 
 
 def test_periodic_state_is_pruned_only_when_no_child_is_cut():
-    # a^-16 is (a^-1)^16; with max_word_length=16 the length cap cuts some
+    # a^-16 is (a^-1)^16; with a word-length cap of 16 the cap cuts some
     # of its children, so every insert position must still be tried
     p = parse_presentation("<a,b | a a b^-1, b^-1 a^-1 b^-1 b^-1 a^-1 a^-1>")
-    res = derive_relator(p, parse_word(p, "a^-16"), DerivationBudget(max_states=300, max_word_length=16))
+    with patch.object(derive, "_MAX_WORD_LENGTH", 16):
+        res = derive_relator(p, parse_word(p, "a^-16"), 300)
     assert isinstance(res, Inconclusive)
     assert (res.reason, res.states) == ("state budget exhausted (300 states)", 300)

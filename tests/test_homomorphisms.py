@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import curvepi.homomorphisms as homomorphisms
 import curvepi.verify as verify
 import reference_homomorphisms
-from curvepi import parse_presentation, parse_word
+from curvepi import derive, parse_presentation, parse_word
 from curvepi.abelian import IntMatrix
-from curvepi.derive import DerivationBudget, Inconclusive, derive_relator
+from curvepi.derive import MAX_STATES, Inconclusive, derive_relator
 from curvepi.homomorphisms import (
     _QUICK_STATES,
     Refuted,
@@ -66,7 +67,7 @@ def test_inconclusive_on_tiny_budget():
     delta = parse_presentation("<a,b | a^2, b^3, (ab)^7>")
     q = parse_presentation("<u,v | u^3, v^7, (u v^2)^2>")
     m = SubstitutionMap(delta, q, words(q, "u v^2", "u"))
-    res = check_homomorphism(m, DerivationBudget(max_states=3))
+    res = check_homomorphism(m, 3)
     assert isinstance(res, Inconclusive)
 
 
@@ -112,7 +113,6 @@ def test_fuzz_never_both_verified_and_refuted():
     """Soundness cross-check: the refuters may never contradict a
     verification on the same map."""
     rng = random.Random(77)
-    budget = DerivationBudget(max_states=300, max_word_length=24)
     verdicts = {"verified": 0, "refuted": 0, "inconclusive": 0}
     for _ in range(120):
         src = random_presentation(rng, rng.randint(1, 2))
@@ -122,7 +122,8 @@ def test_fuzz_never_both_verified_and_refuted():
             for _ in range(src.n_gens)
         ]
         m = SubstitutionMap(src, dst, images)
-        res = check_homomorphism(m, budget)
+        with patch.object(derive, "_MAX_WORD_LENGTH", 24):
+            res = check_homomorphism(m, 300)
         if isinstance(res, Verified):
             verdicts["verified"] += 1
             # replay every certificate
@@ -241,7 +242,7 @@ def s3_map():
 
 def triangle_map(source_text):
     """Into the infinite (2,3,10) triangle group, x -> a b^-1 and y -> a:
-    (a b^-1)^10 derives, but only with 1360 states at max_word_length 24."""
+    (a b^-1)^10 derives, but only with 1360 states at a word-length cap of 24."""
     t = parse_presentation("<a,b | a^2, b^3, (ab)^10>")
     src = parse_presentation(source_text)
     return SubstitutionMap(src, t, words(t, "a b^-1", "a")[: src.n_gens])
@@ -253,9 +254,9 @@ def derive_calls(monkeypatch):
     makes."""
     calls = []
 
-    def record(p, w, budget=None):
-        calls.append((w, budget.max_states))
-        return derive_relator(p, w, budget)
+    def record(p, w, max_states):
+        calls.append((w, max_states))
+        return derive_relator(p, w, max_states)
 
     monkeypatch.setattr(homomorphisms, "derive_relator", record)
     return calls
@@ -286,13 +287,13 @@ def outcome(res, calls):
 
 
 def verify_suite_maps(monkeypatch):
-    """Every (map, budget) that ``run_suite`` checks, with the reference
-    result."""
+    """Every (map, max_states) that ``run_suite`` checks, with the
+    reference result."""
     seen = []
 
-    def record(m, budget=None):
-        old = reference_homomorphisms.check_homomorphism(m, budget)
-        seen.append((m, budget, old))
+    def record(m, max_states):
+        old = reference_homomorphisms.check_homomorphism(m, max_states)
+        seen.append((m, max_states, old))
         return old
 
     with monkeypatch.context() as mp:
@@ -303,11 +304,12 @@ def verify_suite_maps(monkeypatch):
 
 
 def test_stage_order_matches_the_refuters_first_reference(monkeypatch, derive_calls):
-    cases = verify_suite_maps(monkeypatch)
+    # (map, (state cap, word-length cap), reference result or None)
+    default = (MAX_STATES, derive._MAX_WORD_LENGTH)
+    cases = [(m, (states, default[1]), old) for m, states, old in verify_suite_maps(monkeypatch)]
     assert len(cases) == 13
     rng = random.Random(2024)
     for states in (300, 2000):
-        budget = DerivationBudget(max_states=states, max_word_length=24)
         for _ in range(120):
             src = random_presentation(rng, rng.randint(1, 2))
             dst = random_presentation(rng, rng.randint(1, 2))
@@ -315,24 +317,25 @@ def test_stage_order_matches_the_refuters_first_reference(monkeypatch, derive_ca
                 Word([rng.choice([1, -1]) * rng.randint(1, dst.n_gens) for _ in range(rng.randint(0, 4))])
                 for _ in range(src.n_gens)
             ]
-            cases.append((SubstitutionMap(src, dst, images), budget, None))
+            cases.append((SubstitutionMap(src, dst, images), (states, 24), None))
     z2 = parse_presentation("<a | a^2>")
     free = parse_presentation("<a,b |>")
     cases += [
-        (s3_map(), None, None),
-        (SubstitutionMap(parse_presentation("<a | a^3>"), z2, words(z2, "a")), None, None),
-        (SubstitutionMap(parse_presentation("<x | x^2>"), free, words(free, "a")), None, None),
-        (triangle_map("<x | x^10>"), DerivationBudget(max_states=2000, max_word_length=24), None),
-        (triangle_map("<x,y | y^2, x^10>"), DerivationBudget(max_states=300, max_word_length=24), None),
-        (identity_map(parse_presentation("<a,b |>")), None, None),
+        (s3_map(), default, None),
+        (SubstitutionMap(parse_presentation("<a | a^3>"), z2, words(z2, "a")), default, None),
+        (SubstitutionMap(parse_presentation("<x | x^2>"), free, words(free, "a")), default, None),
+        (triangle_map("<x | x^10>"), (2000, 24), None),
+        (triangle_map("<x,y | y^2, x^10>"), (300, 24), None),
+        (identity_map(parse_presentation("<a,b |>")), default, None),
     ]
     outcomes = set()
-    for m, budget, old in cases:
+    for m, (states, length), old in cases:
         derive_calls.clear()
-        new = check_homomorphism(m, budget)
+        with patch.object(derive, "_MAX_WORD_LENGTH", length):
+            new = check_homomorphism(m, states)
+            if old is None:
+                old = reference_homomorphisms.check_homomorphism(m, states)
         outcomes.add(outcome(new, derive_calls))
-        if old is None:
-            old = reference_homomorphisms.check_homomorphism(m, budget)
         assert_same_result(new, old)
     assert outcomes == {
         "verified by the bounded attempt",
@@ -352,14 +355,16 @@ def test_finite_quotient_refutation_after_one_bounded_attempt(derive_calls):
 
 def test_full_budget_only_after_the_refuter(derive_calls):
     m = triangle_map("<x | x^10>")
-    res = check_homomorphism(m, DerivationBudget(max_states=2000, max_word_length=24))
+    with patch.object(derive, "_MAX_WORD_LENGTH", 24):
+        res = check_homomorphism(m, 2000)
     assert isinstance(res, Verified)
     assert [states for _, states in derive_calls] == [_QUICK_STATES, 2000]
 
 
 def test_inconclusive_searches_each_image_at_most_once(derive_calls):
     m = triangle_map("<x,y | y^2, x^10>")
-    res = check_homomorphism(m, DerivationBudget(max_states=300, max_word_length=24))
+    with patch.object(derive, "_MAX_WORD_LENGTH", 24):
+        res = check_homomorphism(m, 300)
     assert isinstance(res, Inconclusive)
     assert res.reason == "relator image not derived: state budget exhausted (300 states)"
     searched = [w for w, _ in derive_calls]
@@ -371,7 +376,8 @@ def test_exhausted_search_space_is_not_searched_again(derive_calls):
     # at most 8 run out well below the bounded attempt's cap
     target = parse_presentation("<a,b | a^2>")
     m = SubstitutionMap(parse_presentation("<x,y | x y x^-1 y^-1>"), target, words(target, "a", "b"))
-    res = check_homomorphism(m, DerivationBudget(max_word_length=8))
+    with patch.object(derive, "_MAX_WORD_LENGTH", 8):
+        res = check_homomorphism(m)
     assert isinstance(res, Inconclusive)
     assert res.reason == "relator image not derived: search space exhausted within budget"
     assert [states for _, states in derive_calls] == [_QUICK_STATES]
@@ -383,5 +389,10 @@ def test_zero_relator_source_skips_the_target_enumeration(monkeypatch):
 
     monkeypatch.setattr(homomorphisms, "todd_coxeter", enumerate_target)
     s3 = parse_presentation("<a,b | a^2, b^2, (ab)^3>")
-    res = check_homomorphism(SubstitutionMap(parse_presentation("<x,y |>"), s3, words(s3, "a", "b^-1")))
+    m = SubstitutionMap(parse_presentation("<x,y |>"), s3, words(s3, "a", "b^-1"))
+    res = check_homomorphism(m)
     assert isinstance(res, Verified) and res.traces == ()
+    # a nonpositive state budget is refused even where no search would run
+    for max_states in (0, -1):
+        with pytest.raises(ValueError):
+            check_homomorphism(m, max_states)

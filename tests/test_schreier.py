@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
 from curvepi.cli import main
-from curvepi.coset_table import CosetTable, EnumLimits, Overflow, table_from_action, todd_coxeter
+from curvepi.coset_table import CosetTable, Overflow, table_from_action, todd_coxeter
 from curvepi.schreier import _tree_edges, simplify, subgroup_presentation
 from curvepi.presentations import Presentation
 from curvepi.words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
@@ -184,7 +184,7 @@ def random_enumerated_table(rng):
         relators += [word(rng.randint(2, 4)) ** rng.randint(2, 3) for _ in range(rng.randint(0, 2))]
         p = Presentation([f"g{i}" for i in range(k)], relators)
     subgroup = [word(rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
-    t = todd_coxeter(p, subgroup, EnumLimits(max_cosets=2000))
+    t = todd_coxeter(p, subgroup, 2000)
     return None if isinstance(t, Overflow) else (p, t)
 
 
@@ -596,7 +596,7 @@ def random_schreier_presentation(rng):
         rels = [word(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
     p = Presentation([f"g{i}" for i in range(k)], rels)
     subgroup = [word(rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-    t = todd_coxeter(p, subgroup, EnumLimits(max_cosets=3000))
+    t = todd_coxeter(p, subgroup, 3000)
     return None if isinstance(t, Overflow) else subgroup_presentation(p, t)
 
 

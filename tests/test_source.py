@@ -1,13 +1,18 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 import json
 import os
 import re
 from collections import Counter
 
 import curvepi
+from curvepi import coset_table, derive
+from curvepi.cli import make_parser
 from curvepi.geometry import _POINT_KINDS
+from curvepi.homomorphisms import check_homomorphism, verify_isomorphism
+from curvepi.verify import SuiteConfig
 
 PKG = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi")
 
@@ -190,3 +195,18 @@ def test_blowup_schema_names_the_point_kinds_of_the_table():
     with open(os.path.join(PKG, "schemas", "blowup_script.schema.json"), encoding="utf-8") as fh:
         point = json.load(fh)["properties"]["points"]["items"]
     assert sorted(point["properties"]["kind"]["enum"]) == sorted(_POINT_KINDS)
+
+
+def test_each_budget_has_one_default():
+    # the coset and state budgets are the two the CLI sets; each default is
+    # one constant, the same object wherever a budget is taken
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parse = make_parser().parse_args
+    cosets = [parse(argv).max_cosets for argv in (["tc"], ["rs", "<a|>", "--subgroup", "a"], ["verify"])]
+    cosets += [default(coset_table.todd_coxeter, "max_cosets"), default(SuiteConfig, "max_cosets")]
+    assert all(d is coset_table.MAX_COSETS for d in cosets), cosets
+    states = [parse(["verify"]).budget, default(SuiteConfig, "max_states")]
+    states += [default(fn, "max_states") for fn in (derive.derive_relator, check_homomorphism, verify_isomorphism)]
+    assert all(d is derive.MAX_STATES for d in states), states

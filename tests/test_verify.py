@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 
-from curvepi import verify
+from curvepi import derive, verify
 from curvepi.cli import main as cli_main
 from curvepi.coset_table import CosetTable
-from curvepi.derive import DerivationBudget, Inconclusive
+from curvepi.derive import Inconclusive
 from curvepi.dsl import parse_presentation, parse_word
 from curvepi.homomorphisms import Refuted, Verified, verify_isomorphism
 from curvepi.presentations import SubstitutionMap
@@ -47,7 +48,7 @@ def test_budget_exhaustion_is_inconclusive_never_fail():
     # V3 builds its table from the group action and enumerates nothing
     [v3] = run_suite(["V3"], SuiteConfig(max_cosets=10))
     assert v3.passed, v3.detail
-    [report2] = run_suite(["V4"], SuiteConfig(budget=DerivationBudget(max_states=2)))
+    [report2] = run_suite(["V4"], SuiteConfig(max_states=2))
     assert report2.status == "inconclusive"
 
 
@@ -132,20 +133,19 @@ def test_reports_carry_audit_artifacts():
     assert v10["2.2.2"]["self_intersections"]["C3"] == [7, 2]
 
 
-def _isomorphism_report(source, target, forward, backward, budget=None):
+def _isomorphism_report(source, target, forward, backward):
     """The report of a real two-sided check, built from DSL text."""
     src, dst = parse_presentation(source), parse_presentation(target)
     fwd = SubstitutionMap(src, dst, [parse_word(dst, forward)])
     bwd = SubstitutionMap(dst, src, [parse_word(src, backward)])
-    return verify_isomorphism(fwd, bwd, budget)
+    return verify_isomorphism(fwd, bwd)
 
 
 def test_refuted_map_fails_even_when_another_part_is_inconclusive(monkeypatch):
     # Z/6 -> Z/4, a -> b is refuted through the abelianization; the backward
-    # map's derivation runs out of budget
-    report = _isomorphism_report(
-        "<a | a^6>", "<b | b^4>", "b", "a^3", DerivationBudget(max_insertions=1)
-    )
+    # map's derivation runs out of insertions
+    with patch.object(derive, "_MAX_INSERTIONS", 1):
+        report = _isomorphism_report("<a | a^6>", "<b | b^4>", "b", "a^3")
     assert isinstance(report.forward, Refuted)
     assert isinstance(report.backward, Inconclusive)
     monkeypatch.setattr(verify, "verify_isomorphism", lambda *args: report)

@@ -1,13 +1,14 @@
 import random
 import struct
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvepi import parse_presentation
+from curvepi import derive, parse_presentation
 from curvepi.abelian import exponent_row
-from curvepi.derive import DerivationBudget, ProofTrace, _canonical_steps, derive_relator, replay_trace
+from curvepi.derive import ProofTrace, _canonical_steps, derive_relator, replay_trace
 from curvepi.presentations import Presentation
 from curvepi.words import (
     MAX_LETTERS,
@@ -108,11 +109,6 @@ def test_power_longer_than_a_tuple_can_hold_is_rejected():
     for w, n in cases:
         with pytest.raises(ValueError, match=message):
             w**n
-
-
-def test_conjugate():
-    a, b = Word([1]), Word([2])
-    assert a.conjugate(b).letters == (2, 1, -2)
 
 
 def test_splice_reduces():
@@ -362,6 +358,7 @@ def test_derived_traces_replay_under_both_checkers():
         for _ in range(rng.randint(1, 2)):
             conj = random_word(rng, 2, 2)
             w = w * conj * p.relators[rng.randrange(3)] * ~conj
-        trace = derive_relator(p, w, DerivationBudget(max_word_length=32))
+        with patch.object(derive, "_MAX_WORD_LENGTH", 32):
+            trace = derive_relator(p, w)
         assert isinstance(trace, ProofTrace)
         assert replay_trace(p, trace) and parent_replay_trace(p, trace)
