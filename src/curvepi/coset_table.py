@@ -14,19 +14,16 @@ the smaller index, which pins coset 0 to the subgroup.  Finished tables are
 renumbered by BFS from coset 0 (positive generator columns first) so
 transversals are reproducible.
 
-Strategy.  One routine, ``scan_at``, scans a list of words at a coset
-until the coset dies, one scan step per pass: a closed word with a
-mismatch is a coincidence, a single gap is filled, and a longer gap ends
-the word's scan, unless the scan is HLT's, which defines a coset there and
-scans on.  HLT visits the live cosets in order; at each it scans every
-relator that way (coset 0 scans the subgroup words first), then defines the
-row's empty entries.  Every entry that a fill or a definition sets goes on
-a deduction stack, drained after each HLT word and after each row: an
-entry of column x at coset c runs ``scan_at`` at c, defining no cosets, on
-each distinct cyclic conjugate starting with x of every relator of length
-at most 3 (other than g^2) and of its inverse; a filled gap pushes its
-entry in turn.  Such relators, such as x^3 and abc, close cycles that HLT
-would cover with cosets that later die (see ``_DEDUCE_MAX_LENGTH``).
+Strategy.  HLT visits the live cosets in order and scans every relator at
+each (coset 0 scans the subgroup words first), one scan step per pass: a
+closed word with a mismatch is a coincidence, a single gap is filled, and a
+longer gap gets a new coset.  Every entry set by a fill or a definition
+goes on a deduction stack, drained after each word: an entry of column x at
+coset c scans at c, in one pass, each distinct cyclic conjugate starting
+with x of every relator of length at most 3 other than g^2, and of its
+inverse (``_DEDUCE_MAX_LENGTH``).  A row fill, where it can define a coset
+(see Soundness), then defines the row's empty entries and drains again, all
+in ``todd_coxeter``'s frame, with no call per coset, definition or deduction.
 
 Most relator scans only confirm a cycle that is already closed, and a
 relator's symmetry can prove that without reading the word.  Read w, of
@@ -52,7 +49,11 @@ closed at beta, its path from beta ends with the letter w[0] back at beta;
 column maps are injective, so the coset before that letter is alpha, and
 alpha*w = alpha.  Offset L-1 is the same argument from the other end.  A
 skipped scan would thus neither define a coset nor merge two.  Subgroup
-words, scanned at coset 0 only, never skip.  The finished table is the
+words, scanned at coset 0 only, never skip.  So every relator is closed at
+a coset alpha still live after its scans, and a closed relator w sets
+alpha*w[0] and alpha*w[-1]^-1: the row fill can define a coset only in a
+list (an involution's columns are one) that is no relator's first letter
+or inverse last letter, g^2 aside.  The finished table is the
 action on the cosets, renumbered by BFS, so it does not depend on the
 order of definitions, deductions and skips, unlike the work counts and the
 point where a budget runs out.
@@ -77,8 +78,9 @@ only the work counts differ.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import compress, islice
-from operator import eq, itemgetter
+from operator import eq, itemgetter, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentations import Presentation
@@ -288,6 +290,8 @@ _BLOCK = 1024  # the enumerator's columns grow this many entries at a time
 # (index 51,840) compacts three times, and the last compaction frees 217
 # cosets, 1/240 of the budget.
 _COMPACT_SHARE = 256
+# the entry of a scan list that stands for the row fill (module docstring)
+_ROW_FILL = (None, None, -1, None)
 
 
 def _conjugates(words: Sequence[Tuple[int, ...]], involutions: set) -> dict:
@@ -423,6 +427,12 @@ def _compact(parent: List[int], lists: Sequence[list], stack: list, alpha: int) 
     return sum(islice(live, alpha))
 
 
+def _scan(cols: list, w: Tuple[int, ...]) -> tuple:
+    # a word as its column lists, the lists of the inverse letters, the
+    # position of its last letter, and its columns
+    return [cols[x] for x in w], [cols[x ^ 1] for x in w], len(w) - 1, w
+
+
 def todd_coxeter(
     p: Presentation,
     subgroup: Sequence[Word] = (),
@@ -434,7 +444,8 @@ def todd_coxeter(
     runs out.  Either result carries the enumeration's EnumStats."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    max_steps = _MAX_SCAN_STEPS  # read once: the scan loop tests it at every step
+    max_steps = _MAX_SCAN_STEPS  # read once: the scans test it at every step
+    # no comprehension reads a name the kernel reads: 3.11 makes that a cell
     words = [_word_to_cols(w) for w in p.relators]
     squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
     involutions = {w[0] >> 1 for w in squares}
@@ -443,126 +454,39 @@ def todd_coxeter(
     for g in range(p.n_gens):
         col: List[Optional[int]] = block[:]
         cols += (col, col) if g in involutions else (col, block[:])
-    # one column of each distinct list, the ones a row fill visits
-    row_cols = [(x, cols[x]) for x in range(len(cols)) if x % 2 == 0 or x >> 1 not in involutions]
-    pairs = [(col, cols[x ^ 1]) for x, col in row_cols]
-
-    def scan(w):
-        # a word as its column lists, the lists of the inverse letters, the
-        # position of its last letter, and its columns
-        return [cols[x] for x in w], [cols[x ^ 1] for x in w], len(w) - 1, w
-
+    # each distinct list with the column that names it and its inverse list
+    row = [(x, cols[x], cols[x ^ 1]) for x in range(len(cols)) if x % 2 == 0 or x >> 1 not in involutions]
+    pairs = [(col, inv) for _, col, inv in row]
     # the shared columns enforce the g^2 relators, so they are neither
     # scanned nor deduced with
     relators = [w for w in words if w and w not in squares]
     conjugates = _conjugates([w for w in relators if len(w) <= _DEDUCE_MAX_LENGTH], involutions)
     # deduce[x]: the scans that a new entry in column x starts, at its coset
     deduce = [
-        [scan(u) for u in conjugates.get(x & ~1 if x >> 1 in involutions else x, ())]
+        [_scan(cols, u) for u in conjugates.get(x & ~1 if x >> 1 in involutions else x, ())]
         for x in range(len(cols))
     ]
     stack: List[Tuple[int, int]] = []  # (coset, column) of entries to deduce from
-
     parent = [0]
-
-    def define(x: int, c: int) -> None:
-        # c*x = beta for a new coset beta, deduced from as a filled gap is
-        beta = len(parent)
-        if beta >= max_cosets:
-            raise _Overflowed
-        if beta == len(cols[0]):
-            for _, col in row_cols:
-                col.extend(block)
-        parent.append(beta)
-        cols[x][c] = beta
-        cols[x ^ 1][beta] = c
-        if deduce[x]:
-            stack.append((c, x))
-        if deduce[x ^ 1]:
-            stack.append((beta, x ^ 1))
-
-    def scan_at(c: int, scans, drain) -> None:
-        # the one scan loop (module docstring); an HLT scan, given ``drain``,
-        # defines cosets at a longer gap and drains the deductions after
-        # each word.  ``drain`` comes in as an argument so that the two
-        # closures do not hold each other: a reference cycle would keep the
-        # enumerator's lists alive until the cyclic garbage collector ran.
-        # ``steps`` gets ``s`` before a drain, whose scans nest, or a raise.
-        # Only a coincidence lowers the live count, so ``peak`` takes it
-        # before each one
-        nonlocal steps, dead, peak
-        s = steps
-        for fwd, bwd, last, w in scans:
-            if parent[c] != c:
-                break
-            f = b = c
-            i, j = 0, last
-            while True:
-                s += 1
-                if s > max_steps:
-                    steps = s
-                    raise _Overflowed
-                while i <= j:
-                    y = fwd[i][f]
-                    if y is None:
-                        break
-                    f = y
-                    i += 1
-                if i > j:
-                    if f != b:
-                        peak = max(peak, len(parent) - dead)
-                        dead += _coincidence(parent, pairs, f, b)
-                    break
-                while j >= i:
-                    y = bwd[j][b]
-                    if y is None:
-                        break
-                    b = y
-                    j -= 1
-                if j < i:
-                    peak = max(peak, len(parent) - dead)
-                    dead += _coincidence(parent, pairs, f, b)
-                    break
-                if j == i:
-                    # f*x = b, to be deduced from where a short relator reads it
-                    x = w[i]
-                    fwd[i][f] = b
-                    bwd[i][b] = f
-                    if deduce[x]:
-                        stack.append((f, x))
-                    if deduce[x ^ 1]:
-                        stack.append((b, x ^ 1))
-                    break
-                if drain is None:
-                    break
-                steps = s
-                define(w[i], f)
-            if drain is not None and stack:
-                steps = s
-                drain()
-                s = steps
-        steps = s
-
-    def drain() -> None:
-        # deduce from each entry on the stack, without defining cosets
-        while stack:
-            c, x = stack.pop()
-            scan_at(c, deduce[x], None)
-
-    relator_scans = [scan(w) for w in relators]
+    relator_scans = [_scan(cols, w) for w in relators]
     # one bit per shortcut column of each relator
     masks = [sum({1 << x for x in _shortcuts(w, involutions) if x is not None}) for w in relators]
+    # a closed relator sets its first column and its last column's inverse
+    ends = {u[0] for w in relators for u in _read(w, involutions)}
+    if any(x not in ends for x, _, _ in row):
+        relator_scans.append(_ROW_FILL)
+        masks.append(0)
     # the columns that some relator's shortcut reads, each with its bit
-    shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if any(m >> x & 1 for m in masks)]
+    read = reduce(or_, masks, 0)
+    shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if read >> x & 1]
     # the relators to scan at a coset, by the set of shortcut columns that
     # take it to a coset below it
-    scan_lists = {}
+    scan_lists: dict = {}
     # coset 0, which has no coset below it, scans the subgroup words first;
     # a compaction keeps coset 0 and every coset below alpha, so alpha is 0
     # after one only if it was 0 before, and todo still holds those words
-    todo = [scan(_word_to_cols(p.check_word(w))) for w in subgroup if w] + relator_scans
-    # ``dead`` counts the dead cosets still in the table, ``freed`` the ones
-    # that compactions dropped
+    todo = [_scan(cols, _word_to_cols(p.check_word(w))) for w in subgroup if w] + relator_scans
+    # ``dead``: dead cosets still in the table; ``freed``: those compactions dropped
     dead = steps = skipped = alpha = peak = freed = compactions = 0
     while alpha < len(parent):
         try:
@@ -570,24 +494,100 @@ def todd_coxeter(
                 if parent[alpha] == alpha:
                     below = 0
                     for bit, col in shortcuts:
-                        beta = col[alpha]
-                        if beta is not None and beta < alpha:
+                        if (beta := col[alpha]) is not None and beta < alpha:
                             below |= bit
                     if alpha:
-                        todo = scan_lists.get(below)
-                        if todo is None:
-                            todo = scan_lists[below] = [
-                                s for s, mask in zip(relator_scans, masks) if not mask & below
-                            ]
+                        if (todo := scan_lists.get(below)) is None:
+                            todo = scan_lists[below] = []
+                            for scan, mask in zip(relator_scans, masks):
+                                if not mask & below:
+                                    todo.append(scan)
                         # a relator symmetry proves the others closed at alpha
                         skipped += len(relator_scans) - len(todo)
-                    scan_at(alpha, todo, drain)
-                    if parent[alpha] == alpha:
-                        for x, col in row_cols:
-                            if col[alpha] is None:
-                                define(x, alpha)
-                        if stack:
-                            drain()
+                    for fwd, bwd, last, w in todo:
+                        if parent[alpha] != alpha:
+                            break
+                        if w is None:  # the row fill: a new coset at each empty entry
+                            for x, col, inv in row:
+                                if col[alpha] is None:
+                                    beta = len(parent)
+                                    if beta >= max_cosets:
+                                        raise _Overflowed
+                                    if beta == len(col):
+                                        for grown, _ in pairs:
+                                            grown.extend(block)
+                                    parent.append(beta)
+                                    col[alpha] = beta
+                                    inv[beta] = alpha
+                                    if deduce[x]:
+                                        stack.append((alpha, x))
+                                    if deduce[x ^ 1]:
+                                        stack.append((beta, x ^ 1))
+                        else:  # HLT's scan of w at alpha, one scan step per pass
+                            f = b = alpha
+                            i, j = 0, last
+                            while True:
+                                steps += 1
+                                if steps > max_steps:
+                                    raise _Overflowed
+                                while i <= j and (y := fwd[i][f]) is not None:
+                                    f = y
+                                    i += 1
+                                while j >= i and (y := bwd[j][b]) is not None:
+                                    b = y
+                                    j -= 1
+                                if j < i:  # closed; peak is taken before each coincidence
+                                    if f != b:
+                                        peak = max(peak, len(parent) - dead)
+                                        dead += _coincidence(parent, pairs, f, b)
+                                    break
+                                y = b  # f*x = y: b at a single gap, a new coset at a longer one
+                                if j > i:
+                                    y = len(parent)
+                                    if y >= max_cosets:
+                                        raise _Overflowed
+                                    if y == len(fwd[i]):
+                                        for grown, _ in pairs:
+                                            grown.extend(block)
+                                    parent.append(y)
+                                x = w[i]
+                                fwd[i][f] = y
+                                bwd[i][y] = f
+                                if deduce[x]:
+                                    stack.append((f, x))
+                                if deduce[x ^ 1]:
+                                    stack.append((y, x ^ 1))
+                                if j == i:
+                                    break
+                        # drain the deductions, one pass per scan
+                        while stack:
+                            c, x = stack.pop()
+                            for fwd, bwd, last, w in deduce[x]:
+                                if parent[c] != c:
+                                    break
+                                steps += 1
+                                if steps > max_steps:
+                                    raise _Overflowed
+                                f = b = c
+                                i, j = 0, last
+                                while i <= j and (y := fwd[i][f]) is not None:
+                                    f = y
+                                    i += 1
+                                while j >= i and (y := bwd[j][b]) is not None:
+                                    b = y
+                                    j -= 1
+                                if j < i:
+                                    if f != b:
+                                        peak = max(peak, len(parent) - dead)
+                                        dead += _coincidence(parent, pairs, f, b)
+                                elif j == i:
+                                    x = w[i]
+                                    fwd[i][f] = b
+                                    bwd[i][b] = f
+                                    if deduce[x]:
+                                        stack.append((f, x))
+                                    if deduce[x ^ 1]:
+                                        stack.append((b, x ^ 1))
                 alpha += 1
         except _Overflowed:
             # the scan-step cap ran out, or the coset budget is full; a
@@ -595,7 +595,7 @@ def todd_coxeter(
             # progress, whose scans are idempotent, starts over
             if steps > max_steps or dead * _COMPACT_SHARE < max_cosets:
                 break
-            alpha = _compact(parent, [col for _, col in row_cols], stack, alpha)
+            alpha = _compact(parent, [col for col, _ in pairs], stack, alpha)
             freed += dead
             dead = 0
             compactions += 1

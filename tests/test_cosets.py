@@ -37,6 +37,14 @@ E6 = (
     "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
     "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
 )
+# one rewrite each of E6 and G2378 as the benchmark makes them: relators
+# shuffled, each rotated, some inverted; HLT's work depends on all three
+E6_REWRITTEN = (
+    "<a,b,c,d,e,f | (ab)^3, (df)^2, (cd)^3, (ca)^2, (d^-1 e^-1)^3, a^-2, b^-2, (b^-1 e^-1)^2, "
+    "(ad)^2, (b^-1 f^-1)^2, (af)^2, (e^-1 f^-1)^2, c^-2, (b^-1 d^-1)^2, (a^-1 e^-1)^2, d^2, "
+    "(f^-1 c^-1)^3, (c^-1 b^-1)^3, f^-2, e^-2, (e^-1 c^-1)^2>"
+)
+G2378_REWRITTEN = "<a,b | (a b a^-1 b^-1)^8, (b^-1 a^-1)^7, a^-2, b^-3>"
 
 KNOWN_ORDERS = [
     ("<a | a>", 1),
@@ -296,13 +304,35 @@ def _agree_with_reference(p, sub, max_cosets):
     return True
 
 
+def _needs_row_fill(p):
+    """Whether some column list is neither the first letter nor the inverse
+    of the last letter of a relator other than g^2 or g^-2: only then can
+    the row fill define a coset, and only then does the enumerator run it."""
+    words = [_word_to_cols(r) for r in p.relators]
+    squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
+    involutions = {w[0] >> 1 for w in squares}
+
+    def name(x):  # an involution's two columns are one list
+        return x & ~1 if x >> 1 in involutions else x
+
+    ends = {name(x) for w in words if w and w not in squares for x in (w[0], w[-1] ^ 1)}
+    return any(name(x) not in ends for x in range(2 * p.n_gens))
+
+
 def test_matches_reference_enumerator_on_seeded_corpus():
     rng = random.Random(6)
     both = 0
+    fill = Counter()
     for _ in range(300):
         p, sub = _involutive_case(rng.randint, lambda q: rng.random() < q)
+        fill[_needs_row_fill(p)] += 1
         both += _agree_with_reference(p, sub, 2000)
     assert both > 100
+    # cases on both sides of the row-fill rule occur
+    assert fill[True] > 10 and fill[False] > 10, fill
+    assert _needs_row_fill(parse_presentation("<s1,s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>"))
+    for dsl in (E6, G2378, E6_REWRITTEN, G2378_REWRITTEN):
+        assert not _needs_row_fill(parse_presentation(dsl))
 
 
 @pytest.mark.parametrize(
@@ -486,6 +516,13 @@ def test_e6_finishes_within_a_reduced_deduction_budget():
     assert t.stats == EnumStats(
         allocated=59166, dead=7326, scan_steps=236025, skipped=600740, peak_live=51840, compactions=0
     )
+    p = parse_presentation(E6_REWRITTEN)
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", 400_000):
+        t = todd_coxeter(p)
+    assert isinstance(t, CosetTable) and t.n == 51840
+    assert t.stats == EnumStats(
+        allocated=59207, dead=7367, scan_steps=236052, skipped=600754, peak_live=51841, compactions=0
+    )
 
 
 def test_involution_maps_share_one_tuple():
@@ -509,6 +546,10 @@ def test_enumeration_stats():
     # HLT without deductions allocates 128,562 and 117,810 of them die
     assert s == EnumStats(
         allocated=38168, dead=27416, scan_steps=122886, skipped=14208, peak_live=37108, compactions=0
+    )
+    t = todd_coxeter(parse_presentation(G2378_REWRITTEN))
+    assert t.n == 10752 and t.stats == EnumStats(
+        allocated=44702, dead=33950, scan_steps=142207, skipped=15237, peak_live=43278, compactions=0
     )
     assert CosetTable([[0]], [[0]]).stats is None
     res = todd_coxeter(p, [], 1000)

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import textwrap
 from collections import Counter
 
 import curvepi
@@ -210,3 +211,16 @@ def test_each_budget_has_one_default():
     states = [parse(["verify"]).budget, default(SuiteConfig, "max_states")]
     states += [default(fn, "max_states") for fn in (derive.derive_relator, check_homomorphism, verify_isomorphism)]
     assert all(d is derive.MAX_STATES for d in states), states
+
+
+def test_enumeration_kernel_runs_in_one_frame():
+    # the enumerator makes no Python call per coset, definition or
+    # deduction: todd_coxeter nests no function, and no name its kernel loop
+    # reads is a cell, which a comprehension reading it makes in Python 3.11
+    fn = coset_table.todd_coxeter
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    nested = [node for node in ast.walk(tree) if node is not tree and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert nested == []
+    kernel = next(stmt for stmt in tree.body if isinstance(stmt, ast.While))
+    read = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    assert not read & set(fn.__code__.co_cellvars)
