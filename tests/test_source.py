@@ -219,8 +219,8 @@ def test_enumeration_kernel_runs_in_one_frame():
     # reads is a cell, which a comprehension reading it makes in Python 3.11
     fn = coset_table.todd_coxeter
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
-    nested = [node for node in ast.walk(tree) if node is not tree and isinstance(node, (ast.FunctionDef, ast.Lambda))]
-    assert nested == []
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert [node for node in ast.walk(tree) if node is not tree and isinstance(node, nested)] == []
     kernel = next(stmt for stmt in tree.body if isinstance(stmt, ast.While))
     read = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
     assert not read & set(fn.__code__.co_cellvars)
