@@ -167,10 +167,55 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+_JSON = ("--json", dict(action="store_true", help="emit JSON"))
+_MAX_COSETS = ("--max-cosets", dict(
+    type=int, default=MAX_COSETS, metavar="N",
+    help="coset budget of each enumeration; dead cosets are compacted away when it fills "
+    "(default %(default)s)",
+))
+
+# each command: its help line, what runs it, and its arguments
+_COMMANDS = {
+    "ab": ("abelian invariants of a presentation", _cmd_ab, [
+        ("presentation", dict(help="inline DSL, file path, or - for stdin")), _JSON,
+    ]),
+    "tc": ("coset enumeration", _cmd_tc, [
+        ("presentation", dict(nargs="?", default="-")),
+        ("--subgroup", dict(action="append", metavar="WORD", help="subgroup generator word (repeatable)")),
+        ("--quotient-by", dict(action="append", metavar="WORD", help="extra relator to impose (repeatable)")),
+        _MAX_COSETS,
+        ("--stats", dict(action="store_true", help="print the enumeration's work counts to stderr")),
+        _JSON,
+    ]),
+    "rs": ("subgroup presentation by rewriting", _cmd_rs, [
+        ("presentation", {}),
+        ("--subgroup", dict(action="append", required=True, metavar="WORD")),
+        ("--raw", dict(action="store_true", help="skip simplification")),
+        _MAX_COSETS, _JSON,
+    ]),
+    "catalog": ("named group presentations", _cmd_catalog, [
+        ("tag", dict(help="e.g. toric:3,4 artin:333 quintic:C4_3A2 free:1*braid:3")), _JSON,
+    ]),
+    "blowup": ("replay a blow-up script", _cmd_blowup, [("--script", dict(required=True)), _JSON]),
+    "classify": ("classify a combinatorial type", _cmd_classify, [
+        ("--type", dict(required=True, help="JSON file")), _JSON,
+    ]),
+    "verify": ("run the verification suite", _cmd_verify, [
+        ("--only", dict(metavar="IDS", help=f"comma-separated from {','.join(ALL_CHECKS)}")),
+        ("--budget", dict(type=int, default=MAX_STATES, metavar="N",
+                          help="state budget of each derivation search (default %(default)s)")),
+        _MAX_COSETS, _JSON,
+    ]),
+}
+
+
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing starts each call from a fresh
-    namespace, so no value of one call reaches the next."""
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of ``command`` only, or of
+    every command for None.  A parser with one subparser names all the
+    commands in its usage line, so its messages read as the full parser's.
+    Parsing starts each call from a fresh namespace, so no value of one
+    call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="curvepi",
         description=(
@@ -178,69 +223,30 @@ def make_parser() -> argparse.ArgumentParser:
             "classifier (degree <= 5)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    def add_max_cosets(p):
-        p.add_argument("--max-cosets", type=int, default=MAX_COSETS, metavar="N",
-                       help="coset budget of each enumeration; dead cosets are compacted "
-                       "away when it fills (default %(default)s)")
-
-    p_ab = sub.add_parser("ab", help="abelian invariants of a presentation")
-    p_ab.add_argument("presentation", help="inline DSL, file path, or - for stdin")
-    add_json(p_ab)
-    p_ab.set_defaults(fn=_cmd_ab)
-
-    p_tc = sub.add_parser("tc", help="coset enumeration")
-    p_tc.add_argument("presentation", nargs="?", default="-")
-    p_tc.add_argument("--subgroup", action="append", metavar="WORD",
-                      help="subgroup generator word (repeatable)")
-    p_tc.add_argument("--quotient-by", action="append", metavar="WORD",
-                      help="extra relator to impose (repeatable)")
-    add_max_cosets(p_tc)
-    p_tc.add_argument("--stats", action="store_true",
-                      help="print the enumeration's work counts to stderr")
-    add_json(p_tc)
-    p_tc.set_defaults(fn=_cmd_tc)
-
-    p_rs = sub.add_parser("rs", help="subgroup presentation by rewriting")
-    p_rs.add_argument("presentation")
-    p_rs.add_argument("--subgroup", action="append", required=True, metavar="WORD")
-    p_rs.add_argument("--raw", action="store_true", help="skip simplification")
-    add_max_cosets(p_rs)
-    add_json(p_rs)
-    p_rs.set_defaults(fn=_cmd_rs)
-
-    p_cat = sub.add_parser("catalog", help="named group presentations")
-    p_cat.add_argument("tag", help="e.g. toric:3,4 artin:333 quintic:C4_3A2 free:1*braid:3")
-    add_json(p_cat)
-    p_cat.set_defaults(fn=_cmd_catalog)
-
-    p_blow = sub.add_parser("blowup", help="replay a blow-up script")
-    p_blow.add_argument("--script", required=True)
-    add_json(p_blow)
-    p_blow.set_defaults(fn=_cmd_blowup)
-
-    p_cls = sub.add_parser("classify", help="classify a combinatorial type")
-    p_cls.add_argument("--type", required=True, help="JSON file")
-    add_json(p_cls)
-    p_cls.set_defaults(fn=_cmd_classify)
-
-    p_ver = sub.add_parser("verify", help="run the verification suite")
-    p_ver.add_argument("--only", metavar="IDS", help=f"comma-separated from {','.join(ALL_CHECKS)}")
-    p_ver.add_argument("--budget", type=int, default=MAX_STATES, metavar="N",
-                       help="state budget of each derivation search (default %(default)s)")
-    add_max_cosets(p_ver)
-    add_json(p_ver)
-    p_ver.set_defaults(fn=_cmd_verify)
-
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None else every)
+    for name, (help_line, run, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(fn=run)
     return parser
 
 
+def make_parser() -> argparse.ArgumentParser:
+    """The full parser, one per process.  ``main`` builds it only when no
+    known command comes first; otherwise it builds the top-level parser and
+    the subparser of that command, since most of a parser's cost is
+    building it, and the full one builds eight."""
+    return _parser(None)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # an unknown or missing command gets the full parser and its messages
+    parser = _parser(argv[0]) if argv and argv[0] in _COMMANDS else make_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -12,7 +12,10 @@ and a word read through the lists reads it for either letter.
 Coincidences are processed immediately with a union-find that always keeps
 the smaller index, which pins coset 0 to the subgroup.  Finished tables are
 renumbered by BFS from coset 0 (positive generator columns first) so
-transversals are reproducible.
+transversals are reproducible.  The BFS, which checks that the table is
+complete and transitive, runs before ``todd_coxeter`` returns; the columns
+are mapped through its numbers on the first read of the table's maps, so
+a caller that needs only the index never maps them.
 
 Strategy.  HLT visits the live cosets in order and scans every relator at
 each (coset 0 scans the subgroup words first), one scan step per pass: a
@@ -22,8 +25,9 @@ goes on a deduction stack, drained after each word: an entry of column x at
 coset c scans at c, in one pass, each distinct cyclic conjugate starting
 with x of every relator of length at most 3 other than g^2, and of its
 inverse (``_DEDUCE_MAX_LENGTH``).  A row fill, where it can define a coset
-(see Soundness), then defines the row's empty entries and drains again, all
-in ``todd_coxeter``'s frame, with no call per coset, definition or deduction.
+(``_row_fill_needed``; see Soundness), then defines the row's empty
+entries and drains again, all in ``todd_coxeter``'s frame, with no call
+per coset, definition or deduction.
 
 Most relator scans only confirm a cycle that is already closed, and a
 relator's symmetry can prove that without reading the word.  Read w, of
@@ -61,7 +65,11 @@ point where a budget runs out.
 Memory.  A new coset's number is one int object, shared by ``parent`` and
 the entries that point at the coset, and the BFS renumbering reuses
 ``parent[k]`` as new number k wherever old coset k is live, so it makes new
-ints only for the numbers of dead old cosets.  The coset budget bounds the
+ints only for the numbers of dead old cosets.  Until its maps are first
+read, a finished table holds the enumerator's column lists, dead rows and
+unused room included, with the BFS numbers and order; the mapping builds one
+tuple per distinct column and clears each list as it goes, so it needs
+the same room whenever it runs.  The coset budget bounds the
 cosets in the table.  When a definition would pass it and enough of the
 table is dead (``_COMPACT_SHARE``), ``_compact`` drops the dead cosets in
 place.  It keeps every list object, since the scans and the deduction lists
@@ -180,9 +188,16 @@ class CosetTable:
     When both maps of g are given as one list (an involution), they are
     stored as one tuple.  ``stats`` holds the work counts of the
     enumeration that built the table, or None.  Immutable once constructed.
+
+    A table that ``todd_coxeter`` finishes holds the enumerator's columns
+    with the BFS numbers and order, and maps the columns into ``forward`` and
+    ``backward`` on the first read of either (``_map_columns``); every
+    later read is a plain slot read.  ``n``, ``n_gens``, ``subgroup``,
+    ``stats`` and ``repr`` never map them, so a caller that needs only the
+    index never pays for the maps.
     """
 
-    __slots__ = ("n", "forward", "backward", "subgroup", "stats")
+    __slots__ = ("n", "n_gens", "forward", "backward", "subgroup", "stats", "_columns")
 
     def __init__(
         self,
@@ -200,18 +215,34 @@ class CosetTable:
         for col in fwd + bwd:
             if len(col) != n:
                 raise ValueError("ragged action maps")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
+        self._set(n, len(fwd), subgroup, stats, None)
+
+    def _set(self, n, n_gens, subgroup, stats, columns) -> None:
+        """Set every slot but the maps; ``columns``, unless None, is what
+        ``_map_columns`` maps them from on first read."""
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n_gens", n_gens)
         object.__setattr__(self, "subgroup", tuple(subgroup))
         object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("CosetTable is immutable")
 
-    @property
-    def n_gens(self) -> int:
-        return len(self.forward)
+    def __getattr__(self, name):
+        # normal lookup failed: a name the table lacks, or the maps of an
+        # enumerated table before their first read
+        if name not in ("forward", "backward") or self._columns is None:
+            raise AttributeError(name)
+        columns = self._columns
+        # the mapping consumes the enumerator's lists, so it runs once
+        object.__setattr__(self, "_columns", None)
+        forward, backward = _map_columns(*columns)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
+        return forward if name == "forward" else backward
 
     def trace(self, coset: int, w: Word) -> int:
         """Image of a coset under a word, one signed letter at a time."""
@@ -308,6 +339,15 @@ def _conjugates(words: Sequence[Tuple[int, ...]], involutions: set) -> dict:
     return by_first
 
 
+def _row_fill_needed(row: list, relators: Sequence[Tuple[int, ...]], involutions: set) -> bool:
+    """Whether the row fill can define a coset: whether some distinct column
+    list in ``row`` is neither the first letter nor the inverse of the last
+    letter of a relator, since a closed relator w sets alpha*w[0] and
+    alpha*w[-1]^-1 (module docstring, Soundness)."""
+    ends = {u[0] for w in relators for u in _read(w, involutions)}
+    return any(x not in ends for x, _, _ in row)
+
+
 class _Overflowed(Exception):
     pass
 
@@ -364,14 +404,14 @@ def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
 
 
 def _renumber(cols: list, parent: List[int], subgroup: Sequence[Word], stats: EnumStats) -> CosetTable:
-    """Compact to live cosets, renumbered by BFS from coset 0 over the
-    positive generator columns (which span any complete finite table).  New
-    number k is ``parent[k]`` where old coset k is live, the int the columns
-    already hold, so only the numbers of dead old cosets are new ints.
-    Consumes ``cols`` and ``parent``: each column is cleared once it is
-    mapped, which frees it in the enumerator too; ``CosetTable`` keeps the
-    tuples uncopied."""
-    number = [-1] * len(parent)
+    """Number the live cosets by BFS from coset 0 over the positive
+    generator columns (which span any complete finite table), and check
+    that the table is complete and transitive.  New number k is
+    ``parent[k]`` where old coset k is live, the int the columns already
+    hold, so only the numbers of dead old cosets are new ints.  The table
+    keeps ``cols``, the numbers and the BFS order, and maps the columns on
+    the first read of its maps (``_map_columns``)."""
+    number: List[Optional[int]] = [None] * len(parent)
     number[0] = 0
     order = [0]
     forward_cols = cols[0::2]
@@ -379,7 +419,7 @@ def _renumber(cols: list, parent: List[int], subgroup: Sequence[Word], stats: En
         for c in order:  # grows as the BFS numbers new cosets
             for col in forward_cols:
                 d = col[c]
-                if number[d] < 0:
+                if number[d] is None:
                     k = len(order)
                     number[d] = parent[k] if parent[k] == k else k
                     order.append(d)
@@ -387,7 +427,16 @@ def _renumber(cols: list, parent: List[int], subgroup: Sequence[Word], stats: En
         raise RuntimeError("incomplete table after enumeration") from None
     if len(order) != stats.allocated - stats.dead:
         raise RuntimeError("table is not transitive")
-    parent.clear()  # number holds the ints it reuses
+    table = CosetTable.__new__(CosetTable)
+    table._set(len(order), len(forward_cols), subgroup, stats, (cols, number, order))
+    return table
+
+
+def _map_columns(cols: list, number: List[int], order: List[int]) -> Tuple[tuple, tuple]:
+    """The forward and backward maps of a finished enumeration: the rows of
+    each distinct column in BFS ``order``, their entries mapped through
+    ``number``.  Each column list is cleared once it is mapped, so no
+    column is held twice for longer than its own mapping."""
     pick = itemgetter(*order)
     single = len(order) == 1
     order.clear()  # pick holds the order; the room goes to the mapped columns
@@ -397,13 +446,16 @@ def _renumber(cols: list, parent: List[int], subgroup: Sequence[Word], stats: En
         return (number[col[0]],) if single else itemgetter(*pick(col))(number)
 
     forward, backward = [], []
-    for col, inv in zip(forward_cols, cols[1::2]):
-        forward.append(renumbered(col))
-        col.clear()
-        # an involution's backward column is its forward tuple, mapped once
-        backward.append(forward[-1] if inv is col else renumbered(inv))
-        inv.clear()
-    return CosetTable(forward, backward, subgroup, stats)
+    try:
+        for col, inv in zip(cols[0::2], cols[1::2]):
+            forward.append(renumbered(col))
+            col.clear()
+            # an involution's backward column is its forward tuple, mapped once
+            backward.append(forward[-1] if inv is col else renumbered(inv))
+            inv.clear()
+    except TypeError:  # number[None]: an empty entry
+        raise RuntimeError("incomplete table after enumeration") from None
+    return tuple(forward), tuple(backward)
 
 
 def _compact(parent: List[int], lists: Sequence[list], stack: list, alpha: int) -> int:
@@ -471,9 +523,7 @@ def todd_coxeter(
     relator_scans = [_scan(cols, w) for w in relators]
     # one bit per shortcut column of each relator
     masks = [sum({1 << x for x in _shortcuts(w, involutions) if x is not None}) for w in relators]
-    # a closed relator sets its first column and its last column's inverse
-    ends = {u[0] for w in relators for u in _read(w, involutions)}
-    if any(x not in ends for x, _, _ in row):
+    if _row_fill_needed(row, relators, involutions):
         relator_scans.append(_ROW_FILL)
         masks.append(0)
     # the columns that some relator's shortcut reads, each with its bit

@@ -80,6 +80,46 @@ def test_calls_in_one_process_share_the_parser_but_not_their_values():
     assert second == (0, "4\n", "")
 
 
+# representative argv of each command, every option given
+COMMAND_ARGV = [
+    ["ab", "<a | a^2>", "--json"],
+    ["tc"],
+    ["tc", "<a |>", "--subgroup", "a^2", "--subgroup", "a^3", "--quotient-by", "a^6",
+     "--max-cosets", "9", "--stats", "--json"],
+    ["rs", "<a |>", "--subgroup", "a", "--raw", "--max-cosets", "5", "--json"],
+    ["catalog", "toric:2,3", "--json"],
+    ["blowup", "--script", "s.json", "--json"],
+    ["classify", "--type", "t.json", "--json"],
+    ["verify", "--only", "V1,V2", "--budget", "7", "--max-cosets", "8", "--json"],
+]
+
+
+def test_one_subparser_parses_as_the_full_parser():
+    # main builds only the subparser of the command it runs
+    assert {argv[0] for argv in COMMAND_ARGV} == set(cli._COMMANDS)
+    for argv in COMMAND_ARGV:
+        assert cli._parser(argv[0]).parse_args(argv) == make_parser().parse_args(argv), argv
+
+
+def test_one_subparser_reports_usage_errors_as_the_full_parser(capsys):
+    errors = []
+    for parser in (cli._parser("tc"), make_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["tc", "<a |>", "--bogus"])
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1] and "{ab,tc,rs,catalog,blowup,classify,verify}" in errors[0].err
+
+
+def test_main_builds_the_full_parser_only_without_a_known_command(monkeypatch, capsys):
+    full = make_parser()
+    monkeypatch.setattr(cli, "make_parser", lambda: pytest.fail("full parser built"))
+    assert main(["catalog", "toric:2,3"]) == 0
+    monkeypatch.setattr(cli, "make_parser", lambda: full)
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_tc_json_schema():
     code, out, _ = run(["tc", "<a | a^3>", "--json"])
     doc = json.loads(out)

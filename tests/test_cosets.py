@@ -483,6 +483,38 @@ def test_matches_scan_every_enumerator_on_seeded_corpus():
     }
 
 
+def _enumerate(p, sub, max_cosets, max_steps, fill_every_row=False):
+    """``todd_coxeter`` with a scan-step cap, and with the row fill forced
+    on at every coset when ``fill_every_row``."""
+    rule = (lambda *_: True) if fill_every_row else coset_table._row_fill_needed
+    with patch.object(coset_table, "_MAX_SCAN_STEPS", max_steps), patch.object(
+        coset_table, "_row_fill_needed", rule
+    ):
+        return todd_coxeter(p, sub, max_cosets)
+
+
+def test_forcing_the_row_fill_on_changes_no_work_on_seeded_corpora():
+    # the fill runs only where _row_fill_needed says it can define a coset;
+    # forced on everywhere, it defines none where the rule left it out, so
+    # every case of both seeded corpora, budgets as above, does the same work
+    # and finishes the same table
+    rng = random.Random(6)
+    cases = [(*_involutive_case(rng.randint, lambda q: rng.random() < q), 10**8) for _ in range(300)]
+    rng = random.Random(8)
+    for _ in range(400):
+        p, sub = _symmetric_case(rng.randint, lambda q: rng.random() < q)
+        cases.append((p, sub, rng.choice([10**8, rng.randint(20, 2000)])))
+    left_out = 0
+    for p, sub, max_steps in cases:
+        res = _enumerate(p, sub, 2000, max_steps)
+        forced = _enumerate(p, sub, 2000, max_steps, fill_every_row=True)
+        assert type(res) is type(forced) and res.stats == forced.stats, (p, sub)
+        if isinstance(res, CosetTable):
+            assert res.forward == forced.forward and res.backward == forced.backward, (p, sub)
+        left_out += not _needs_row_fill(p)
+    assert left_out > 100, left_out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matches_scan_every_enumerator_on_hypothesis_corpus(data):
@@ -764,19 +796,60 @@ def test_compacted_overflow_names_the_live_cosets(capsys):
     ]
 
 
-def test_renumber_rejects_an_incomplete_or_intransitive_table():
-    # cols holds forward and backward column lists, one pair per generator
-    def renumber(cols, n, dead=0):
-        stats = EnumStats(n, dead, 0, 0, n - dead, 0)
-        return _renumber(cols, list(range(n)), [], stats)
+def _renumbered(cols, n, dead=0):
+    """``_renumber`` of a hand-made state: ``cols`` holds forward and
+    backward column lists, one pair per generator, and no coset is merged."""
+    stats = EnumStats(n, dead, 0, 0, n - dead, 0)
+    return _renumber(cols, list(range(n)), [], stats)
 
-    with pytest.raises(RuntimeError, match="incomplete table after enumeration"):
-        renumber([[1, None], [None, 0]], 2)
-    with pytest.raises(RuntimeError, match="table is not transitive"):
-        renumber([[0, 1], [0, 1]], 2)
+
+def test_renumber_rejects_an_incomplete_or_intransitive_table():
+    # both checks are the BFS's, which todd_coxeter runs before it returns:
+    # no map is built for them
+    with patch.object(coset_table, "_map_columns", side_effect=AssertionError):
+        with pytest.raises(RuntimeError, match="incomplete table after enumeration"):
+            _renumbered([[1, None], [None, 0]], 2)
+        with pytest.raises(RuntimeError, match="table is not transitive"):
+            _renumbered([[0, 1], [0, 1]], 2)
     # an itemgetter of one index returns the bare entry; the table has tuples
-    t = renumber([[0], [0]], 1)
+    t = _renumbered([[0], [0]], 1)
     assert t.forward == t.backward == ((0,),) and t.stats.allocated == 1
+
+
+def test_map_build_rejects_an_empty_backward_entry():
+    # the BFS reads the forward columns only, so an empty backward entry
+    # shows when the maps are first read, as the same error
+    t = _renumbered([[1, 0], [None, 0]], 2)
+    assert t.n == 2
+    with pytest.raises(RuntimeError, match="incomplete table after enumeration"):
+        t.forward
+
+
+def test_enumerated_table_maps_its_columns_on_first_read():
+    p = parse_presentation(G2378)
+    sub = [parse_word(p, "b")]
+    with patch.object(coset_table, "_map_columns", wraps=coset_table._map_columns) as mapped:
+        t = todd_coxeter(p, sub)
+        assert (t.n, t.n_gens, t.subgroup) == (3584, 2, tuple(sub))
+        assert t.stats.allocated - t.stats.dead == 3584
+        assert repr(t) == "CosetTable(n=3584, gens=2)"
+        for name in ("n", "forward", "backward"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(t, name, ())
+        assert not hasattr(t, "nothing")
+        assert mapped.call_count == 0
+        # either map's first read builds both, once
+        backward = t.backward
+        forward = t.forward
+        assert mapped.call_count == 1
+        assert t.forward is forward and t.backward is backward
+        for name in ("n", "forward", "backward"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(t, name, ())
+        assert mapped.call_count == 1
+    # a, an involution, keeps one tuple for both maps, read backward first
+    assert forward[0] is backward[0] and forward[1] != backward[1]
+    assert validate_table(p, sub, t).passed
 
 
 def test_enumeration_memory_follows_the_table():
@@ -788,6 +861,7 @@ def test_enumeration_memory_follows_the_table():
     tracemalloc.start()
     try:
         t = todd_coxeter(p)
+        t.forward  # the maps are built on first read
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
