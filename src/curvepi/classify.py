@@ -123,18 +123,22 @@ class NotCovered:
 class _Row:
     """One case of the table.  A row whose combinatorial type the source
     pins holds a reference type, and its key and degrees are read from it;
-    a partially keyed row holds only its component degrees."""
+    a partially keyed row holds only its component degrees.
 
-    __slots__ = ("type", "key", "degrees", "style", "name", "tag_text", "dsl",
+    A row with no group name is abelian, and its group comes from its
+    degrees.  Every other row names its group and says whether it is
+    virtually abelian; it has a presentation and invariants only when it
+    gives a catalog tag or DSL text."""
+
+    __slots__ = ("type", "key", "degrees", "name", "tag_text", "dsl",
                  "finite_order", "virtually_abelian", "notes")
 
-    def __init__(self, shape, style, name="", tag_text=None, dsl=None, *,
+    def __init__(self, shape, name="", tag_text=None, dsl=None, *,
                  finite_order=None, virtually_abelian=False, notes=""):
         if isinstance(shape, CombinatorialType):
             self.type, self.key, self.degrees = shape, canonical_key(shape), sorted(shape.degrees)
         else:
             self.type, self.key, self.degrees = None, None, list(shape)
-        self.style = style  # "abelian" | "group" | "virtually-abelian" | "named-only"
         self.name = name
         self.tag_text = tag_text
         self.dsl = dsl
@@ -165,92 +169,90 @@ CASES: Dict[str, _Row] = {
     # ---- four lines ----
     "1.1": _Row(
         _type(_LINES[:4], *[("A1", a, b) for (a, _), (b, _) in combinations(_LINES[:4], 2)]),
-        "abelian", notes="nodal arrangement"),
+        notes="nodal arrangement"),
     "1.2": _Row(_type(_LINES[:4], ("O3", "L1", "L2", "L3"),
                       ("A1", "L1", "L4"), ("A1", "L2", "L4"), ("A1", "L3", "L4")),
-                "group", "F_2 x Z", "free:2*free:1",
+                "F_2 x Z", "free:2*free:1",
                 notes="projection at the triple point gives a trivial fibration"),
-    "1.3": _Row(_type(_LINES[:4], ("O4", "L1", "L2", "L3", "L4")), "group", "F_3", "free:3",
+    "1.3": _Row(_type(_LINES[:4], ("O4", "L1", "L2", "L3", "L4")), "F_3", "free:3",
                 notes="concurrent lines: single singular fiber, no monodromy relation"),
     # ---- cubic plus line ----
-    "2.1.1": _Row(_type(_CL, *[("A1", "C", "L")] * 3), "abelian"),
-    "2.1.2": _Row(_type(_CL, ("x3", "C", "L")), "abelian"),
-    "2.1.3": _Row(_type(_CL, ("x2", "C", "L"), ("A1", "C", "L")), "abelian"),
-    "2.2.1": _Row(_type(_CL, ("A1", "C", "C"), *[("A1", "C", "L")] * 3), "abelian"),
-    "2.2.2": _Row(_type(_CL, ("A1", "C", "C"), ("x2", "C", "L"), ("A1", "C", "L")), "abelian"),
-    "2.2.3": _Row(_type(_CL, ("A1", "C", "C"), ("x3", "C", "L")), "abelian"),
-    "2.2.4": _Row(_type(_CL, ("A1T", "C", "L"), ("A1", "C", "L")), "abelian"),
-    "2.2.5": _Row(_type(_CL, ("A1*", "C", "L")), "abelian"),
-    "2.3.1": _Row(_type(_CL, ("A2", "C"), *[("A1", "C", "L")] * 3), "abelian"),
-    "2.3.2": _Row(_CUSP_TANGENT_LINE, "abelian"),
-    "2.3.3": _Row(_type(_CL, ("A2", "C"), ("x3", "C", "L")), "group", "B_3", "braid:3",
+    "2.1.1": _Row(_type(_CL, *[("A1", "C", "L")] * 3)),
+    "2.1.2": _Row(_type(_CL, ("x3", "C", "L"))),
+    "2.1.3": _Row(_type(_CL, ("x2", "C", "L"), ("A1", "C", "L"))),
+    "2.2.1": _Row(_type(_CL, ("A1", "C", "C"), *[("A1", "C", "L")] * 3)),
+    "2.2.2": _Row(_type(_CL, ("A1", "C", "C"), ("x2", "C", "L"), ("A1", "C", "L"))),
+    "2.2.3": _Row(_type(_CL, ("A1", "C", "C"), ("x3", "C", "L"))),
+    "2.2.4": _Row(_type(_CL, ("A1T", "C", "L"), ("A1", "C", "L"))),
+    "2.2.5": _Row(_type(_CL, ("A1*", "C", "L"))),
+    "2.3.1": _Row(_type(_CL, ("A2", "C"), *[("A1", "C", "L")] * 3)),
+    "2.3.2": _Row(_CUSP_TANGENT_LINE),
+    "2.3.3": _Row(_type(_CL, ("A2", "C"), ("x3", "C", "L")), "B_3", "braid:3",
                   notes="inflectional tangent line taken to infinity"),
-    "2.3.4": _Row(_CUSP_TANGENT_LINE, "abelian", notes="same combinatorial type as case 2.3.2"),
-    "2.3.5": _Row(_type(_CL, ("A2*", "C", "L")), "abelian"),
+    "2.3.4": _Row(_CUSP_TANGENT_LINE, notes="same combinatorial type as case 2.3.2"),
+    "2.3.5": _Row(_type(_CL, ("A2*", "C", "L"))),
     # ---- two conics ----
-    "3.1": _Row(_type(_QQ, ("x4", "Q1", "Q2")), "group", "Z * Z/2", None, "<a,b | b^2>"),
-    "3.2": _Row(_type(_QQ, ("x3", "Q1", "Q2"), ("A1", "Q1", "Q2")), "virtually-abelian",
-                notes=_VA_NOTE),
-    "3.3": _Row(_type(_QQ, ("x2", "Q1", "Q2"), *[("A1", "Q1", "Q2")] * 2), "virtually-abelian",
-                notes=_VA_NOTE),
-    "3.4": _Row(_type(_QQ, *[("A3", "Q1", "Q2")] * 2), "group", "Z * Z/2", None, "<a,b | b^2>",
+    "3.1": _Row(_type(_QQ, ("x4", "Q1", "Q2")), "Z * Z/2", None, "<a,b | b^2>"),
+    "3.2": _Row(_type(_QQ, ("x3", "Q1", "Q2"), ("A1", "Q1", "Q2")), "virtually abelian",
+                virtually_abelian=True, notes=_VA_NOTE),
+    "3.3": _Row(_type(_QQ, ("x2", "Q1", "Q2"), *[("A1", "Q1", "Q2")] * 2), "virtually abelian",
+                virtually_abelian=True, notes=_VA_NOTE),
+    "3.4": _Row(_type(_QQ, *[("A3", "Q1", "Q2")] * 2), "Z * Z/2", None, "<a,b | b^2>",
                 notes="bitangent conic pencil"),
-    "3.5": _Row(_type(_QQ, *[("A1", "Q1", "Q2")] * 4), "abelian"),
+    "3.5": _Row(_type(_QQ, *[("A1", "Q1", "Q2")] * 4)),
     # ---- conic plus two lines ----
-    "4.1": _Row(_type(_QLL, ("A1", "L1", "L2"), *[("A1", "Q", "L1")] * 2, *[("A1", "Q", "L2")] * 2),
-                "abelian"),
+    "4.1": _Row(_type(_QLL, ("A1", "L1", "L2"), *[("A1", "Q", "L1")] * 2, *[("A1", "Q", "L2")] * 2)),
     "4.2": _Row(_type(_QLL, ("O3", "Q", "L1", "L2"), ("A1", "Q", "L1"), ("A1", "Q", "L2")),
-                "virtually-abelian", notes=_VA_NOTE),
+                "virtually abelian", virtually_abelian=True, notes=_VA_NOTE),
     "4.3": _Row(_type(_QLL, ("x2", "Q", "L1"), *[("A1", "Q", "L2")] * 2, ("A1", "L1", "L2")),
-                "virtually-abelian", notes=_VA_NOTE),
-    "4.4": _Row(_type(_QLL, ("A3T", "Q", "L1", "L2"), ("A1", "Q", "L2")), "virtually-abelian",
-                notes=_VA_NOTE),
+                "virtually abelian", virtually_abelian=True, notes=_VA_NOTE),
+    "4.4": _Row(_type(_QLL, ("A3T", "Q", "L1", "L2"), ("A1", "Q", "L2")), "virtually abelian",
+                virtually_abelian=True, notes=_VA_NOTE),
     "4.5": _Row(_type(_QLL, ("x2", "Q", "L1"), ("x2", "Q", "L2"), ("A1", "L1", "L2")),
-                "named-only", "F_2 x| Z",
-                notes="mapping torus of a rank-2 free group (monodromy not pinned)"),
+                "F_2 x| Z", notes="mapping torus of a rank-2 free group (monodromy not pinned)"),
     # ---- irreducible quartics ----
-    "C4(3A2)": _Row(_type([("C", 4)], *[("A2", "C")] * 3), "group", "B_3(S^2)", "spherebraid3",
+    "C4(3A2)": _Row(_type([("C", 4)], *[("A2", "C")] * 3), "B_3(S^2)", "spherebraid3",
                     finite_order=12, notes="three-cusped quartic"),
     # ---- quintic nonabelian list ----
-    "C5(3A4)": _Row(_type([("C", 5)], *[("A4", "C")] * 3), "group", "order-320 group",
+    "C5(3A4)": _Row(_type([("C", 5)], *[("A4", "C")] * 3), "order-320 group",
                     "quintic:C5_3A4", finite_order=320),
-    "C5(A6+3A2)": _Row(_type([("C", 5)], ("A6", "C"), *[("A2", "C")] * 3), "group",
+    "C5(A6+3A2)": _Row(_type([("C", 5)], ("A6", "C"), *[("A2", "C")] * 3),
                        "Z-central extension of T(2,3,7)", "quintic:C5_A6_3A2"),
     "C4(3A2)+{x2,x2}": _Row(
         _type([("C", 4), ("L", 1)], *[("A2", "C")] * 3, *[("x2", "C", "L")] * 2),
-        "group", "Art_333", "quintic:C4_3A2"),
-    "C4+C1:B3": _Row([1, 4], "group", "B_3", "braid:3"),
-    "C4+C1:B4": _Row([1, 4], "group", "B_4", "braid:4"),
-    "C4+C1:G3(t+1)": _Row([1, 4], "group", "G_3(t+1)", "gpolymod:3;1,1"),
-    "C4+C1:G5(t+1)": _Row([1, 4], "group", "G_5(t+1)", "gpolymod:5;1,1"),
-    "C4+C1:Gr(2,3,5)xZ": _Row([1, 4], "group", "Gr<2,3,5> x Z", "gr:2,3,5*free:1"),
-    "C4+C1:T(3,4)": _Row([1, 4], "group", "T_{3,4}", "toric:3,4"),
-    "C3+C2": _Row([2, 3], "group", "Pi(C3+C2)", "quintic:C3_C2", virtually_abelian=True,
+        "Art_333", "quintic:C4_3A2"),
+    "C4+C1:B3": _Row([1, 4], "B_3", "braid:3"),
+    "C4+C1:B4": _Row([1, 4], "B_4", "braid:4"),
+    "C4+C1:G3(t+1)": _Row([1, 4], "G_3(t+1)", "gpolymod:3;1,1"),
+    "C4+C1:G5(t+1)": _Row([1, 4], "G_5(t+1)", "gpolymod:5;1,1"),
+    "C4+C1:Gr(2,3,5)xZ": _Row([1, 4], "Gr<2,3,5> x Z", "gr:2,3,5*free:1"),
+    "C4+C1:T(3,4)": _Row([1, 4], "T_{3,4}", "toric:3,4"),
+    "C3+C2": _Row([2, 3], "Pi(C3+C2)", "quintic:C3_C2", virtually_abelian=True,
                   notes="virtually Z^2"),
-    "C3+2C1:ZxB3": _Row([1, 1, 3], "group", "Z x B_3", "free:1*braid:3"),
-    "C3+2C1:G(t^2-1)": _Row([1, 1, 3], "group", "G(t^2-1)", "gpoly:-1,0,1"),
-    "C3+2C1:G(t^3-1)": _Row([1, 1, 3], "group", "G(t^3-1)", "gpoly:-1,0,0,1"),
-    "C3+2C1:T(2,4)": _Row([1, 1, 3], "group", "T_{2,4}", "toriceven:2"),
-    "C3+2C1:T(2,6)": _Row([1, 1, 3], "group", "T_{2,6}", "toriceven:3"),
+    "C3+2C1:ZxB3": _Row([1, 1, 3], "Z x B_3", "free:1*braid:3"),
+    "C3+2C1:G(t^2-1)": _Row([1, 1, 3], "G(t^2-1)", "gpoly:-1,0,1"),
+    "C3+2C1:G(t^3-1)": _Row([1, 1, 3], "G(t^3-1)", "gpoly:-1,0,0,1"),
+    "C3+2C1:T(2,4)": _Row([1, 1, 3], "T_{2,4}", "toriceven:2"),
+    "C3+2C1:T(2,6)": _Row([1, 1, 3], "T_{2,6}", "toriceven:3"),
     "C3(A2)+{x3}+{x2,x1}": _Row(
         _type([("C", 3), ("L1", 1), ("L2", 1)], ("A2", "C"), ("x3", "C", "L1"),
               ("x2", "C", "L2"), ("A1", "C", "L2"), ("A1", "L1", "L2")),
-        "group", "Art_234", "quintic:C3_A2_x3_x2x1"),
-    "2C2+C1:F2": _Row([1, 2, 2], "group", "F_2", "free:2"),
-    "2C2+C1:T(2,4)": _Row([1, 2, 2], "group", "T_{2,4}", "toriceven:2"),
-    "2C2+C1:ZxB3": _Row([1, 2, 2], "group", "Z x B_3", "free:1*braid:3"),
-    "C2+3C1:ZxF2": _Row([1, 1, 1, 2], "group", "Z x F_2", "free:1*free:2"),
-    "C2+3C1:ZxT(2,4)": _Row([1, 1, 1, 2], "group", "Z x T_{2,4}", "free:1*toriceven:2"),
-    "C2+3C1:Pi": _Row([1, 1, 1, 2], "group", "Pi(C2+3C1)", "quintic:C2_3C1_A",
+        "Art_234", "quintic:C3_A2_x3_x2x1"),
+    "2C2+C1:F2": _Row([1, 2, 2], "F_2", "free:2"),
+    "2C2+C1:T(2,4)": _Row([1, 2, 2], "T_{2,4}", "toriceven:2"),
+    "2C2+C1:ZxB3": _Row([1, 2, 2], "Z x B_3", "free:1*braid:3"),
+    "C2+3C1:ZxF2": _Row([1, 1, 1, 2], "Z x F_2", "free:1*free:2"),
+    "C2+3C1:ZxT(2,4)": _Row([1, 1, 1, 2], "Z x T_{2,4}", "free:1*toriceven:2"),
+    "C2+3C1:Pi": _Row([1, 1, 1, 2], "Pi(C2+3C1)", "quintic:C2_3C1_A",
                       notes="has an index-2 right-angled Artin subgroup"),
-    "C2+3C1:Art244": _Row([1, 1, 1, 2], "group", "Art_244", "quintic:C2_3C1_B"),
-    "5C1:F4": _Row(_type(_LINES, ("O5", "L1", "L2", "L3", "L4", "L5")), "group", "F_4", "free:4",
+    "C2+3C1:Art244": _Row([1, 1, 1, 2], "Art_244", "quintic:C2_3C1_B"),
+    "5C1:F4": _Row(_type(_LINES, ("O5", "L1", "L2", "L3", "L4", "L5")), "F_4", "free:4",
                    notes="concurrent lines: same projection argument as case 1.3"),
-    "5C1:ZxF3": _Row([1, 1, 1, 1, 1], "group", "Z x F_3", "free:1*free:3"),
-    "5C1:F2xF2": _Row([1, 1, 1, 1, 1], "group", "F_2 x F_2", "free:2*free:2"),
-    "5C1:Z2xF2": _Row([1, 1, 1, 1, 1], "group", "Z^2 x F_2", "free:1*free:1*free:2"),
+    "5C1:ZxF3": _Row([1, 1, 1, 1, 1], "Z x F_3", "free:1*free:3"),
+    "5C1:F2xF2": _Row([1, 1, 1, 1, 1], "F_2 x F_2", "free:2*free:2"),
+    "5C1:Z2xF2": _Row([1, 1, 1, 1, 1], "Z^2 x F_2", "free:1*free:1*free:2"),
     # ---- low degree extras covered by the same projection argument ----
-    "3C1:concurrent": _Row(_type(_LINES[:3], ("O3", "L1", "L2", "L3")), "group", "F_2", "free:2",
+    "3C1:concurrent": _Row(_type(_LINES[:3], ("O3", "L1", "L2", "L3")), "F_2", "free:2",
                            notes="concurrent lines: same projection argument as case 1.3"),
 }
 
@@ -273,28 +275,21 @@ def lookup_case(label: str) -> ClassificationEntry:
         row = CASES[label]
     except KeyError:
         raise KeyError(f"no classification case labeled {label!r}") from None
-    if row.style == "abelian":
+    if not row.name:
         return _abelian_entry(label, row.key, row.degrees, row.notes)
-    if row.style == "virtually-abelian":
-        return ClassificationEntry(
-            label, row.key, "virtually abelian", None, None,
-            abelian=False, virtually_abelian=True, finite_order=None,
-            invariants=None, notes=row.notes,
-        )
-    if row.style == "named-only":
-        return ClassificationEntry(
-            label, row.key, row.name, None, None,
-            abelian=False, virtually_abelian=False, finite_order=None,
-            invariants=None, notes=row.notes,
-        )
     tag = parse_tag(row.tag_text) if row.tag_text else None
-    pres = build(tag) if tag is not None else parse_presentation(row.dsl)
+    if tag is not None:
+        pres = build(tag)
+    elif row.dsl is not None:
+        pres = parse_presentation(row.dsl)
+    else:
+        pres = None
     return ClassificationEntry(
         label, row.key, row.name, tag, pres,
         abelian=False,
         virtually_abelian=row.virtually_abelian,
         finite_order=row.finite_order,
-        invariants=abelian_invariants(pres),
+        invariants=None if pres is None else abelian_invariants(pres),
         notes=row.notes,
     )
 
@@ -307,7 +302,7 @@ def _key_index() -> Dict[str, str]:
             continue
         first = CASES[index.setdefault(row.key, label)]
         # duplicate keys are allowed only when the answers agree
-        if (first.style, first.name) != (row.style, row.name):
+        if (first.name, first.virtually_abelian) != (row.name, row.virtually_abelian):
             raise AssertionError(f"conflicting table rows for key {row.key}")
     return index
 

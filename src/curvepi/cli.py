@@ -257,6 +257,10 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a power under MAX_LETTERS letters can still be too long to build
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -186,8 +186,10 @@ class CosetTable:
     ``forward[g][c]`` is the image of coset c under generator g, and
     ``backward[g][c]`` under its inverse; coset 0 is the subgroup itself.
     When both maps of g are given as one list (an involution), they are
-    stored as one tuple.  ``stats`` holds the work counts of the
-    enumeration that built the table, or None.  Immutable once constructed.
+    stored as one tuple.  ``subgroup`` holds the subgroup words and
+    ``stats`` the work counts of the enumeration that built the table; a
+    table built from given maps has no words and ``stats`` None.
+    Immutable once constructed.
 
     A table that ``todd_coxeter`` finishes holds the enumerator's columns
     with the BFS numbers and order, and maps the columns into ``forward`` and
@@ -199,13 +201,7 @@ class CosetTable:
 
     __slots__ = ("n", "n_gens", "forward", "backward", "subgroup", "stats", "_columns")
 
-    def __init__(
-        self,
-        forward: Sequence[Sequence[int]],
-        backward: Sequence[Sequence[int]],
-        subgroup: Sequence[Word] = (),
-        stats: EnumStats | None = None,
-    ):
+    def __init__(self, forward: Sequence[Sequence[int]], backward: Sequence[Sequence[int]]):
         if len(forward) != len(backward):
             raise ValueError("forward/backward generator counts differ")
         fwd = tuple(tuple(col) for col in forward)
@@ -217,7 +213,7 @@ class CosetTable:
                 raise ValueError("ragged action maps")
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
-        self._set(n, len(fwd), subgroup, stats, None)
+        self._set(n, len(fwd), (), None, None)
 
     def _set(self, n, n_gens, subgroup, stats, columns) -> None:
         """Set every slot but the maps; ``columns``, unless None, is what
@@ -657,20 +653,18 @@ def todd_coxeter(
     return _renumber(cols, parent, subgroup, stats)
 
 
-def table_from_action(
-    p: Presentation,
-    forward_maps: Sequence[Sequence[int]],
-    subgroup: Sequence[Word] = (),
-) -> CosetTable:
+def table_from_action(p: Presentation, forward_maps: Sequence[Sequence[int]]) -> CosetTable:
     """Build a coset table directly from a known transitive permutation
-    action of the generators (one total map per generator).  The table is
-    validated before being returned; ValueError if it fails."""
+    action of the generators (one total map per generator).  Coset 0 is
+    point 0, so the table is that of its stabilizer, and it records no
+    subgroup words.  The table is validated before being returned;
+    ValueError if it fails."""
     # a permutation's inverse sorts the points by image; validate_table reports a bad map
     backward = [
         sorted(range(len(f)), key=f.__getitem__) if _is_map(f, len(f)) else f for f in forward_maps
     ]
-    t = CosetTable(forward_maps, backward, subgroup)
-    report = validate_table(p, list(subgroup), t)
+    t = CosetTable(forward_maps, backward)
+    report = validate_table(p, [], t)
     if not report.passed:
         raise ValueError(f"action does not satisfy the presentation: {report}")
     return t

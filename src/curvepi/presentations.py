@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from itertools import chain, compress
-from operator import attrgetter, eq, itemgetter, ne, neg
-from typing import Iterable, List, Sequence, Tuple
+from operator import eq
+from typing import Iterable, Sequence, Tuple
 
 from .words import Word, cyclic_reduce, invert, power
 
@@ -18,23 +17,12 @@ def _undeclared(letters: Tuple[int, ...], n: int) -> bool:
     return max(letters) > n or -min(letters) > n
 
 
-def _checked_relators(given: List[Word], n: int) -> Tuple[Word, ...]:
+def _checked_relators(given: Iterable[Word], n: int) -> Tuple[Word, ...]:
     """The relators a presentation on ``n`` generators stores: the given
     words, empty ones dropped and those of the form x ... x^-1 cyclically
-    reduced.
-
-    All are checked at once first: exact ``Word`` values, letters in range
-    and no x ... x^-1 ends, and then each is kept as it was given.  When any
-    check fails, they are checked one by one, so that the first bad one
-    raises."""
-    if set(map(type, given)) <= {Word}:
-        letters = list(map(attrgetter("letters"), given))
-        kept = list(filter(None, letters))
-        flat = list(chain.from_iterable(kept))
-        if (not flat or (max(flat) <= n and -min(flat) <= n)) and all(
-            map(ne, map(itemgetter(0), kept), map(neg, map(itemgetter(-1), kept)))
-        ):
-            return tuple(compress(given, letters))
+    reduced.  They are checked one by one, so the first bad one raises:
+    ``TypeError`` for a value that is not a ``Word``, ``ValueError`` for a
+    letter beyond the generators."""
     rels = []
     for w in given:
         if not isinstance(w, Word):
@@ -69,7 +57,7 @@ class Presentation:
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", _checked_relators(list(relators), len(gens)))
+        object.__setattr__(self, "relators", _checked_relators(relators, len(gens)))
         object.__setattr__(self, "_index", None)  # name -> index, on first lookup
 
     @classmethod

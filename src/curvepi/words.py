@@ -48,12 +48,10 @@ class Word:
         return w
 
     @classmethod
-    def gen(cls, index: int, sign: int = 1) -> "Word":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def gen(cls, index: int) -> "Word":
         if index < 0:
             raise ValueError(f"generator index {index} is negative")
-        return cls._raw((sign * (index + 1),))
+        return cls._raw((index + 1,))
 
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self.letters)

@@ -143,7 +143,7 @@ class _Enumerator:
                             self.define(alpha, col)
             alpha += 1
 
-    def finish(self, subgroup: Sequence[Word]) -> CosetTable:
+    def finish(self) -> CosetTable:
         """Compact to live cosets, renumbered by BFS from coset 0 over the
         positive generator columns (which span any complete finite table),
         so transversals are reproducible."""
@@ -174,7 +174,7 @@ class _Enumerator:
             for g in range(n_gens):
                 forward[g][new] = number[self.rep(row[2 * g])]
                 backward[g][new] = number[self.rep(row[2 * g + 1])]
-        return CosetTable(forward, backward, subgroup)
+        return CosetTable(forward, backward)
 
 
 def reference_todd_coxeter(
@@ -186,7 +186,7 @@ def reference_todd_coxeter(
         enum.run()
     except _Overflowed:
         return None
-    return enum.finish(subgroup)
+    return enum.finish()
 
 
 # The column-major enumerator before scans were skipped, verbatim but for
@@ -252,9 +252,7 @@ def _coincidence(parent: List[int], pairs, a: int, b: int) -> int:
     return killed
 
 
-def _renumber(
-    cols: List[List[Optional[int]]], parent: List[int], live: int, subgroup: Sequence[Word]
-) -> CosetTable:
+def _renumber(cols: List[List[Optional[int]]], parent: List[int], live: int) -> CosetTable:
     """Compact to live cosets, renumbered by BFS from coset 0 over the
     positive generator columns (which span any complete finite table), so
     transversals are reproducible."""
@@ -280,7 +278,7 @@ def _renumber(
         raise RuntimeError("table is not transitive")
     forward = [[number[root[col[c]]] for c in order] for col in forward_cols]
     backward = [[number[root[col[c]]] for c in order] for col in cols[1::2]]
-    return CosetTable(forward, backward, subgroup)
+    return CosetTable(forward, backward)
 
 
 def scan_every_todd_coxeter(
@@ -373,4 +371,4 @@ def scan_every_todd_coxeter(
             alpha += 1
     except _Overflowed:
         return Overflow(len(parent) - dead, len(parent), max_cosets, steps)
-    return _renumber(cols, parent, len(parent) - dead, subgroup)
+    return _renumber(cols, parent, len(parent) - dead)

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -292,6 +294,29 @@ def test_partial_rows_have_no_key():
     for label, row in CASES.items():
         if label.startswith(("C4+C1", "C3+2C1", "2C2+C1", "C2+3C1")) or label == "C3+C2":
             assert row.key is None and row.type is None, label
+
+
+ROWS = os.path.join(os.path.dirname(__file__), "data", "classification_rows.json")
+
+
+def test_every_row_matches_its_pinned_json():
+    # the fixture holds lookup_case(label).to_json() of every row and
+    # classify(row.type).to_json() of every keyed row, as written before
+    # the rows lost their style tags; it pins the rows with no
+    # presentation ("virtually abelian" and named-only) in full too
+    with open(ROWS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+
+    def as_json(entry):
+        return json.loads(json.dumps(entry.to_json()))
+
+    assert sorted(pinned["lookup_case"]) == sorted(CASES)
+    for label in CASES:
+        assert as_json(lookup_case(label)) == pinned["lookup_case"][label], label
+    keyed = [label for label, row in CASES.items() if row.type is not None]
+    assert sorted(pinned["classify"]) == sorted(keyed)
+    for label in keyed:
+        assert as_json(classify(CASES[label].type)) == pinned["classify"][label], label
 
 
 def test_lookup_case_unknown():

@@ -537,6 +537,13 @@ def test_catalog_power_too_long_for_a_tuple_is_a_usage_error(r):
     assert err == f"error: power makes a word longer than {MAX_LETTERS} letters\n"
 
 
+@pytest.mark.parametrize("argv", [["ab", f"<a | a^{2**59}>"], ["catalog", f"toric:3,{2**59}"]])
+def test_power_too_long_for_memory_is_a_usage_error(argv):
+    # 2^59 letters pass the MAX_LETTERS check on a 64-bit build, and their
+    # 4 EiB list fails to allocate at once
+    assert run(argv) == (2, "", "error: out of memory\n")
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = os.path.dirname(os.path.abspath(PKG))

@@ -164,7 +164,7 @@ def test_validate_rejects_a_subgroup_word_over_an_undeclared_generator():
     # the same ValueError as todd_coxeter's, not an IndexError from trace
     p = parse_presentation("<a | a^2>")
     t = todd_coxeter(p)
-    for w in (Word.gen(3), Word.gen(1, -1)):
+    for w in (Word.gen(3), ~Word.gen(1)):
         with pytest.raises(ValueError, match="undeclared generator"):
             todd_coxeter(p, [w])
         with pytest.raises(ValueError, match="undeclared generator"):

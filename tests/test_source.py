@@ -224,3 +224,69 @@ def test_enumeration_kernel_runs_in_one_frame():
     kernel = next(stmt for stmt in tree.body if isinstance(stmt, ast.While))
     read = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
     assert not read & set(fn.__code__.co_cellvars)
+
+
+def _defaulted(fn, bound):
+    """(name, position) of each parameter of ``fn`` with a default; the
+    position counts past ``bound`` leading parameters (self or cls) and is
+    None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+    found += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _passes(call, name, position):
+    """Whether ``call`` passes the parameter, by keyword or position; a
+    call that unpacks ``*`` or ``**`` arguments may pass any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_the_library():
+    # a default that no library call overrides is a constant with a
+    # parameter around it: tests set it, nothing else does.  A call is
+    # matched to a definition by name (a class name calls its __init__,
+    # and a method's first parameter is bound), so a same-named callee
+    # elsewhere may count; the allowlist is the command-line entry and
+    # IntMatrix, which only the tests build
+    allowed = {"cli.main(argv)", "abelian.IntMatrix.__init__(cols)"}
+    calls = {}  # callee name -> calls
+    params = []  # (where, callee name, parameter, position)
+    for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
+        module = name[:-3]
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.add(fn)
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        params += [
+                            (f"{module}.{node.name}.{fn.name}({p})", callee, p, i)
+                            for p, i in _defaulted(fn, 1)
+                        ]
+        params += [
+            (f"{module}.{fn.name}({p})", fn.name, p, i)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn not in methods
+            for p, i in _defaulted(fn, 0)
+        ]
+    assert params
+    unset = [
+        where
+        for where, callee, p, i in params
+        if where not in allowed and not any(_passes(c, p, i) for c in calls.get(callee, []))
+    ]
+    assert unset == []
