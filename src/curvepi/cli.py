@@ -210,12 +210,16 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The top-level parser with the subparser of ``command`` only, or of
-    every command for None.  A parser with one subparser names all the
-    commands in its usage line, so its messages read as the full parser's.
-    Parsing starts each call from a fresh namespace, so no value of one
-    call reaches the next."""
+    every command without one, built once per process.  ``main`` builds
+    the full parser only when no known command comes first, since most of
+    a parser's cost is building it, and the full one builds eight.  Ask
+    for it as ``make_parser()``: the cache keys ``make_parser(None)``
+    apart, and would build it twice.  A parser with one subparser names
+    all the commands in its usage line, so its messages read as the full
+    parser's.  Parsing starts each call from a fresh namespace, so no
+    value of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="curvepi",
         description=(
@@ -234,19 +238,11 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def make_parser() -> argparse.ArgumentParser:
-    """The full parser, one per process.  ``main`` builds it only when no
-    known command comes first; otherwise it builds the top-level parser and
-    the subparser of that command, since most of a parser's cost is
-    building it, and the full one builds eight."""
-    return _parser(None)
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # an unknown or missing command gets the full parser and its messages
-    parser = _parser(argv[0]) if argv and argv[0] in _COMMANDS else make_parser()
+    parser = make_parser(argv[0]) if argv and argv[0] in _COMMANDS else make_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -14,25 +14,6 @@ from .presentations import Presentation
 from .words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
 
 
-def _tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
-    """BFS from coset 0 over positive generators in declaration order:
-    maps each other coset to the (coset, generator) edge that first
-    reached it, in the order reached.  Positive letters suffice: each
-    generator permutes the finite coset set, so the set reachable by
-    positive steps is inverse-closed."""
-    edges: Dict[int, Tuple[int, int]] = {}
-    order = [0]
-    for c in order:
-        for g in range(t.n_gens):
-            d = t.forward[g][c]
-            if d != 0 and d not in edges:
-                edges[d] = (c, g)
-                order.append(d)
-    if len(order) != t.n:
-        raise ValueError("table is not transitive")
-    return edges
-
-
 def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
     """The presentation of the subgroup at coset 0 of ``t``.  Generators:
     the nontrivial s_{K,a} = rep(K) a rep(Ka)^-1; relators: each relator of
@@ -43,6 +24,13 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
     Representatives are positive words, so s_{K,a} reduces to nothing
     exactly when rep(Ka) = rep(K) a, that is when (K, a) is the tree edge
     that reached Ka; such a generator is dropped up front.
+
+    The tree is one BFS from coset 0 over the forward maps in generator
+    order.  Positive letters suffice: each generator permutes the finite
+    coset set, so the set they reach is inverse-closed, and a table they
+    do not cover is not transitive.  A ``ValueError`` also names a
+    generator count mismatch, a table with no cosets, maps that are not
+    mutually inverse permutations, and a relator that does not close.
 
     The walk reads only lists.  ``label[g][K]`` is s_{K,g} as a 1-based
     letter, or 0 when (K, g) is a tree edge; generators are numbered coset
@@ -83,14 +71,25 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
         # are mutually inverse permutations of the cosets
         if not _is_map(forward, t.n) or list(map(backward.__getitem__, forward)) != identity:
             raise ValueError(f"the maps of {name} are not mutually inverse permutations")
-    tree = set(_tree_edges(t).values())
+    # a tree edge gets label 0, every other entry stays 1 until numbered
+    label = [[1] * t.n for _ in range(t.n_gens)]
+    reached = [True] + [False] * (t.n - 1)
+    order = [0]
+    for coset in order:
+        for forward, lab in zip(t.forward, label):
+            d = forward[coset]
+            if not reached[d]:
+                reached[d] = True
+                lab[coset] = 0
+                order.append(d)
+    if len(order) != t.n:
+        raise ValueError("table is not transitive")
     names: List[str] = []
-    label = [[0] * t.n for _ in range(t.n_gens)]
     for coset in range(t.n):
-        for g in range(t.n_gens):
-            if (coset, g) not in tree:
-                names.append(f"s{coset}_{p.generators[g]}")
-                label[g][coset] = len(names)
+        for name, lab in zip(p.generators, label):
+            if lab[coset]:
+                names.append(f"s{coset}_{name}")
+                lab[coset] = len(names)
     # signed ambient letter -> its step pair
     steps: Dict[int, Tuple[Sequence[int], List[int]]] = {}
     for g, (forward, backward, lab) in enumerate(zip(t.forward, t.backward, label)):

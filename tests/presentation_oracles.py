@@ -1,8 +1,10 @@
 """Earlier versions of presentation code, kept as oracles.
 
 - The per-relator checks of the Presentation constructor, verbatim (but
-  for the function head, the imports, and returning what the constructor
-  set), as the oracle for Presentation.__init__.
+  for the function head, the imports, returning what the constructor set,
+  and the undeclared-letter rule written out where the constructor calls
+  ``presentations._undeclared``, so the oracle does not share it), as the
+  oracle for Presentation.__init__.
 - The run-by-run writer, ``format_word``, ``_format_run`` and
   ``format_presentation`` verbatim, as the oracle for the atom-table
   ``format_presentation``.
@@ -10,7 +12,7 @@
 
 from typing import Iterable, Sequence
 
-from curvepi.presentations import IDENTIFIER, Presentation, _undeclared
+from curvepi.presentations import IDENTIFIER, Presentation
 from curvepi.words import Word, cyclic_reduce
 
 
@@ -31,7 +33,7 @@ def presentation_parts(generators: Sequence[str], relators: Iterable[Word] = ())
         letters = w.letters
         if not letters:
             continue
-        if _undeclared(letters, n):
+        if max(letters) > n or -min(letters) > n:
             raise ValueError(f"relator {w!r} uses an undeclared generator")
         core = cyclic_reduce(letters)
         # a reduced word of one letter or more keeps at least one

@@ -2,11 +2,12 @@
 
 - The Reidemeister-Schreier rewriter's tuple-keyed form, verbatim (but for
   its imports and its class name), as the oracle for the label-list walk
-  of ``subgroup_presentation``.  It shares only the BFS tree
-  (``_tree_edges``) with that walk: it keys every (coset, generator) pair
-  in a dict and re-reduces every rewritten word, so it does not rely on
-  rewritten words coming out reduced.  Its ``rewrite``, which the library
-  no longer has, is the reference rewriting function of the tests.
+  of ``subgroup_presentation``.  It builds its BFS tree with its own
+  ``tree_edges``, the library's former helper, keys every (coset,
+  generator) pair in a dict and re-reduces every rewritten word, so it
+  does not rely on rewritten words coming out reduced.  Its ``rewrite``,
+  which the library no longer has, is the reference rewriting function of
+  the tests, and ``tree_edges`` gives their Schreier transversal.
 - The shortening kernel ``_substring_shorten`` that slices at every start,
   verbatim, as the oracle for the kernel that hops to the starts with
   ``tuple.index``, and as the kernel of the rescanning Tietze loop in
@@ -19,8 +20,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from curvepi.coset_table import CosetTable
 from curvepi.presentations import Presentation
-from curvepi.schreier import _tree_edges
 from curvepi.words import Word, invert, reduce_letters
+
+
+def tree_edges(t: CosetTable) -> Dict[int, Tuple[int, int]]:
+    """BFS from coset 0 over positive generators in declaration order:
+    maps each other coset to the (coset, generator) edge that first
+    reached it, in the order reached.  Positive letters suffice: each
+    generator permutes the finite coset set, so the set reachable by
+    positive steps is inverse-closed."""
+    edges: Dict[int, Tuple[int, int]] = {}
+    order = [0]
+    for c in order:
+        for g in range(t.n_gens):
+            d = t.forward[g][c]
+            if d != 0 and d not in edges:
+                edges[d] = (c, g)
+                order.append(d)
+    if len(order) != t.n:
+        raise ValueError("table is not transitive")
+    return edges
 
 
 class OracleRewriter:
@@ -36,7 +55,7 @@ class OracleRewriter:
     def __init__(self, p: Presentation, t: CosetTable):
         self.presentation = p
         self.table = t
-        tree = set(_tree_edges(t).values())
+        tree = set(tree_edges(t).values())
         self.names: List[str] = []
         # (coset, gen) -> subgroup generator index, or None when trivial
         self.index: Dict[Tuple[int, int], Optional[int]] = {}

@@ -98,12 +98,12 @@ def test_one_subparser_parses_as_the_full_parser():
     # main builds only the subparser of the command it runs
     assert {argv[0] for argv in COMMAND_ARGV} == set(cli._COMMANDS)
     for argv in COMMAND_ARGV:
-        assert cli._parser(argv[0]).parse_args(argv) == make_parser().parse_args(argv), argv
+        assert make_parser(argv[0]).parse_args(argv) == make_parser().parse_args(argv), argv
 
 
 def test_one_subparser_reports_usage_errors_as_the_full_parser(capsys):
     errors = []
-    for parser in (cli._parser("tc"), make_parser()):
+    for parser in (make_parser("tc"), make_parser()):
         with pytest.raises(SystemExit):
             parser.parse_args(["tc", "<a |>", "--bogus"])
         errors.append(capsys.readouterr())
@@ -111,12 +111,20 @@ def test_one_subparser_reports_usage_errors_as_the_full_parser(capsys):
 
 
 def test_main_builds_the_full_parser_only_without_a_known_command(monkeypatch, capsys):
-    full = make_parser()
-    monkeypatch.setattr(cli, "make_parser", lambda: pytest.fail("full parser built"))
+    # each call of the builder records the command it asks for
+    asked = []
+
+    def recording(*command):
+        asked.append(command)
+        return make_parser(*command)
+
+    monkeypatch.setattr(cli, "make_parser", recording)
     assert main(["catalog", "toric:2,3"]) == 0
-    monkeypatch.setattr(cli, "make_parser", lambda: full)
+    assert asked == [("catalog",)]
+    asked.clear()
     with pytest.raises(SystemExit):
         main(["bogus"])
+    assert asked == [()]
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 

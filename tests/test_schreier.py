@@ -1,4 +1,7 @@
+import hashlib
 import io
+import json
+import os
 import random
 from contextlib import redirect_stdout
 
@@ -9,17 +12,17 @@ from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import abelian_invariants
 from curvepi.cli import main
 from curvepi.coset_table import CosetTable, Overflow, table_from_action, todd_coxeter
-from curvepi.schreier import _tree_edges, simplify, subgroup_presentation
+from curvepi.schreier import simplify, subgroup_presentation
 from curvepi.presentations import Presentation
 from curvepi.words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
-from schreier_oracle import OracleRewriter
+from schreier_oracle import OracleRewriter, tree_edges
 
 
 def schreier_transversal(t: CosetTable):
     """BFS-minimal coset representatives, index-aligned with the table:
     prefix-closed positive words, representative 0 the empty word."""
     reps = [Word()] * t.n
-    for d, (c, g) in _tree_edges(t).items():
+    for d, (c, g) in tree_edges(t).items():
         reps[d] = reps[c] * Word.gen(g)
     return tuple(reps)
 
@@ -251,6 +254,37 @@ def test_label_walk_matches_the_tuple_keyed_rewriter():
     corpus.append((s3, t))
     for p, t in corpus:
         assert_same_as_the_oracle(p, t)
+
+
+E6_TEXT = (
+    "<a,b,c,d,e,f | a^2,b^2,c^2,d^2,e^2,f^2, (ab)^3,(bc)^3,(cd)^3,(de)^3,(cf)^3, "
+    "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
+)
+RS_DIGESTS = os.path.join(os.path.dirname(__file__), "data", "rs_digests.json")
+
+
+def rs_digests():
+    """sha256 of ``rs`` stdout on E6 subgroups, raw and simplified, and one
+    sha256 over the rewritten presentations of the first 100 seeded random
+    action tables, which are numbered at random rather than in BFS order."""
+    digests = {}
+    for case in ("abcde", "abcde --raw", "abcd", "abcd --raw", "abc"):
+        gens, *raw = case.split()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["rs", E6_TEXT, *(x for g in gens for x in ("--subgroup", g)), *raw]) == 0
+        digests[case] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    rng = random.Random(11)
+    texts = [format_presentation(subgroup_presentation(*random_action_table(rng))) for _ in range(100)]
+    digests["random action tables"] = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    return digests
+
+
+def test_rs_outputs_match_the_pinned_digests():
+    # the names, the letters and the relator order of the walk's output,
+    # and simplify's output on it, stay byte for byte what they were
+    with open(RS_DIGESTS) as f:
+        assert rs_digests() == json.load(f)
 
 
 @st.composite
