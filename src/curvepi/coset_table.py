@@ -20,14 +20,22 @@ a caller that needs only the index never maps them.
 Strategy.  HLT visits the live cosets in order and scans every relator at
 each (coset 0 scans the subgroup words first), one scan step per pass: a
 closed word with a mismatch is a coincidence, a single gap is filled, and a
-longer gap gets a new coset.  Every entry set by a fill or a definition
-goes on a deduction stack, drained after each word: an entry of column x at
-coset c scans at c, in one pass, each distinct cyclic conjugate starting
-with x of every relator of length at most 3 other than g^2, and of its
-inverse (``_DEDUCE_MAX_LENGTH``).  A row fill, where it can define a coset
-(``_row_fill_needed``; see Soundness), then defines the row's empty
-entries and drains again, all in ``todd_coxeter``'s frame, with no call
-per coset, definition or deduction.
+longer gap gets a new coset.  HLT's work depends on the order of the scans
+and on how each relator is rotated and inverted, so the relators are first
+put in one form (``_scan_order``), as Havas and Ramsay's ACE enumerator
+does unless told otherwise: each is replaced by the least rotation of it or
+of its inverse (``words.cyclic_key``), duplicates are dropped, and they are
+scanned shortest first, ties broken by that key.  The work counts and the point
+where a budget runs out then depend on the relator set only, not on how a
+presentation writes it.  Subgroup words are scanned as given, since
+rotating one would change the subgroup.  Every entry set by a fill or a
+definition goes on a deduction stack, drained after each word: an entry
+of column x at coset c scans at c, in one pass, each distinct cyclic
+conjugate starting with x of every relator of length at most 3 other than
+g^2, and of its inverse (``_DEDUCE_MAX_LENGTH``).  A row fill, where it
+can define a coset (``_row_fill_needed``; see Soundness), then defines the
+row's empty entries and drains again, all in ``todd_coxeter``'s frame,
+with no call per coset, definition or deduction.
 
 Most relator scans only confirm a cycle that is already closed, and a
 relator's symmetry can prove that without reading the word.  Read w, of
@@ -40,7 +48,10 @@ carries a bitmask of the columns its shortcuts read; at each live coset one
 pass over those columns sets the bits whose image is below it, and that
 set keys a dict of the relators left to scan, built on first use.
 
-Soundness.  A deduction sets only an entry that a relator implies, and no
+Soundness.  The relators below are the scanned forms: each defines the
+same normal closure as the relator it replaces, and the skip and row-fill
+arguments read the forms themselves, so they hold whatever the presentation
+wrote.  A deduction sets only an entry that a relator implies, and no
 step ever clears an entry of a live coset except to merge it, so closed
 cycles stay closed and coincidences map closed cycles onto closed cycles.
 Once ``_coincidence`` returns, no live row points at a dead coset: every
@@ -53,10 +64,10 @@ closed at beta, its path from beta ends with the letter w[0] back at beta;
 column maps are injective, so the coset before that letter is alpha, and
 alpha*w = alpha.  Offset L-1 is the same argument from the other end.  A
 skipped scan would thus neither define a coset nor merge two.  Subgroup
-words, scanned at coset 0 only, never skip.  So every relator is closed at
-a coset alpha still live after its scans, and a closed relator w sets
-alpha*w[0] and alpha*w[-1]^-1: the row fill can define a coset only in a
-list (an involution's columns are one) that is no relator's first letter
+words, scanned as given at coset 0 only, never skip.  So every relator is
+closed at a coset alpha still live after its scans, and a closed relator w
+sets alpha*w[0] and alpha*w[-1]^-1: the row fill can define a coset only in
+a list (an involution's columns are one) that is no relator's first letter
 or inverse last letter, g^2 aside.  The finished table is the
 action on the cosets, renumbered by BFS, so it does not depend on the
 order of definitions, deductions and skips, unlike the work counts and the
@@ -92,7 +103,7 @@ from operator import eq, itemgetter, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .presentations import Presentation
-from .words import Word
+from .words import Word, cyclic_key
 
 
 # the default coset budget of an enumeration
@@ -275,8 +286,16 @@ class ValidationReport:
         return f"ValidationReport(passed={self.passed}, failures={list(self.failures)})"
 
 
-def _word_to_cols(w: Word) -> Tuple[int, ...]:
-    return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in w.letters)
+def _word_to_cols(letters: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in letters)
+
+
+def _scan_order(relators: Sequence[Word]) -> List[Tuple[int, ...]]:
+    """The relators as the enumerator scans them (module docstring,
+    Strategy): each as the least rotation of it or of its inverse, the same
+    one key for every way of writing it, duplicates dropped, shortest
+    first and then by that key."""
+    return sorted(sorted({cyclic_key(r.letters) for r in relators}), key=len)
 
 
 def _read(w: Tuple[int, ...], involutions: set) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -302,10 +321,10 @@ def _shortcuts(w: Tuple[int, ...], involutions: set) -> Tuple[Optional[int], Opt
 # Deduce only with relators of this length or shorter.  A deduction scan
 # pays off when it closes a short cycle that HLT would otherwise fill with
 # new cosets: (2,3,7;8), whose b^3 is its only such relator, allocates
-# 38,168 cosets instead of 128,562 and enumerates about twice as fast.  With
+# 38,838 cosets instead of 126,510 and enumerates about twice as fast.  With
 # length 4, the (ac)^2 relators of the E6 Coxeter group deduce too: E6 then
-# allocates no coset that dies, but takes 1,265,499 scan steps instead of
-# 236,025 and enumerates about 3x slower.
+# allocates no coset that dies, but takes 1,265,724 scan steps instead of
+# 234,789 and enumerates about 3x slower.
 _DEDUCE_MAX_LENGTH = 3
 _BLOCK = 1024  # the enumerator's columns grow this many entries at a time
 # When the coset budget is full, compact the dead cosets away only if that
@@ -314,8 +333,8 @@ _BLOCK = 1024  # the enumerator's columns grow this many entries at a time
 # definitions, so all compactions together cost at most _COMPACT_SHARE
 # row passes per coset defined: linear in the enumeration.  A share this
 # small lets a budget close to the index suffice: at a budget of 52,000 E6
-# (index 51,840) compacts three times, and the last compaction frees 217
-# cosets, 1/240 of the budget.
+# (index 51,840) compacts three times, and the last compaction frees 240
+# cosets, 1/217 of the budget.
 _COMPACT_SHARE = 256
 # the entry of a scan list that stands for the row fill (module docstring)
 _ROW_FILL = (None, None, -1, None)
@@ -494,7 +513,7 @@ def todd_coxeter(
         raise ValueError("max_cosets must be positive")
     max_steps = _MAX_SCAN_STEPS  # read once: the scans test it at every step
     # no comprehension reads a name the kernel reads: 3.11 makes that a cell
-    words = [_word_to_cols(w) for w in p.relators]
+    words = [_word_to_cols(r) for r in _scan_order(p.relators)]
     squares = {w for w in words if len(w) == 2 and w[0] == w[1]}
     involutions = {w[0] >> 1 for w in squares}
     block = [None] * _BLOCK
@@ -525,44 +544,53 @@ def todd_coxeter(
     # the columns that some relator's shortcut reads, each with its bit
     read = reduce(or_, masks, 0)
     shortcuts = [(1 << x, cols[x]) for x in range(len(cols)) if read >> x & 1]
-    # the relators to scan at a coset, by the set of shortcut columns that
-    # take it to a coset below it
+    # the relators to scan at a coset, and how many a relator symmetry proves
+    # closed there, by the set of shortcut columns that take it to a coset
+    # below it
     scan_lists: dict = {}
     # coset 0, which has no coset below it, scans the subgroup words first;
     # a compaction keeps coset 0 and every coset below alpha, so alpha is 0
     # after one only if it was 0 before, and todo still holds those words
-    todo = [_scan(cols, _word_to_cols(p.check_word(w))) for w in subgroup if w] + relator_scans
+    todo = [_scan(cols, _word_to_cols(p.check_word(w).letters)) for w in subgroup if w] + relator_scans
     # ``dead``: dead cosets still in the table; ``freed``: those compactions dropped
     dead = steps = skipped = alpha = peak = freed = compactions = 0
-    while alpha < len(parent):
+    # ``n``: the cosets in the table, len(parent); ``capacity``: the length of
+    # every column list
+    n, capacity = 1, _BLOCK
+    while alpha < n:
         try:
-            while alpha < len(parent):
+            while alpha < n:
                 if parent[alpha] == alpha:
                     below = 0
                     for bit, col in shortcuts:
                         if (beta := col[alpha]) is not None and beta < alpha:
                             below |= bit
                     if alpha:
-                        if (todo := scan_lists.get(below)) is None:
-                            todo = scan_lists[below] = []
+                        if (entry := scan_lists.get(below)) is None:
+                            todo, skip = [], 0
                             for scan, mask in zip(relator_scans, masks):
-                                if not mask & below:
+                                if mask & below:
+                                    skip += 1
+                                else:
                                     todo.append(scan)
-                        # a relator symmetry proves the others closed at alpha
-                        skipped += len(relator_scans) - len(todo)
+                            entry = scan_lists[below] = todo, skip
+                        todo, skip = entry
+                        skipped += skip
                     for fwd, bwd, last, w in todo:
                         if parent[alpha] != alpha:
                             break
                         if w is None:  # the row fill: a new coset at each empty entry
                             for x, col, inv in row:
                                 if col[alpha] is None:
-                                    beta = len(parent)
+                                    beta = n
                                     if beta >= max_cosets:
                                         raise _Overflowed
-                                    if beta == len(col):
+                                    if beta == capacity:
                                         for grown, _ in pairs:
                                             grown.extend(block)
+                                        capacity += _BLOCK
                                     parent.append(beta)
+                                    n += 1
                                     col[alpha] = beta
                                     inv[beta] = alpha
                                     if deduce[x]:
@@ -584,18 +612,20 @@ def todd_coxeter(
                                     j -= 1
                                 if j < i:  # closed; peak is taken before each coincidence
                                     if f != b:
-                                        peak = max(peak, len(parent) - dead)
+                                        peak = max(peak, n - dead)
                                         dead += _coincidence(parent, pairs, f, b)
                                     break
                                 y = b  # f*x = y: b at a single gap, a new coset at a longer one
                                 if j > i:
-                                    y = len(parent)
+                                    y = n
                                     if y >= max_cosets:
                                         raise _Overflowed
-                                    if y == len(fwd[i]):
+                                    if y == capacity:
                                         for grown, _ in pairs:
                                             grown.extend(block)
+                                        capacity += _BLOCK
                                     parent.append(y)
+                                    n += 1
                                 x = w[i]
                                 fwd[i][f] = y
                                 bwd[i][y] = f
@@ -624,7 +654,7 @@ def todd_coxeter(
                                     j -= 1
                                 if j < i:
                                     if f != b:
-                                        peak = max(peak, len(parent) - dead)
+                                        peak = max(peak, n - dead)
                                         dead += _coincidence(parent, pairs, f, b)
                                 elif j == i:
                                     x = w[i]
@@ -642,13 +672,13 @@ def todd_coxeter(
             if steps > max_steps or dead * _COMPACT_SHARE < max_cosets:
                 break
             alpha = _compact(parent, [col for col, _ in pairs], stack, alpha)
+            # parent and the column lists now hold the live cosets only
+            n = capacity = n - dead
             freed += dead
             dead = 0
             compactions += 1
-    stats = EnumStats(
-        len(parent) + freed, dead + freed, steps, skipped, max(peak, len(parent) - dead), compactions
-    )
-    if alpha < len(parent):  # a budget ran out
+    stats = EnumStats(n + freed, dead + freed, steps, skipped, max(peak, n - dead), compactions)
+    if alpha < n:  # a budget ran out
         return Overflow(stats, max_cosets)
     return _renumber(cols, parent, subgroup, stats)
 

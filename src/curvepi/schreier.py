@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .coset_table import CosetTable, _is_map
 from .presentations import Presentation
-from .words import Word, canonical_cyclic, cyclic_reduce, invert, reduce_letters
+from .words import Word, cyclic_key, cyclic_reduce, invert, reduce_letters
 
 
 def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
@@ -115,30 +115,6 @@ def subgroup_presentation(p: Presentation, t: CosetTable) -> Presentation:
 
 # ---------------------------------------------------------------------------
 # Tietze simplification
-
-
-def _dedupe_key(r: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The least rotation of cyclically reduced ``r`` or of its inverse.
-
-    Each starts with its word's least letter, ``min(r)`` for ``r`` and
-    ``-max(r)`` for the inverse, so the word whose least letter is the
-    lesser gives the key, and the inverse is built only when it may give it.
-    Words of one or two letters are answered directly: (x) gives (-|x|),
-    and (x, y) with x <= y gives (x, y) or (-y, -x), whichever starts
-    lower (x + y is not 0, as the word is cyclically reduced).
-    """
-    if len(r) <= 2:
-        if len(r) == 1:
-            return (-abs(r[0]),)
-        x, y = r if r[0] <= r[1] else (r[1], r[0])
-        return (x, y) if x + y < 0 else (-y, -x)
-    lo, hi = min(r), -max(r)
-    if lo < hi:
-        return canonical_cyclic(r)
-    inv = invert(r)
-    if hi < lo:
-        return canonical_cyclic(inv)
-    return min(canonical_cyclic(r), canonical_cyclic(inv))
 
 
 def _substring_shorten(rel: Tuple[int, ...], shorter: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
@@ -269,7 +245,7 @@ def simplify(p: Presentation) -> Presentation:
         for i, r in changed.items():
             if not r:
                 continue
-            key = _dedupe_key(r)
+            key = cyclic_key(r)
             j = owner.get(key)
             if j is not None:
                 if j < i:
@@ -337,7 +313,7 @@ def simplify(p: Presentation) -> Presentation:
         changed: Dict[int, Tuple[int, ...]] = {}
         for i, out, reduced in results:
             if reduced:
-                key = _dedupe_key(out)
+                key = cyclic_key(out)
                 if key not in owner:
                     # ``remove`` then ``add``, but where[g] goes with g, so
                     # only the replacement's generators are new to the index
@@ -374,7 +350,7 @@ def simplify(p: Presentation) -> Presentation:
     # a Presentation's relators are already cyclically reduced and nonempty
     for i, w in enumerate(p.relators):
         r = w.letters
-        key = _dedupe_key(r)
+        key = cyclic_key(r)
         if key not in owner:
             add(i, r, key)
     while eliminate_once():  # the fold phase

@@ -19,6 +19,7 @@ from curvepi.coset_table import (
     _coincidence,
     _compact,
     _renumber,
+    _scan_order,
     _shortcuts,
     _word_to_cols,
     table_from_action,
@@ -26,7 +27,7 @@ from curvepi.coset_table import (
     validate_table,
 )
 from curvepi.presentations import Presentation
-from curvepi.words import Word
+from curvepi.words import Word, invert
 from perm_oracle import perm_group_order
 from reference_enumerator import Overflow as ScanEveryOverflow
 from reference_enumerator import reference_todd_coxeter, scan_every_todd_coxeter
@@ -38,7 +39,8 @@ E6 = (
     "(ac)^2,(ad)^2,(ae)^2,(af)^2,(bd)^2,(be)^2,(bf)^2,(ce)^2,(df)^2,(ef)^2>"
 )
 # one rewrite each of E6 and G2378 as the benchmark makes them: relators
-# shuffled, each rotated, some inverted; HLT's work depends on all three
+# shuffled, each rotated, some inverted; the enumerator scans each relator
+# in one form and order, so its work depends on none of the three
 E6_REWRITTEN = (
     "<a,b,c,d,e,f | (ab)^3, (df)^2, (cd)^3, (ca)^2, (d^-1 e^-1)^3, a^-2, b^-2, (b^-1 e^-1)^2, "
     "(ad)^2, (b^-1 f^-1)^2, (af)^2, (e^-1 f^-1)^2, c^-2, (b^-1 d^-1)^2, (a^-1 e^-1)^2, d^2, "
@@ -253,7 +255,7 @@ def test_tc_names_the_budget_that_ran_out(capsys):
     # step cap, so its wording is checked on the value
     with patch.object(coset_table, "_MAX_SCAN_STEPS", 1000):
         res = todd_coxeter(parse_presentation(G2378))
-        assert str(res) == "deduction budget exhausted (1000 scan steps, 398 cosets allocated)"
+        assert str(res) == "deduction budget exhausted (1000 scan steps, 390 cosets allocated)"
     assert res.deductions == 1001
     assert cli_main(["tc", G2378, "--max-cosets", "1000"]) == 1
     err = capsys.readouterr().err
@@ -410,9 +412,9 @@ def _symmetric_case(draw_int, draw_bool):
 
 
 def _relator_offsets(p):
-    """(offset 1, offset L-1) for each relator, with the enumerator's
-    involutions: the generators with a relator g^2 or g^-2."""
-    words = [_word_to_cols(r) for r in p.relators]
+    """(offset 1, offset L-1) for each relator as the enumerator scans it,
+    with its involutions: the generators with a relator g^2 or g^-2."""
+    words = [_word_to_cols(r) for r in _scan_order(p.relators)]
     involutions = {w[0] >> 1 for w in words if len(w) == 2 and w[0] == w[1]}
     return [tuple(x is not None for x in _shortcuts(w, involutions)) for w in words if w]
 
@@ -474,12 +476,12 @@ def test_matches_scan_every_enumerator_on_seeded_corpus():
     assert work == {
         "CosetTable": 233,
         "Overflow": 167,
-        "allocated": 305609,
-        "dead": 55413,
-        "scan_steps": 376802,
-        "skipped": 32740,
-        "peak_live": 250580,
-        "compactions": 170,
+        "allocated": 285667,
+        "dead": 35595,
+        "scan_steps": 350646,
+        "skipped": 31723,
+        "peak_live": 250355,
+        "compactions": 115,
     }
 
 
@@ -530,7 +532,9 @@ def test_offset_one_symmetry_does_not_imply_offset_last():
     # g1 g0^2 with both generators involutions equals its inverse rotated
     # by one letter, but no rotation by two letters gives it or its inverse
     p = parse_presentation("<g0,g1 | g0^2, g1^-2, g0^-6, g1 g0^2>")
-    assert _relator_offsets(p)[-1] == (True, False)
+    # scanned as g1^-1 g0^-2, after the two squares and before g0^-6
+    assert _scan_order(p.relators)[2] == (-2, -1, -1)
+    assert _relator_offsets(p)[2] == (True, False)
     sub = [parse_word(p, "g1"), parse_word(p, "g0^-1 g1^-1 g0^-1 g1^-1 g0^-1")]
     t = todd_coxeter(p, sub)
     assert isinstance(t, CosetTable) and t.n == 1
@@ -545,16 +549,17 @@ def test_e6_finishes_within_a_reduced_deduction_budget():
     assert isinstance(t, CosetTable) and t.n == 51840
     # E6 has no relator of length 3 or less but its g^2, so nothing deduces,
     # and choosing the scans by skip mask changes no scan step
-    assert t.stats == EnumStats(
-        allocated=59166, dead=7326, scan_steps=236025, skipped=600740, peak_live=51840, compactions=0
+    stats = EnumStats(
+        allocated=57705, dead=5865, scan_steps=234789, skipped=600515, peak_live=51844, compactions=0
     )
+    assert t.stats == stats
+    # the enumerator scans each relator in one form, in one order, however
+    # the presentation writes it
     p = parse_presentation(E6_REWRITTEN)
     with patch.object(coset_table, "_MAX_SCAN_STEPS", 400_000):
         t = todd_coxeter(p)
     assert isinstance(t, CosetTable) and t.n == 51840
-    assert t.stats == EnumStats(
-        allocated=59207, dead=7367, scan_steps=236052, skipped=600754, peak_live=51841, compactions=0
-    )
+    assert t.stats == stats
 
 
 def test_involution_maps_share_one_tuple():
@@ -574,15 +579,14 @@ def test_enumeration_stats():
     t = todd_coxeter(p)
     s = t.stats
     assert isinstance(s, EnumStats) and s.allocated - s.dead == t.n == 10752
-    # the work as written: deducing with b^3 allocates 38,168 cosets, where
-    # HLT without deductions allocates 128,562 and 117,810 of them die
+    # deducing with b^3 allocates 38,838 cosets, where HLT without
+    # deductions allocates 126,510 and 115,758 of them die; a rewrite of the
+    # presentation does the same work
     assert s == EnumStats(
-        allocated=38168, dead=27416, scan_steps=122886, skipped=14208, peak_live=37108, compactions=0
+        allocated=38838, dead=28086, scan_steps=124613, skipped=14260, peak_live=37718, compactions=0
     )
     t = todd_coxeter(parse_presentation(G2378_REWRITTEN))
-    assert t.n == 10752 and t.stats == EnumStats(
-        allocated=44702, dead=33950, scan_steps=142207, skipped=15237, peak_live=43278, compactions=0
-    )
+    assert t.n == 10752 and t.stats == s
     assert CosetTable([[0]], [[0]]).stats is None
     res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000
@@ -613,6 +617,52 @@ def test_tc_stats_go_to_stderr(capsys):
         "50 peak live, 0 compactions",
         "overflow: 50 cosets allocated (budget 50); index may be infinite",
     ]
+
+
+def _rewritten(p, rng):
+    """p with its relators shuffled, each rotated, some inverted, as the
+    benchmark rewrites its inputs."""
+    rels = [r.letters for r in p.relators]
+    rng.shuffle(rels)
+    out = []
+    for r in rels:
+        k = rng.randrange(len(r))
+        r = r[k:] + r[:k]
+        out.append(Word(invert(r) if rng.random() < 0.5 else r))
+    return Presentation(p.generators, out)
+
+
+def _same_enumeration(res, other):
+    """Two results with the same work, the same end and the same table."""
+    assert type(res) is type(other) and res.stats == other.stats
+    if isinstance(res, Overflow):
+        assert str(res) == str(other)
+    else:
+        assert res.forward == other.forward and res.backward == other.backward
+
+
+def test_enumeration_does_not_depend_on_how_the_relators_are_written(capsys):
+    # the same relator set written another way is the same enumeration:
+    # work counts, finished table, and the point where a budget runs out;
+    # subgroup words stay as given
+    rng = random.Random(40)
+    cases = [(parse_presentation(dsl), [], MAX_COSETS, 1000) for dsl in (E6, G2378)]
+    for _ in range(200):
+        cases.append((*_symmetric_case(rng.randint, lambda q: rng.random() < q), 2000, rng.randint(5, 100)))
+    overflows = 0
+    for p, sub, budget, small in cases:
+        full, cut = todd_coxeter(p, sub, budget), todd_coxeter(p, sub, small)
+        overflows += isinstance(cut, Overflow)
+        for _ in range(3):
+            q = _rewritten(p, rng)
+            _same_enumeration(full, todd_coxeter(q, sub, budget))
+            _same_enumeration(cut, todd_coxeter(q, sub, small))
+    assert overflows > 50, overflows
+    assert cli_main(["tc", E6, "--stats"]) == 0
+    as_written = capsys.readouterr()
+    assert cli_main(["tc", E6_REWRITTEN, "--stats"]) == 0
+    assert capsys.readouterr() == as_written
+    assert as_written.err.startswith("stats: 57705 cosets allocated")
 
 
 @pytest.mark.parametrize("max_cosets", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -772,12 +822,12 @@ def test_compaction_keeps_the_table_on_hypothesis_corpus(data):
 
 
 def test_e6_finishes_within_a_budget_just_above_its_index():
-    # 51,840 cosets live at the end, 59,166 allocated: three compactions make
+    # 51,840 cosets live at the end, 57,705 allocated: three compactions make
     # room within 52,000, and the table is the one a larger budget gives
     p = parse_presentation(E6)
     t = todd_coxeter(p, [], 52000)
     assert isinstance(t, CosetTable) and t.stats.compactions == 3
-    assert t.stats[:2] == (59166, 7326) and t.stats.peak_live == 51840
+    assert t.stats[:2] == (57705, 5865) and t.stats.peak_live == 51844
     full = todd_coxeter(p)
     assert t.forward == full.forward and t.backward == full.backward
 
@@ -785,13 +835,13 @@ def test_e6_finishes_within_a_budget_just_above_its_index():
 def test_compacted_overflow_names_the_live_cosets(capsys):
     res = todd_coxeter(parse_presentation(G2378), [], 5000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
-    assert res.stats == EnumStats(5026, 26, 14545, 1002, peak_live=5000, compactions=1)
-    assert str(res) == "5000 cosets live, 5026 allocated (budget 5000, compactions: 1)"
+    assert res.stats == EnumStats(5020, 20, 14598, 1019, peak_live=5000, compactions=1)
+    assert str(res) == "5000 cosets live, 5020 allocated (budget 5000, compactions: 1)"
     assert cli_main(["tc", G2378, "--max-cosets", "5000", "--stats"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "stats: 5026 cosets allocated, 26 dead, 14545 scan steps, 1002 scans skipped, "
+        "stats: 5020 cosets allocated, 20 dead, 14598 scan steps, 1019 scans skipped, "
         "5000 peak live, 1 compactions",
-        "overflow: 5000 cosets live, 5026 allocated (budget 5000, compactions: 1); "
+        "overflow: 5000 cosets live, 5020 allocated (budget 5000, compactions: 1); "
         "index may be infinite",
     ]
 

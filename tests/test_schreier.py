@@ -688,39 +688,6 @@ def test_long_replacement_updates_in_place_beside_a_dropped_duplicate(text, want
 
 
 @st.composite
-def cyclic_words(draw):
-    """Nonempty cyclically reduced letters over up to 3 generators: a power
-    of one letter, a power of a short word, or a random word."""
-    n = draw(st.integers(1, 3))
-    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
-    kind = draw(st.sampled_from(["letter power", "word power", "word"]))
-    if kind == "letter power":
-        return (draw(letter),) * draw(st.integers(1, 8))
-    if kind == "word power":
-        letters = draw(st.lists(letter, min_size=1, max_size=4)) * draw(st.integers(2, 4))
-    else:
-        letters = draw(st.lists(letter, min_size=1, max_size=12))
-    return cyclic_reduce(reduce_letters(letters)) or (draw(letter),)
-
-
-@settings(max_examples=500, deadline=None)
-@given(cyclic_words())
-# words of one and two letters, which the key answers directly
-@example((1,))
-@example((-2,))
-@example((2, 2))
-@example((-1, -1))
-@example((1, 2))
-@example((2, -1))
-@example((-1, 2))
-@example((-2, -1))
-def test_dedupe_key_is_the_least_rotation_of_the_word_or_its_inverse(letters):
-    from curvepi.schreier import _dedupe_key
-
-    assert _dedupe_key(letters) == min(canonical_cyclic(letters), canonical_cyclic(invert(letters)))
-
-
-@st.composite
 def shortening_pairs(draw):
     """(rel, shorter): cyclically reduced words of 1-12 letters over up to 3
     generators.  ``rel`` is random or made of runs of repeated letters, so

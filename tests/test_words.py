@@ -1,12 +1,13 @@
 import random
 import struct
 import sys
+import time
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curvepi import derive, parse_presentation
+from curvepi import derive, parse_presentation, words
 from curvepi.abelian import exponent_row
 from curvepi.derive import ProofTrace, _canonical_steps, derive_relator, replay_trace
 from curvepi.presentations import Presentation
@@ -15,6 +16,7 @@ from curvepi.words import (
     Word,
     canonical_cyclic,
     concat,
+    cyclic_key,
     cyclic_reduce,
     invert,
     least_rotation_index,
@@ -126,11 +128,48 @@ def test_cyclic_reduce_strips_end_pairs():
 
 def test_least_rotation_brute_force():
     rng = random.Random(4)
+    letters = [1, -1, 2, -2, 3, -3]
     for _ in range(400):
         n = rng.randint(1, 14)
-        t = tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(n))
+        t = tuple(rng.choice(letters) for _ in range(n))
         k = least_rotation(t)
         assert t[k:] + t[:k] == min(t[i:] + t[:i] for i in range(n))
+    # proper powers, where the least rotation starts at several indices, and
+    # near-powers, a power with one letter changed, added or dropped; with
+    # no slice budget, a word with three or more run starts takes the
+    # linear scan
+    for _ in range(400):
+        base = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
+        t = base * rng.randint(2, 6)
+        kind = rng.randrange(4)
+        if kind == 1:
+            t[rng.randrange(len(t))] = rng.choice(letters)
+        elif kind == 2:
+            t.insert(rng.randrange(len(t) + 1), rng.choice(letters))
+        elif kind == 3:
+            del t[rng.randrange(len(t))]
+        t = tuple(t)
+        rotations = [t[i:] + t[:i] for i in range(len(t))]
+        k = least_rotation_index(t)
+        # the first index of the least rotation
+        assert k == rotations.index(min(rotations)) == least_rotation(t), t
+        with patch.object(words, "_SLICE_WORK", 0):
+            assert least_rotation_index(t) == k, t
+
+
+def test_least_rotation_of_a_long_power_is_linear():
+    # comparing a 32,000-letter slice at each of 16,000 run starts took
+    # about 3 s per word on a shared 2-vCPU host; a power stops at its
+    # second start, and a near-power takes the linear scan
+    core = (1, 2) * 16000
+    start = time.perf_counter()
+    assert least_rotation_index(core) == 0
+    assert least_rotation_index(core[1:] + core[:1]) == 1
+    assert cyclic_key(core) == (-2, -1) * 16000
+    assert canonical_cyclic((2, 3, -1) * 20000) == (-1, 2, 3) * 20000
+    assert least_rotation_index((2,) + core) == 1
+    assert least_rotation_index(core[:-1] + (1,)) == 31998
+    assert time.perf_counter() - start < 1.0
 
 
 def test_canonical_cyclic_invariant_under_rotation():
@@ -281,6 +320,37 @@ def test_canonical_cyclic_matches_booth(letters):
     reduced = reduce_letters(letters)
     assert canonical_cyclic(reduced) == parent_canonical_cyclic(letters)
     assert _canonical_steps(reduced) == parent_canonical_steps(letters)
+
+
+@st.composite
+def cyclic_words(draw):
+    """Nonempty cyclically reduced letters over up to 3 generators: a power
+    of one letter, a power of a short word, or a random word."""
+    n = draw(st.integers(1, 3))
+    letter = st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)])
+    kind = draw(st.sampled_from(["letter power", "word power", "word"]))
+    if kind == "letter power":
+        return (draw(letter),) * draw(st.integers(1, 8))
+    if kind == "word power":
+        letters = draw(st.lists(letter, min_size=1, max_size=4)) * draw(st.integers(2, 4))
+    else:
+        letters = draw(st.lists(letter, min_size=1, max_size=12))
+    return cyclic_reduce(reduce_letters(letters)) or (draw(letter),)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cyclic_words())
+# words of one and two letters, which the key answers directly
+@example((1,))
+@example((-2,))
+@example((2, 2))
+@example((-1, -1))
+@example((1, 2))
+@example((2, -1))
+@example((-1, 2))
+@example((-2, -1))
+def test_cyclic_key_is_the_least_rotation_of_the_word_or_its_inverse(letters):
+    assert cyclic_key(letters) == min(canonical_cyclic(letters), canonical_cyclic(invert(letters)))
 
 
 @st.composite
