@@ -2,14 +2,13 @@
 verification suite, keyed by structured tags.
 
 Tags have a compact text syntax (``toric:3,4``, ``artin:333``,
-``quintic:C4_3A2``, products with ``*``) used by the CLI and serializable
-to JSON.  A tag's parameters are the plain values its text gives:
-``toric:3,4`` holds ``(3, 4)``, ``raag:3;1-0`` holds ``(3, ((0, 1),))``
-and ``gpolymod:3;1,1`` holds ``(3, (1, 1))``.  ``_VARIANTS`` holds, for
-each variant, the reader of the text after the colon, the check of the
-parameters, the builder of the presentation and the writer of the text
-after the colon; a writer of ``None`` means the text has no colon.  The
-check runs once, when a tag is made, so every ``GroupTag`` builds,
+``quintic:C4_3A2``, products with ``*``) that the CLI reads, and a JSON
+form, ``GroupTag.to_json``.  A tag's parameters are the plain values its
+text gives: ``toric:3,4`` holds ``(3, 4)``, ``raag:3;1-0`` holds
+``(3, ((0, 1),))`` and ``gpolymod:3;1,1`` holds ``(3, (1, 1))``.
+``_VARIANTS`` holds, for each variant, the reader of the text after the
+colon, the check of the parameters and the builder of the presentation.
+The check runs once, when a tag is made, so every ``GroupTag`` builds,
 whether parsed or made in code; ``artin`` and ``coxeter`` labels are
 >= 2.  Every text that is not a tag raises the one
 ``bad tag syntax '<text>'``.
@@ -28,10 +27,6 @@ from .words import Word
 
 def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
-
-
-def _commas(*values) -> str:
-    return ",".join(map(str, values))
 
 
 def _no_text(text: str) -> tuple:
@@ -215,55 +210,45 @@ def quintic_presentation(case: str) -> Presentation:
 
 
 # variant -> (reader of the text after the colon, check of the parameters,
-#             builder of the presentation, writer of the text after the colon);
-# the check and the builder take the parameters as their arguments, so a
-# wrong count fails the check; format_tag writes a product's ``*``
+#             builder of the presentation); the check and the builder take
+# the parameters as their arguments, so a wrong count fails the check
 _VARIANTS = {
-    "free": (_ints, lambda n: _int(n) and n >= 1,
-             lambda n: Presentation(_gen_names(n)), _commas),
-    "braid": (_ints, lambda n: _int(n) and n >= 2,
-              _braid, _commas),
+    "free": (_ints, lambda n: _int(n) and n >= 1, lambda n: Presentation(_gen_names(n))),
+    "braid": (_ints, lambda n: _int(n) and n >= 2, _braid),
     "spherebraid3": (_no_text, lambda: True,
-                     lambda: parse_presentation("<s1, s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>"),
-                     None),
+                     lambda: parse_presentation("<s1, s2 | s1 s2 s1 = s2 s1 s2, s1 s2^2 s1>")),
     # labels of the edges (a,b), (b,c) and (a,c)
     "artin": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2,
-              lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)]), _commas),
+              lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)])),
     "coxeter": (_read_labels, lambda m, n, p: _int(m, n, p) and min(m, n, p) >= 2,
-                lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)], True), _commas),
-    "raag": (_read_raag, _simple_graph,
-             _raag, lambda n, edges: f"{n};" + ",".join(f"{i}-{j}" for i, j in edges)),
+                lambda m, n, p: _artin(3, [(0, 1, m), (0, 2, p), (1, 2, n)], True)),
+    "raag": (_read_raag, _simple_graph, _raag),
     "toric": (_ints, lambda p, q: _int(p, q) and gcd(p, q) == 1,  # (2, 2r) is toriceven
-              lambda p, q: Presentation(["a", "b"], [_A**p * _B**-q]), _commas),
+              lambda p, q: Presentation(["a", "b"], [_A**p * _B**-q])),
     "toriceven": (_ints, lambda r: _int(r) and r >= 1,
-                  lambda r: Presentation(["a", "b"], [(_A * _B) ** r * (_B * _A) ** -r]), _commas),
-    "gpoly": (lambda text: (_ints(text),), _monic,
-              lambda coeffs: _gpolymod(None, coeffs), lambda coeffs: _commas(*coeffs)),
+                  lambda r: Presentation(["a", "b"], [(_A * _B) ** r * (_B * _A) ** -r])),
+    "gpoly": (lambda text: (_ints(text),), _monic, lambda coeffs: _gpolymod(None, coeffs)),
     "gpolymod": (_read_gpolymod, lambda p, coeffs: _int(p) and p >= 2 and _monic(coeffs),
-                 _gpolymod, lambda p, coeffs: f"{p};" + _commas(*coeffs)),
+                 _gpolymod),
     "gr": (_ints, lambda p, q, r: _int(p, q, r),
            lambda p, q, r: Presentation(["a", "b", "c"], [
-               _A**p * _B**-q, _B**q * _C**-r, _C**r * ~(_A * _B * _C)]), _commas),
+               _A**p * _B**-q, _B**q * _C**-r, _C**r * ~(_A * _B * _C)])),
     "triangle": (_ints, lambda p, q, r: _int(p, q, r),
-                 lambda p, q, r: Presentation(["a", "b"], [_A**p, _B**q, (_A * _B) ** r]), _commas),
-    "surface": (_ints, lambda g: _int(g) and g >= 1,
-                lambda g: Presentation(*_surface_data(g)), _commas),
-    "surfext": (_ints, lambda g, p: _int(g, p) and g >= 0,
-                _surfext, _commas),
+                 lambda p, q, r: Presentation(["a", "b"], [_A**p, _B**q, (_A * _B) ** r])),
+    "surface": (_ints, lambda g: _int(g) and g >= 1, lambda g: Presentation(*_surface_data(g))),
+    "surfext": (_ints, lambda g, p: _int(g, p) and g >= 0, _surfext),
     "product": (_no_text, lambda left, right: all(isinstance(t, GroupTag) for t in (left, right)),
-                lambda left, right: direct_product(build(left), build(right)), None),
+                lambda left, right: direct_product(build(left), build(right))),
     "quintic": (lambda text: (_QUINTIC_ALIASES.get(text, text),), lambda case: case in _QUINTIC_DSL,
-                quintic_presentation, _commas),
+                quintic_presentation),
 }
 
 
 class GroupTag:
-    """variant plus parameters; see ``_VARIANTS`` for the presentation each
-    variant builds."""
+    """variant plus parameters, immutable like ``Word``; see ``_VARIANTS``
+    for the presentation each variant builds."""
 
     __slots__ = ("variant", "params")
-
-    VARIANTS = frozenset(_VARIANTS)
 
     def __init__(self, variant: str, *params):
         try:
@@ -272,8 +257,11 @@ class GroupTag:
             ok = False
         if not ok:
             raise ValueError(f"no {variant!r} tag has the parameters {params!r}")
-        self.variant = variant
-        self.params = params
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupTag is immutable")
 
     def __eq__(self, other) -> bool:
         return (
@@ -286,7 +274,7 @@ class GroupTag:
         return hash((self.variant, self.params))
 
     def __repr__(self) -> str:
-        return f"GroupTag({format_tag(self)!r})"
+        return f"GroupTag({', '.join(map(repr, (self.variant, *self.params)))})"
 
     def to_json(self):
         return {
@@ -350,14 +338,3 @@ def _parse_simple(text: str) -> GroupTag:
     # no colon, no parameters
     params = _VARIANTS[name][0](arg.strip()) if colon else ()
     return GroupTag(name, *params)
-
-
-def format_tag(tag: GroupTag) -> str:
-    v, params = tag.variant, tag.params
-    if v == "product":
-        left, right = (format_tag(t) for t in params)
-        if params[1].variant == "product":
-            right = f"({right})"
-        return f"{left}*{right}"
-    writer = _VARIANTS[v][3]
-    return v if writer is None else f"{v}:{writer(*params)}"

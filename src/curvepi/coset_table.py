@@ -139,14 +139,14 @@ class EnumStats(NamedTuple):
 class Overflow:
     """Budget exhausted: possibly infinite index or a budget too small.
 
-    ``deductions`` counts the scan steps taken, deduction scans among them
-    and the refused one included, so it exceeds ``_MAX_SCAN_STEPS`` exactly
-    when that cap ran out; otherwise the coset budget ``max_cosets`` did.  A
-    scan that a relator symmetry skips takes no step.  The coset budget
-    bounds the cosets in the table, live and dead: when it is full, the
-    enumerator compacts the dead ones away if that frees at least
-    1/``_COMPACT_SHARE`` of it, so it runs out when the live cosets fill all
-    but less than that share."""
+    ``stats.scan_steps`` counts the scan steps taken, deduction scans among
+    them and the refused one included, so it exceeds ``_MAX_SCAN_STEPS``
+    exactly when that cap ran out; otherwise the coset budget
+    ``max_cosets`` did.  A scan that a relator symmetry skips takes no
+    step.  The coset budget bounds the cosets in the table, live and dead:
+    when it is full, the enumerator compacts the dead ones away if that
+    frees at least 1/``_COMPACT_SHARE`` of it, so it runs out when the live
+    cosets fill all but less than that share."""
 
     __slots__ = ("stats", "max_cosets")
 
@@ -163,12 +163,8 @@ class Overflow:
         return self.stats.allocated - self.stats.dead
 
     @property
-    def deductions(self) -> int:
-        return self.stats.scan_steps
-
-    @property
     def out_of_deductions(self) -> bool:
-        return self.deductions > _MAX_SCAN_STEPS
+        return self.stats.scan_steps > _MAX_SCAN_STEPS
 
     def __str__(self) -> str:
         """Which budget ran out, and how much of it was used."""
@@ -187,7 +183,7 @@ class Overflow:
     def __repr__(self) -> str:
         return (
             f"Overflow(live={self.live_cosets}, allocated={self.allocated}, "
-            f"deductions={self.deductions})"
+            f"scan_steps={self.stats.scan_steps})"
         )
 
 

@@ -175,15 +175,6 @@ class CombinatorialType:
     def total_degree(self) -> int:
         return sum(self.degrees)
 
-    def to_json(self) -> dict:
-        return {
-            "components": [{"id": c, "degree": d} for c, d in self.components],
-            "singularities": [
-                {"kind": s.kind, "at": s.at, "owners": list(s.owners)}
-                for s in self.singularities
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
         what = "a combinatorial type"

@@ -1,7 +1,9 @@
 """The earlier ``build`` and ``format_tag`` of ``curvepi.catalog``, kept
-verbatim (but for the imports) as the oracle for its variant table: one
-branch per variant, where the table now holds each variant's builder and
-writer."""
+verbatim (but for the imports).  ``build``, one branch per variant, is the
+oracle for the builders in the library's variant table.  ``format_tag`` is
+the only writer of the tag syntax: the library reads tags but writes none,
+and the tests write tags with it to check that the reader reads back every
+tag."""
 
 from curvepi.catalog import (
     GroupTag,

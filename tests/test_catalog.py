@@ -9,10 +9,10 @@ import catalog_oracle
 from curvepi import format_presentation, parse_presentation, parse_word
 from curvepi.abelian import InvariantFactors, abelian_invariants
 from curvepi.catalog import (
+    _VARIANTS,
     GroupTag,
     build,
     direct_product,
-    format_tag,
     parse_tag,
     quintic_cases,
     quintic_presentation,
@@ -23,7 +23,8 @@ from curvepi.schreier import simplify, subgroup_presentation
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
-# one text per variant, and a product on the right, as format_tag prints them
+# one text per variant, and a product on the right, as catalog_oracle.format_tag
+# prints them
 _ROUND_TRIP = (
     "free:3", "braid:4", "spherebraid3", "artin:3,3,3", "coxeter:2,3,3",
     "toric:3,4", "toriceven:2", "gpoly:-1,0,1", "gpolymod:3;1,1",
@@ -148,7 +149,7 @@ def test_quintic_cases_and_aliases():
     # an alias is read as its canonical name: one group, one tag, one text
     for alias, name in [("C4_3A2_x2x2", "C4_3A2"), ("C3_A2", "C3_A2_x3_x2x1")]:
         assert parse_tag(f"quintic:{alias}") == parse_tag(f"quintic:{name}")
-        assert format_tag(parse_tag(f"quintic:{alias}")) == f"quintic:{name}"
+        assert catalog_oracle.format_tag(parse_tag(f"quintic:{alias}")) == f"quintic:{name}"
         with pytest.raises(ValueError):
             quintic_presentation(alias)
     with pytest.raises(ValueError):
@@ -156,10 +157,10 @@ def test_quintic_cases_and_aliases():
 
 
 def test_tag_round_trip():
-    assert {parse_tag(t).variant for t in _ROUND_TRIP} == GroupTag.VARIANTS
+    assert {parse_tag(t).variant for t in _ROUND_TRIP} == frozenset(_VARIANTS)
     for text in _ROUND_TRIP:
         tag = parse_tag(text)
-        assert parse_tag(format_tag(tag)) == tag
+        assert parse_tag(catalog_oracle.format_tag(tag)) == tag
         tag.to_json()  # serializable
 
 
@@ -169,7 +170,7 @@ def tag_texts(draw):
     characters deleted, replaced or inserted; no digit is inserted, so every
     number stays small and every tag that parses builds at once."""
     if draw(st.booleans()):
-        name = draw(st.sampled_from(sorted(GroupTag.VARIANTS)))
+        name = draw(st.sampled_from(sorted(_VARIANTS)))
         values = draw(st.lists(st.integers(-2, 12), max_size=4))
         return f"{name}:" + draw(st.sampled_from(",;-")).join(map(str, values))
     chars = list(draw(st.sampled_from(_ROUND_TRIP)))
@@ -193,7 +194,7 @@ def test_every_parsed_tag_builds_and_round_trips(text):
     except ValueError:
         return
     build(tag)
-    assert parse_tag(format_tag(tag)) == tag
+    assert parse_tag(catalog_oracle.format_tag(tag)) == tag
 
 
 _LABEL = st.integers(2, 5)
@@ -237,7 +238,7 @@ def _tags(depth=2):
 
 
 def test_the_differential_strategy_draws_every_variant():
-    assert set(_PARAMS) | {"product"} == GroupTag.VARIANTS
+    assert set(_PARAMS) | {"product"} == frozenset(_VARIANTS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,9 +247,28 @@ def test_table_builds_and_writes_as_the_branch_chain_did(tag):
     presentation = build(tag)
     assert presentation == catalog_oracle.build(tag)
     assert format_presentation(presentation) == format_presentation(catalog_oracle.build(tag))
-    assert format_tag(tag) == catalog_oracle.format_tag(tag)
-    assert repr(tag) == f"GroupTag({catalog_oracle.format_tag(tag)!r})"
-    assert parse_tag(format_tag(tag)) == tag
+    assert parse_tag(catalog_oracle.format_tag(tag)) == tag
+    assert eval(repr(tag), {"GroupTag": GroupTag}) == tag
+
+
+def test_repr_is_a_constructor_call():
+    assert repr(parse_tag("toric:3,4")) == "GroupTag('toric', 3, 4)"
+    assert repr(parse_tag("spherebraid3*raag:3;1-0")) == (
+        "GroupTag('product', GroupTag('spherebraid3'), GroupTag('raag', 3, ((0, 1),)))"
+    )
+
+
+def test_tags_are_immutable():
+    # a tag hashes by its variant and parameters, so changing either would
+    # lose it in every set and dict that holds it
+    tag = parse_tag("toric:3,4")
+    held = {tag}
+    for name, value in (("variant", "toriceven"), ("params", (2, 5))):
+        with pytest.raises(AttributeError):
+            setattr(tag, name, value)
+    assert tag.variant == "toric" and tag.params == (3, 4)
+    assert tag in held and parse_tag("toric:3,4") in held
+    assert parse_tag("toric:2,5") not in held
 
 
 def test_artin_digit_shorthand():
@@ -296,4 +316,4 @@ def test_readme_names_every_tag_variant():
         text = fh.read()
     paragraph = text[text.index("Group tags:"):].split("\n\n")[0]
     named = set(re.findall(r"`([a-z0-9]+)[:`]", paragraph))
-    assert named == GroupTag.VARIANTS - {"product"}
+    assert named == frozenset(_VARIANTS) - {"product"}

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +19,8 @@ from curvepi.cli import main, make_parser
 from curvepi.geometry import CombinatorialType
 from curvepi.words import MAX_LETTERS
 
-PKG = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PKG = os.path.join(ROOT, "src", "curvepi")
 TYPES = os.path.join(PKG, "data", "types")
 BLOWUP = os.path.join(PKG, "data", "blowup")
 SCHEMAS = os.path.join(PKG, "schemas")
@@ -65,6 +68,45 @@ def test_tc_pipeline_quotient():
     code, out2, _ = run(["tc", "-", "--quotient-by", "a^2"], stdin=out)
     assert code == 0
     assert out2.strip() == "60"
+
+
+def _readme_examples():
+    """(line, pipeline, value) for each command of README's example block,
+    the one whose comments name outputs as ``# -> value``: the pipeline is
+    the argument lists of its ``|``-separated commands, ``curvepi`` left
+    off, and the value the text after ``->`` up to a comma, or None."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    (block,) = [b for b in blocks if "# ->" in b]
+    found = []
+    for line in filter(None, block.splitlines()):
+        words = shlex.split(line, comments=True)
+        pipeline = [[]]
+        for word in words:
+            if word == "|":
+                pipeline.append([])
+            else:
+                pipeline[-1].append(word)
+        assert all(argv[0] == "curvepi" for argv in pipeline), line
+        value = re.search(r"# -> ([^,]+)", line)
+        found.append((line, [argv[1:] for argv in pipeline], value and value.group(1).strip()))
+    return found
+
+
+def test_readme_examples_run(monkeypatch):
+    # each command of the example block runs from the repository root, a
+    # pipe feeding the next command's stdin, and prints the value its
+    # comment names on its first line
+    monkeypatch.chdir(ROOT)
+    examples = _readme_examples()
+    assert [value for _, _, value in examples if value] == ["Z/5", "60", "60"]
+    for line, pipeline, value in examples:
+        out = None
+        for argv in pipeline:
+            code, out, err = run(argv, stdin=out)
+            assert code == 0, (line, err)
+        if value:
+            assert out.splitlines()[0] == value, line
 
 
 def test_calls_in_one_process_share_the_parser_but_not_their_values():

@@ -228,11 +228,11 @@ def test_overflow_names_the_deduction_budget():
     with patch.object(coset_table, "_MAX_SCAN_STEPS", 1000):
         res = todd_coxeter(p)
         assert isinstance(res, Overflow) and res.out_of_deductions
-    assert res.deductions == 1001 and res.allocated < 1000
+    assert res.stats.scan_steps == 1001 and res.allocated < 1000
     res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
     assert res.allocated == res.max_cosets == 1000
-    assert res.deductions <= coset_table._MAX_SCAN_STEPS
+    assert res.stats.scan_steps <= coset_table._MAX_SCAN_STEPS
 
 
 def test_deduction_scans_are_budgeted():
@@ -244,7 +244,7 @@ def test_deduction_scans_are_budgeted():
         with patch.object(coset_table, "_MAX_SCAN_STEPS", budget):
             res = todd_coxeter(p)
             assert isinstance(res, Overflow) and res.out_of_deductions
-        assert res.deductions == budget + 1
+        assert res.stats.scan_steps == budget + 1
     res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and not res.out_of_deductions
     assert res.allocated == 1000
@@ -256,7 +256,7 @@ def test_tc_names_the_budget_that_ran_out(capsys):
     with patch.object(coset_table, "_MAX_SCAN_STEPS", 1000):
         res = todd_coxeter(parse_presentation(G2378))
         assert str(res) == "deduction budget exhausted (1000 scan steps, 390 cosets allocated)"
-    assert res.deductions == 1001
+    assert res.stats.scan_steps == 1001
     assert cli_main(["tc", G2378, "--max-cosets", "1000"]) == 1
     err = capsys.readouterr().err
     assert err == "overflow: 1000 cosets allocated (budget 1000); index may be infinite\n"
@@ -591,7 +591,7 @@ def test_enumeration_stats():
     res = todd_coxeter(p, [], 1000)
     assert isinstance(res, Overflow) and res.stats.allocated == res.allocated == 1000
     assert res.live_cosets == res.stats.allocated - res.stats.dead
-    assert res.deductions == res.stats.scan_steps
+    assert repr(res) == f"Overflow(live={res.live_cosets}, allocated=1000, scan_steps={res.stats.scan_steps})"
 
 
 def test_tc_stats_go_to_stderr(capsys):

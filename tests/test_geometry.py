@@ -23,6 +23,7 @@ from curvepi.geometry import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi", "data", "blowup")
+TYPES = os.path.join(os.path.dirname(__file__), "..", "src", "curvepi", "data", "types")
 
 
 def ct(components, sings):
@@ -164,10 +165,26 @@ def test_arity_checked():
 
 
 def test_json_round_trip():
-    c = ct([("C", 3), ("L", 1)], [("A2", ("C",)), ("x3", ("C", "L"))])
-    again = CombinatorialType.from_json(json.loads(json.dumps(c.to_json())))
-    assert again.components == c.components
-    assert [s.kind for s in again.singularities] == [s.kind for s in c.singularities]
+    # from_json keeps each document's components in order and reads each
+    # singularity's kind, location and owners as the constructor takes them
+    docs = [{
+        "components": [{"id": "C", "degree": 3}, {"id": "L", "degree": 1}],
+        "singularities": [
+            {"kind": "A2", "at": "p0", "owners": ["C"]},
+            {"kind": "x3", "at": "p1", "owners": ["C", "L"]},
+        ],
+    }]
+    for name in sorted(os.listdir(TYPES)):
+        with open(os.path.join(TYPES, name), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    assert len(docs) > 5
+    for doc in docs:
+        c = CombinatorialType.from_json(doc)
+        assert c.components == tuple((d["id"], d["degree"]) for d in doc["components"])
+        expected = [Singularity(d["kind"], d["at"], d["owners"]) for d in doc["singularities"]]
+        assert [(s.kind, s.at, s.owners) for s in c.singularities] == [
+            (s.kind, s.at, s.owners) for s in expected
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -90,37 +90,55 @@ def test_every_library_definition_is_used_by_the_library():
 
 
 def _reads(node):
-    """How often each name or attribute name is read under ``node``."""
+    """How often each name or attribute name is read under ``node``; an
+    assignment to a name is not a read of it."""
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
     )
 
 
+def _members(cls):
+    """(name, statement) of each method, property and class-level attribute
+    that a class body defines; dunder names are exempt, as Python reads
+    them."""
+    found = []
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [sub.id for target in stmt.targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            names = []
+        found += [(name, stmt) for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
 def test_every_library_method_is_used_by_the_library():
-    # a method or property of a class that curvepi does not export is read
-    # somewhere in the library outside its own body; dunder methods are
-    # exempt, as Python calls them
+    # every method, property and class-level attribute of a library class,
+    # exported or not, is read somewhere in the library outside the
+    # statement that defines it: one that only the tests read belongs in
+    # tests/, and a second name for a value is one name too many
     reads = Counter()
-    methods = []  # (module, class, definition)
+    members = []  # (module, class, name, defining statement)
     for name in sorted(n for n in os.listdir(PKG) if n.endswith(".py")):
         with open(os.path.join(PKG, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         reads += _reads(tree)
-        methods += [
-            (name, stmt.name, member)
+        members += [
+            (name, stmt.name, member, defined)
             for stmt in tree.body
-            if isinstance(stmt, ast.ClassDef) and stmt.name not in curvepi.__all__
-            for member in stmt.body
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (member.name.startswith("__") and member.name.endswith("__"))
+            if isinstance(stmt, ast.ClassDef)
+            for member, defined in _members(stmt)
         ]
-    assert methods
+    assert members
     unused = [
-        f"{module}:{cls}.{member.name}"
-        for module, cls, member in methods
-        if reads[member.name] == _reads(member)[member.name]
+        f"{module}:{cls}.{member}"
+        for module, cls, member, defined in members
+        if reads[member] == _reads(defined)[member]
     ]
     assert unused == []
 
